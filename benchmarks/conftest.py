@@ -29,6 +29,10 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Fresh perf-smoke reports land here, git-ignored: their timings change on
+#: every run, so CI uploads them as an artifact instead of the tree
+#: tracking them.
+QUICK_RESULTS_DIR = RESULTS_DIR / "quick"
 
 
 def bench_scale() -> float:
@@ -58,6 +62,12 @@ def bench_seeds(base: int) -> list:
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture(scope="session")
+def quick_results_dir() -> Path:
+    QUICK_RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    return QUICK_RESULTS_DIR
 
 
 @pytest.fixture

@@ -17,8 +17,8 @@ hold model) rather than end-to-end is deliberate and documented in
 PERFORMANCE.md: Event allocation and callback dispatch are shared costs
 that dilute any scheduler's win in the full engine loop.
 
-The fresh quick run is written to ``benchmarks/results/`` so CI uploads it
-as an artifact alongside the hot-path report.
+The fresh quick run is written to the git-ignored ``benchmarks/results/quick/``
+so CI uploads it as an artifact alongside the hot-path report.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def committed_report():
 
 
 @pytest.fixture(scope="module")
-def fresh_quick(results_dir):
-    return run_engine_bench(quick=True, out_path=str(results_dir / "engine_quick.json"))
+def fresh_quick(quick_results_dir):
+    return run_engine_bench(quick=True, out_path=str(quick_results_dir / "engine_quick.json"))
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ host.
 Scaling *slopes* are machine-independent, so those are pinned tightly: the
 per-eviction cost of both trees must stay sublinear in structure size.
 
-The fresh quick run is also written to ``benchmarks/results/`` so CI can
-upload it as an artifact.
+The fresh quick run is also written to the git-ignored
+``benchmarks/results/quick/`` so CI can upload it as an artifact.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def committed_report():
 
 
 @pytest.fixture(scope="module")
-def fresh_quick(results_dir):
-    return run_suite(quick=True, out_path=str(results_dir / "perf_quick.json"))
+def fresh_quick(quick_results_dir):
+    return run_suite(quick=True, out_path=str(quick_results_dir / "perf_quick.json"))
 
 
 def _time_keys(row):

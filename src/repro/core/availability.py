@@ -19,6 +19,7 @@ the pushing policy take that into account.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, TYPE_CHECKING
 
 from ..network import Network
@@ -144,10 +145,12 @@ class AvailabilityMonitor:
         env = self.env
         while True:
             cycle_start = env.now
-            # Probe remote balancers in parallel; each updates its entry when
-            # its own round trip completes.
-            for balancer in list(self._remote_balancers.values()):
-                env.process(self._probe_balancer(balancer))
+            # Probe remote balancers in parallel: a zero-delay timer sends
+            # every peer probe, and each updates its entry when its own
+            # round trip completes.
+            if self._remote_balancers:
+                timer = env.timeout(0, list(self._remote_balancers.values()))
+                timer.callbacks.append(self._send_balancer_probes)
             # Probe local replicas: one intra-region round trip covers them
             # all (they are probed concurrently in the real system).
             if self._local_replicas:
@@ -160,8 +163,12 @@ class AvailabilityMonitor:
             elapsed = env.now - cycle_start
             yield env.timeout(max(0.0, self.probe_interval_s - elapsed))
 
-    def _probe_balancer(self, balancer: "SkyWalkerBalancer"):
-        yield self.network.probe_delay(self.region, balancer.region)
+    def _send_balancer_probes(self, timer: Event) -> None:
+        for balancer in timer.value:
+            rtt = self.network.probe_delay(self.region, balancer.region)
+            rtt.callbacks.append(partial(self._balancer_probe_landed, balancer))
+
+    def _balancer_probe_landed(self, balancer: "SkyWalkerBalancer", rtt: Event) -> None:
         # A partitioned peer's probe never really comes back: record it as
         # unhealthy (with no spare replicas) so the peer stops being a
         # forward target until the link heals and a later probe lands.
@@ -250,6 +257,11 @@ class AvailabilityMonitor:
         return self._change_event
 
     def _notify_change(self) -> None:
-        event, self._change_event = self._change_event, self.env.event()
+        event = self._change_event
+        if not event.callbacks:
+            # Nobody is parked on it: keep it for the next waiter instead of
+            # scheduling a wake-up nobody hears.
+            return
+        self._change_event = self.env.event()
         if not event.triggered:
             event.succeed()

@@ -392,11 +392,11 @@ class RoutedNetwork(Network):
                 queue = self._edge_queue(u, v)
                 grant = queue.request()
                 yield grant
-                try:
-                    if size_bytes > 0:
-                        yield self.env.timeout(size_bytes / link.bandwidth_bytes_per_s)
-                finally:
-                    queue.release(grant)
+                if size_bytes > 0:
+                    yield self.env.timeout(size_bytes / link.bandwidth_bytes_per_s)
+                # No ``finally:`` (nothing interrupts a transit): GC closing a
+                # finished run's transit would release into its dead env.
+                queue.release(grant)
             yield self.env.timeout(self._hop_delay(u, v))
         if inbox is not None:
             yield inbox.put(item)

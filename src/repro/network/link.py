@@ -14,7 +14,7 @@ import random
 import zlib
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..sim import Environment, Store
+from ..sim import Environment, Store, Timeout
 from .topology import NetworkTopology
 
 __all__ = ["Network"]
@@ -308,11 +308,7 @@ class Network:
             self.dropped_messages += 1
             return
         delay = self.sample_one_way(src, dst) + extra_delay
-        self.env.process(self._deliver_later(delay, item, inbox))
-
-    def _deliver_later(self, delay: float, item: Any, inbox: Store):
-        yield self.env.timeout(delay)
-        yield inbox.put(item)
+        self.env.timeout(delay, (inbox, item)).callbacks.append(_put_into_inbox)
 
     def call_after_delay(self, src: str, dst: str, callback: Callable[[], None]) -> None:
         """Run ``callback`` after a one-way delay (used for notifications)."""
@@ -326,29 +322,19 @@ class Network:
             self.dropped_messages += 1
             return
         delay = self.sample_one_way(src, dst)
-        self.env.process(self._call_later(delay, callback))
-
-    def _call_later(self, delay: float, callback: Callable[[], None]):
-        yield self.env.timeout(delay)
-        callback()
+        self.env.timeout(delay, callback).callbacks.append(_run_callback)
 
     # ------------------------------------------------------------------
-    def probe(self, src: str, dst: str, read: Callable[[], Any]):
-        """A probe generator: yields for one RTT, then returns ``read()``.
-
-        Usage inside a process::
-
-            value = yield from network.probe(my_region, replica.region,
-                                             lambda: replica.num_pending)
-        """
-        self.probe_count += 1
-        self.messages_sent += 1
-        if src != dst:
-            self.cross_region_messages += 1
-        yield self.env.timeout(self.sample_rtt(src, dst))
-        return read()
-
-    def probe_delay(self, src: str, dst: str):
+    def probe_delay(self, src: str, dst: str) -> Timeout:
         """Timeout event covering a full probe round trip."""
         self.probe_count += 1
         return self.env.timeout(self.sample_rtt(src, dst))
+
+
+def _put_into_inbox(timeout: Timeout) -> None:
+    inbox, item = timeout.value
+    inbox.put(item)
+
+
+def _run_callback(timeout: Timeout) -> None:
+    timeout.value()

@@ -1,10 +1,15 @@
 """Tests for the availability monitor (Algorithm 1's MONITORAVAILABILITY)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import AvailabilityMonitor, SelectivePushingPending
+from repro.faults import FaultInjector, FaultSchedule, RegionPartition
 from repro.network import Network, default_topology
 from repro.replica import TINY_TEST_PROFILE, ReplicaServer
+from repro.sim import Environment
 
 from ..conftest import make_request
 
@@ -176,3 +181,114 @@ def test_probe_counters_reflect_probe_traffic(env, network, make_tiny_replica):
     monitor.start()
     env.run(until=1.0)
     assert network.probe_count >= 20  # ~2 probes per 50 ms cycle
+
+
+# ----------------------------------------------------------------------
+# event budget and pinned probe semantics
+# ----------------------------------------------------------------------
+def test_idle_cycle_schedules_five_events(env, make_tiny_replica):
+    """One cycle with local replicas and 2 peers: the peer-probe timer, the
+    local round trip, one round trip per peer and the interval timeout.
+    Notifications nobody waits for schedule nothing."""
+    network = Network(env, default_topology(), jitter_fraction=0.05, seed=3)
+    monitor = AvailabilityMonitor(env, network, "us", probe_interval_s=0.1)
+    monitor.add_local_replica(make_tiny_replica("us"))
+    monitor.add_local_replica(make_tiny_replica("us"))
+    monitor.add_remote_balancer(StubPeer("lb-eu", "eu"))
+    monitor.add_remote_balancer(StubPeer("lb-asia", "asia"))
+    monitor.start()
+    env.run(until=1.05)
+    scheduled = env._eid
+    env.run(until=2.05)
+    assert env._eid - scheduled == 5 * 10
+
+
+PROBE_LANDINGS = Path(__file__).parent / "data" / "probe_landings.json"
+
+
+def _probe_landings():
+    """Every peer-probe landing of a jittered monitor whose peers change
+    state between probes, across a us<->eu partition from 0.55 s to 0.95 s:
+    ``(time, peer, healthy, num_available_replicas, queue_size)``."""
+    env = Environment()
+    network = Network(env, default_topology(), jitter_fraction=0.05, seed=11)
+    monitor = AvailabilityMonitor(env, network, "us", probe_interval_s=0.1)
+    monitor.add_local_replica(ReplicaServer(env, "us/replica-0", "us", TINY_TEST_PROFILE))
+    peers = [StubPeer("lb-eu", "eu"), StubPeer("lb-asia", "asia")]
+    for peer in peers:
+        monitor.add_remote_balancer(peer)
+    landings = []
+
+    class Recording(dict):
+        def __setitem__(self, name, probe):
+            landings.append(
+                [env.now, name, probe.healthy, probe.num_available_replicas, probe.queue_size]
+            )
+            super().__setitem__(name, probe)
+
+    monitor.balancer_probes = Recording(monitor.balancer_probes)
+
+    def churn():
+        # Peer state moves off the probe grid, so each landing pins which
+        # value it read (the one current when the round trip completed).
+        for step in range(1, 60):
+            yield env.timeout(0.037)
+            for index, peer in enumerate(peers):
+                peer.queue_size = (step * (index + 2)) % 5
+                peer.num_available_replicas = (step + index) % 3
+                peer.healthy = step % 11 != index
+
+    env.process(churn())
+    FaultInjector(
+        env,
+        FaultSchedule.single(0.55, RegionPartition(a="us", b="eu", duration_s=0.4)),
+        network=network,
+        deployment=None,
+        frontend=None,
+        balancers=[],
+    ).start()
+    monitor.start()
+    env.run(until=2.0)
+    return {"landings": landings, "probe_count": network.probe_count}
+
+
+def test_probe_landings_match_the_pinned_trace():
+    """Probe semantics -- interval, jittered RTT, state read on landing, and
+    partitioned peers reported down -- are a paper parameter
+    (``ablation_probe_interval``): the trace must not move by a bit."""
+    assert _probe_landings() == json.loads(PROBE_LANDINGS.read_text())
+
+
+def test_waiter_parked_between_cycles_wakes_at_the_next_landing(env, network, monitor):
+    # RTT to eu is 0.15 s (no jitter), longer than the 0.1 s interval: the
+    # probe sent at t=0 lands at 0.15, before the cycle starting at 0.2.
+    monitor.add_remote_balancer(StubPeer("lb-eu", "eu"))
+    monitor.start()
+    env.run(until=0.12)
+    wakeups = []
+
+    def waiter(env):
+        yield monitor.wait_for_change()
+        wakeups.append(env.now)
+
+    env.process(waiter(env))
+    env.run(until=1.0)
+    assert wakeups == [pytest.approx(network.topology.rtt("us", "eu"))]
+
+
+def test_notify_without_waiter_schedules_nothing(env, monitor):
+    change = monitor.wait_for_change()
+    scheduled = env._eid
+    monitor._notify_change()
+    assert env._eid == scheduled
+    assert monitor.wait_for_change() is change  # kept for the next waiter
+
+    def waiter(env):
+        yield monitor.wait_for_change()
+
+    env.process(waiter(env))
+    env.run()
+    scheduled = env._eid
+    monitor._notify_change()
+    assert env._eid == scheduled + 1  # the parked waiter's wake-up
+    assert change.triggered and monitor.wait_for_change() is not change

@@ -244,8 +244,8 @@ def test_link_degrade_probes_feel_jitter_but_are_never_lost(env):
     results = []
 
     def prober():
-        value = yield from net.probe("us", "eu", lambda: "alive")
-        results.append(value)
+        yield net.probe_delay("us", "eu")
+        results.append("alive")
 
     env.process(prober())
     env.run()

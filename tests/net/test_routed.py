@@ -316,3 +316,58 @@ def test_netconfig_validation():
         NetConfig(request_bytes_per_token=-1.0)
     with pytest.raises(ValueError, match="topology_args"):
         NetConfig(topology_args=("not-a-pair",))
+
+
+def test_finished_contended_run_is_freed_in_one_gc_pass():
+    """A finished run's suspended transits must not resurrect its
+    environment when the GC finalizes them: releasing an edge queue from a
+    ``finally:`` scheduled into the dead env and kept the whole stack alive
+    into the next simulation.
+
+    Live environments are counted rather than watched through a weakref:
+    the collector clears weakrefs *before* it runs finalizers, so a weakref
+    reads dead even when a finalizer resurrects its referent."""
+    import gc
+
+    from repro.experiments import (
+        REGISTRY,
+        ClusterConfig,
+        ExperimentConfig,
+        build_tot_workload,
+        run_experiment,
+    )
+    from repro.replica import TINY_TEST_PROFILE
+
+    def live_environments():
+        return sum(isinstance(obj, Environment) for obj in gc.get_objects())
+
+    def run():
+        config = ExperimentConfig(
+            system=REGISTRY.spec("skywalker"),
+            cluster=ClusterConfig(
+                replicas_per_region={"us": 1, "eu": 1, "asia": 1},
+                profile=TINY_TEST_PROFILE,
+                network=NetConfig(
+                    topology="backbone",
+                    wan_bandwidth_bytes_per_s=2e5,
+                    kv_bytes_per_token=4096.0,
+                ),
+            ),
+            duration_s=10.0,
+            seed=1,
+        )
+        result = run_experiment(config, build_tot_workload(scale=0.06, seed=2))
+        queues = result.frontend.network._edge_queues.values()
+        # Transits are still holding or waiting for an edge at the horizon.
+        assert any(queue.users and queue._queue for queue in queues)
+
+    gc.collect()
+    before = live_environments()
+    gc.disable()  # the one collection below must be the one that frees it
+    try:
+        run()
+        assert live_environments() == before + 1
+        gc.collect()
+        assert live_environments() == before
+    finally:
+        gc.enable()

@@ -62,17 +62,17 @@ def test_call_after_delay_runs_callback_later(env, net):
     assert fired == [pytest.approx(net.topology.one_way("us", "asia"))]
 
 
-def test_probe_generator_returns_value_after_rtt(env, net):
+def test_probe_reads_state_after_rtt(env, net):
     state = {"value": 7}
     results = []
 
     def prober(env):
-        value = yield from net.probe("us", "eu", lambda: state["value"])
-        results.append((value, env.now))
+        yield net.probe_delay("us", "eu")
+        results.append((state["value"], env.now))
 
     env.process(prober(env))
-    # Mutate the state before the probe completes: the probe reads at the end
-    # of the round trip, so it must observe the new value.
+    # Mutate the state before the probe completes: the prober reads at the
+    # end of the round trip, so it must observe the new value.
     state["value"] = 42
     env.run()
     assert results[0][0] == 42
