@@ -1,6 +1,6 @@
 """Multi-region cluster: deployments, pricing, clients and the frontend."""
 
-from .client import ClosedLoopClient, Frontend, OpenLoopClient, RequestTracker, TraceReplayClient
+from .client import ClosedLoopClient, Frontend, RequestTracker, TraceReplayClient
 from .deployment import Deployment, ReplicaSpec
 from .pricing import (
     G6_XLARGE,
@@ -21,6 +21,5 @@ __all__ = [
     "RequestTracker",
     "Frontend",
     "ClosedLoopClient",
-    "OpenLoopClient",
     "TraceReplayClient",
 ]

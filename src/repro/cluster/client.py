@@ -10,9 +10,8 @@ balancer in their own region.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 from ..network import GeoDNS, Network
 from ..sim import Environment, Event
@@ -23,7 +22,6 @@ __all__ = [
     "RequestTracker",
     "Frontend",
     "ClosedLoopClient",
-    "OpenLoopClient",
     "TraceReplayClient",
 ]
 
@@ -245,50 +243,6 @@ class TraceReplayClient:
         for arrival, request in self.timed_requests:
             if arrival > env.now:
                 yield env.timeout(arrival - env.now)
-            request.region = self.region
-            request.sent_time = env.now
-            request.arrival_time = env.now
-            self.tracker.register(request)
-            self.frontend.dispatch(request)
-            self.issued_requests += 1
-
-
-class OpenLoopClient:
-    """A client that issues requests at a fixed average rate (Poisson arrivals).
-
-    Used by the diurnal experiments where load is defined by a trace rather
-    than by client concurrency.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        region: str,
-        frontend: Frontend,
-        tracker: RequestTracker,
-        requests: Sequence[Request],
-        *,
-        rate_per_s: float,
-        seed: int = 0,
-    ) -> None:
-        if rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
-        self.env = env
-        self.name = name
-        self.region = region
-        self.frontend = frontend
-        self.tracker = tracker
-        self.requests = list(requests)
-        self.rate_per_s = rate_per_s
-        self._rng = random.Random(seed)
-        self.issued_requests = 0
-        self.process = env.process(self._run())
-
-    def _run(self):
-        env = self.env
-        for request in self.requests:
-            yield env.timeout(self._rng.expovariate(self.rate_per_s))
             request.region = self.region
             request.sent_time = env.now
             request.arrival_time = env.now

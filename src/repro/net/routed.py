@@ -35,7 +35,7 @@ availability probes see the cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..network.link import Network
 from ..sim import Environment, Resource, Store
@@ -338,11 +338,6 @@ class RoutedNetwork(Network):
         if self._drop_unreachable(src, dst):
             return
         super().deliver(item, src, dst, inbox, extra_delay=extra_delay, size_bytes=size_bytes)
-
-    def call_after_delay(self, src: str, dst: str, callback: Callable[[], None]) -> None:
-        if self._drop_unreachable(src, dst):
-            return
-        super().call_after_delay(src, dst, callback)
 
     def _drop_unreachable(self, src: str, dst: str) -> bool:
         """Drop (with legacy counter order) across a cut that is not also a

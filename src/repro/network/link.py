@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..sim import Environment, Store, Timeout
 from .topology import NetworkTopology
@@ -310,20 +310,6 @@ class Network:
         delay = self.sample_one_way(src, dst) + extra_delay
         self.env.timeout(delay, (inbox, item)).callbacks.append(_put_into_inbox)
 
-    def call_after_delay(self, src: str, dst: str, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after a one-way delay (used for notifications)."""
-        self.messages_sent += 1
-        if src != dst:
-            self.cross_region_messages += 1
-        if (src, dst) in self._blocked_links:
-            self.dropped_messages += 1
-            return
-        if self._message_lost(src, dst):
-            self.dropped_messages += 1
-            return
-        delay = self.sample_one_way(src, dst)
-        self.env.timeout(delay, callback).callbacks.append(_run_callback)
-
     # ------------------------------------------------------------------
     def probe_delay(self, src: str, dst: str) -> Timeout:
         """Timeout event covering a full probe round trip."""
@@ -334,7 +320,3 @@ class Network:
 def _put_into_inbox(timeout: Timeout) -> None:
     inbox, item = timeout.value
     inbox.put(item)
-
-
-def _run_callback(timeout: Timeout) -> None:
-    timeout.value()

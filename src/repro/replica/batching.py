@@ -214,15 +214,49 @@ class ContinuousBatcher:
                 admitted=admitted,
             )
         if self.running:
-            # All grants belong to running sequences (and vice versa), so the
-            # memory manager's running total IS this batch's context size —
-            # no per-sequence recount on the decode hot path.
-            context = self.memory.context_tokens_total
-            compute = self.profile.decode_step_time(len(self.running), context)
-            if self.performance_scale != 1.0:
-                compute /= self.performance_scale
-            return StepPlan(kind="decode", duration=compute)
+            return StepPlan(kind="decode", duration=self.decode_durations(1)[0])
         return StepPlan(kind="idle")
+
+    def decode_run_length(self) -> int:
+        """Decode steps until the batch next changes, at least one.
+
+        Within a *decode run* every step only adds one token per sequence,
+        so nothing a plan could observe changes until one of:
+
+        * the sequence closest to its ``output_len`` finishes;
+        * the output tokens exhaust ``free_tokens`` far enough that
+          :meth:`preempt_if_needed` fires at the next plan (free memory
+          shrinks by one token per running sequence per step);
+        * a pending request could join a batch that is not full: every plan
+          then retries :meth:`admit`, whose failed attempts still touch the
+          radix cache's LRU clock, so the run is a single step.
+        """
+        running = self.running
+        batch = len(running)
+        if self.waiting and batch < self.profile.max_batch_size:
+            return 1
+        steps = min(seq.request.output_len - seq.generated for seq in running)
+        if batch > 1:
+            steps = min(steps, max(1, self.memory.free_tokens // batch))
+        return steps
+
+    def decode_durations(self, steps: int) -> List[float]:
+        """Durations of the next ``steps`` decode steps of this batch."""
+        batch = len(self.running)
+        # All grants belong to running sequences (and vice versa), so the
+        # memory manager's running total IS this batch's context size —
+        # no per-sequence recount on the decode hot path.
+        context = self.memory.context_tokens_total
+        step_time = self.profile.decode_step_time
+        scale = self.performance_scale
+        durations: List[float] = []
+        for _ in range(steps):
+            compute = step_time(batch, context)
+            if scale != 1.0:
+                compute /= scale
+            durations.append(compute)
+            context += batch
+        return durations
 
     def complete_prefill(self, admitted: List[RunningSequence], now: float) -> List[Request]:
         """Record the first token of freshly prefilled sequences.
@@ -267,6 +301,22 @@ class ContinuousBatcher:
             # completion (order of the survivors is preserved).
             self.running = survivors
         return finished
+
+    def advance_decode(self, steps: int) -> None:
+        """Apply ``steps`` decode steps in which no sequence finishes.
+
+        The bulk form of :meth:`complete_decode_step` for the inside of a
+        decode run (see :meth:`decode_run_length`): each sequence's counters
+        move once instead of once per step.
+        """
+        running = self.running
+        tokens = steps * len(running)
+        self.memory.note_generated(tokens)
+        self.total_generated_tokens += tokens
+        for seq in running:
+            seq.generated += steps
+            seq.grant.output_tokens += steps
+            seq.request.generated_tokens = seq.generated
 
     def _finish(self, seq: RunningSequence, now: float, *, unlink: bool = True) -> Request:
         request = seq.request

@@ -1,22 +1,35 @@
 """The replica server: a simulated SGLang/vLLM-style inference engine.
 
-A :class:`ReplicaServer` is a simulation process that consumes requests from
-its inbox, runs them through a :class:`ContinuousBatcher`, and notifies
-listeners when first tokens and completions happen.  Load balancers never
-call into the batcher directly -- they observe the replica the same way the
-real system does, through the probe properties (``num_pending``,
-``num_outstanding``, ...) exposed here and accessed via the network layer
-with realistic probe latency.
+A :class:`ReplicaServer` consumes requests from its inbox, runs them through
+a :class:`ContinuousBatcher`, and notifies listeners when first tokens and
+completions happen.  Load balancers never call into the batcher directly --
+they observe the replica the same way the real system does, through the
+probe properties (``num_pending``, ``num_outstanding``, ...) exposed here and
+accessed via the network layer with realistic probe latency.
+
+The serving loop is a callback state machine, not a simulation process: the
+replica waits on exactly one event at a time -- an inbox ``get()`` when idle,
+a prefill ``Timeout``, or the wake that ends a *decode run*.  A decode run is
+every decode step up to the next batch change
+(:meth:`ContinuousBatcher.decode_run_length`); it costs one event instead of
+one per step.  The steps inside a run are applied lazily: every read of
+per-step state (:attr:`ReplicaServer.batcher`, :attr:`~ReplicaServer.stats`,
+:attr:`~ReplicaServer.memory_utilization`, and :meth:`~ReplicaServer.fail`)
+first applies the steps that have ended by ``now``, and an arrival or a
+change of compute rate cuts the run at the first step boundary not before
+``now``.  The simulation is bit-identical to stepping one ``Timeout`` at a
+time; ``tests/replica/test_decode_runs.py`` checks it against that loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Tuple
 
 from ..mem import MemoryConfig
-from ..sim import Environment, Interrupt, Store
+from ..sim import Environment, Event, Store
 from ..workloads.request import Request, RequestStatus
-from .batching import ContinuousBatcher
+from .batching import ContinuousBatcher, StepPlan
 from .model_profile import LLAMA_8B_L4, ModelProfile, resolve_performance_scale
 
 __all__ = ["ReplicaServer", "ReplicaStats"]
@@ -41,6 +54,20 @@ class ReplicaStats:
             self.prefill_time += duration
         else:
             self.decode_time += duration
+
+
+class _Inbox(Store):
+    """A replica's inbox: a :class:`Store` that reports every put, so that
+    an arrival can cut the decode run in flight."""
+
+    def __init__(self, env: Environment, on_put: Callable[["_Inbox"], None]) -> None:
+        super().__init__(env)
+        self._on_put = on_put
+
+    def put(self, item):
+        event = super().put(item)
+        self._on_put(self)
+        return event
 
 
 class ReplicaServer:
@@ -83,11 +110,11 @@ class ReplicaServer:
         self.region = region
         self.profile = profile
         self.memory_config = memory
-        self.batcher = ContinuousBatcher(
+        self._batcher = ContinuousBatcher(
             profile, enable_prefix_cache=enable_prefix_cache, memory=memory
         )
-        self.inbox: Store = Store(env)
-        self.stats = ReplicaStats()
+        self.inbox: Store = _Inbox(env, self._on_put)
+        self._stats = ReplicaStats()
         self.record_utilization = record_utilization
         self.healthy = True
         # Gray-failure state: a degraded replica stays healthy and keeps
@@ -101,7 +128,19 @@ class ReplicaServer:
         self._on_first_token: List[RequestCallback] = []
         self._on_complete: List[RequestCallback] = []
         self._on_health: List[Callable[["ReplicaServer"], None]] = []
-        self._process = env.process(self._run())
+        # The one event the replica waits on; a callback whose event is no
+        # longer ``_pending`` (a cut run's old wake, anything in flight at a
+        # crash) does nothing.
+        self._pending: Optional[Event] = None
+        self._prefill: Optional[StepPlan] = None
+        # The decode run in flight: the boundary times and durations of its
+        # steps, how many steps it has (0 when no run is in flight) and how
+        # many of them have been applied.
+        self._bounds: List[float] = []
+        self._durations: List[float] = []
+        self._end = 0
+        self._applied = 0
+        self._next_step()
 
     # ------------------------------------------------------------------
     # control plane
@@ -142,14 +181,14 @@ class ReplicaServer:
         """Crash the replica: abort all work and stop the serving loop."""
         if not self.healthy:
             return []
+        self._sync()
         self.healthy = False
-        aborted = self.batcher.abort_all(self.env.now)
+        self._stop()
+        aborted = self._batcher.abort_all(self.env.now)
         while self.inbox.items:
             request = self.inbox.items.popleft()
             request.status = RequestStatus.FAILED
             aborted.append(request)
-        if self._process.is_alive:
-            self._process.interrupt("replica-failure")
         self._emit_health_change()
         return aborted
 
@@ -164,14 +203,14 @@ class ReplicaServer:
         if self.healthy:
             return
         self.healthy = True
-        old_tiers = self.batcher.memory.tiers
-        self.batcher = ContinuousBatcher(
+        old_tiers = self._batcher.memory.tiers
+        self._batcher = ContinuousBatcher(
             self.profile,
-            enable_prefix_cache=self.batcher.memory.enable_prefix_cache,
+            enable_prefix_cache=self._batcher.memory.enable_prefix_cache,
             memory=self.memory_config,
         )
         if preserve_disk and old_tiers is not None:
-            new_tiers = self.batcher.memory.tiers
+            new_tiers = self._batcher.memory.tiers
             if new_tiers is not None:
                 new_tiers.restore_tier("disk", old_tiers.export_tier("disk"), self.env.now)
         # Degrade/crash precedence: a restart clears transient slowness (the
@@ -181,14 +220,14 @@ class ReplicaServer:
         if self._degrade_scale != 1.0 and (
             self._degrade_until is None or self.env.now < self._degrade_until
         ):
-            self.batcher.performance_scale = self._degrade_scale
+            self._batcher.performance_scale = self._degrade_scale
         else:
             self._clear_degrade()
         # A fresh inbox: the crashed serving loop may have left an orphaned
         # get() registered on the old store, which would silently swallow the
         # first request delivered after recovery.
-        self.inbox = Store(self.env)
-        self._process = self.env.process(self._run())
+        self.inbox = _Inbox(self.env, self._on_put)
+        self._next_step()
         self._emit_health_change()
 
     # ------------------------------------------------------------------
@@ -219,7 +258,8 @@ class ReplicaServer:
         self._degrade_scale = scale
         self._degrade_until = until
         self._degrade_epoch += 1
-        self.batcher.performance_scale = scale
+        self._cut()
+        self._batcher.performance_scale = scale
         return self._degrade_epoch
 
     def restore_performance(self, token: Optional[int] = None) -> None:
@@ -236,45 +276,56 @@ class ReplicaServer:
         self._degrade_level = None
         self._degrade_scale = 1.0
         self._degrade_until = None
-        self.batcher.performance_scale = 1.0
+        self._cut()
+        self._batcher.performance_scale = 1.0
 
     # ------------------------------------------------------------------
     # probe interface (observable load signals)
     # ------------------------------------------------------------------
+    # Queue lengths and cache counters only change at a plan or at the end
+    # of a decode run, so they are read without catching up.
     @property
     def num_pending(self) -> int:
         """Requests not yet scheduled into the continuous batch (§3.3)."""
-        return self.batcher.num_pending + len(self.inbox.items)
+        return self._batcher.num_pending + len(self.inbox.items)
 
     @property
     def num_running(self) -> int:
-        return self.batcher.num_running
+        return self._batcher.num_running
 
     @property
     def num_outstanding(self) -> int:
-        return self.batcher.num_outstanding + len(self.inbox.items)
+        return self._batcher.num_outstanding + len(self.inbox.items)
 
     @property
     def memory_utilization(self) -> float:
-        return self.batcher.memory_utilization
+        self._sync()
+        return self._batcher.memory_utilization
 
     @property
     def cache_hit_rate(self) -> float:
-        return self.batcher.cache_hit_rate
+        return self._batcher.cache_hit_rate
 
     @property
     def has_capacity(self) -> bool:
         """SP-P availability signal: no pending request means "not full"."""
         return self.healthy and self.num_pending == 0
 
+    @property
+    def batcher(self) -> ContinuousBatcher:
+        """The scheduler state, caught up to ``now``."""
+        self._sync()
+        return self._batcher
+
+    @property
+    def stats(self) -> ReplicaStats:
+        """The step counters, caught up to ``now``."""
+        self._sync()
+        return self._stats
+
     # ------------------------------------------------------------------
     # serving loop
     # ------------------------------------------------------------------
-    def _drain_inbox(self) -> None:
-        while self.inbox.items:
-            request = self.inbox.items.popleft()
-            self.batcher.enqueue(request, self.env.now)
-
     def _emit_first_tokens(self, requests: List[Request]) -> None:
         for request in requests:
             for callback in self._on_first_token:
@@ -287,38 +338,123 @@ class ReplicaServer:
             for callback in self._on_complete:
                 callback(request)
 
-    def _run(self):
+    def _next_step(self) -> None:
+        """Admit what arrived, plan the next step and wait for its end."""
         env = self.env
-        try:
-            while True:
-                self._drain_inbox()
-                plan = self.batcher.plan_step(env.now)
-                if plan.kind == "idle":
-                    request = yield self.inbox.get()
-                    self.batcher.enqueue(request, env.now)
-                    continue
-                yield env.timeout(plan.duration)
-                self.stats.record_step(plan.kind, plan.duration)
-                if plan.kind == "prefill":
-                    newly_running = [seq.request for seq in plan.admitted]
-                    finished = self.batcher.complete_prefill(plan.admitted, env.now)
-                    self._emit_first_tokens(newly_running)
-                else:
-                    finished = self.batcher.complete_decode_step(env.now)
-                    just_got_first = [
-                        r for r in finished if r.generated_tokens == 1
-                    ]
-                    self._emit_first_tokens(just_got_first)
-                if finished:
-                    self._emit_completions(finished)
-                if self.record_utilization:
-                    self.stats.utilization_samples.append(
-                        (env.now, self.memory_utilization)
-                    )
-        except Interrupt:
-            # Replica failure: simply stop serving.  ``fail`` already aborted
-            # outstanding work.
+        batcher = self._batcher
+        items = self.inbox.items
+        while items:
+            batcher.enqueue(items.popleft(), env.now)
+        plan = batcher.plan_step(env.now)
+        if plan.kind == "decode":
+            steps = batcher.decode_run_length()
+            self._durations = durations = batcher.decode_durations(steps)
+            bounds = []
+            when = env.now
+            for duration in durations:
+                when += duration
+                bounds.append(when)
+            self._bounds = bounds
+            self._end = steps
+            self._applied = 0
+            self._wait(env.timeout_at(when), self._on_decoded)
+        elif plan.kind == "prefill":
+            self._prefill = plan
+            self._wait(env.timeout(plan.duration), self._on_prefilled)
+        else:
+            self._wait(self.inbox.get(), self._on_arrival)
+
+    def _wait(self, event: Event, callback: Callable[[Event], None]) -> None:
+        event.callbacks.append(callback)
+        self._pending = event
+
+    def _stop(self) -> None:
+        """Drop the step in flight (its event pops as a no-op)."""
+        self._pending = None
+        self._end = self._applied = 0
+
+    def _on_arrival(self, event: Event) -> None:
+        # A get() orphaned by a crash still takes one item; it is dropped.
+        if event is self._pending:
+            self._batcher.enqueue(event.value, self.env.now)
+            self._next_step()
+
+    def _on_prefilled(self, event: Event) -> None:
+        if event is not self._pending:
             return
+        plan = self._prefill
+        self._prefill = None
+        self._stats.record_step("prefill", plan.duration)
+        newly_running = [seq.request for seq in plan.admitted]
+        finished = self._batcher.complete_prefill(plan.admitted, self.env.now)
+        self._emit_first_tokens(newly_running)
+        self._step_done(event, finished)
+
+    def _on_decoded(self, event: Event) -> None:
+        if event is not self._pending:
+            return
+        last = self._end - 1
+        if last > self._applied:
+            self._apply(last)
+        self._end = self._applied = 0
+        self._stats.record_step("decode", self._durations[last])
+        self._step_done(event, self._batcher.complete_decode_step(self.env.now))
+
+    def _step_done(self, event: Event, finished: List[Request]) -> None:
+        if finished:
+            self._emit_completions(finished)
+        if self.record_utilization:
+            self._stats.utilization_samples.append(
+                (self.env.now, self._batcher.memory_utilization)
+            )
+        # A listener may have crashed (or crashed and recovered) the replica.
+        if event is self._pending:
+            self._next_step()
+
+    def _apply(self, steps: int) -> None:
+        """Apply the run's steps up to ``steps`` (none of them finishes a
+        sequence: the run ends at the first step that does)."""
+        start = self._applied
+        self._applied = steps
+        stats = self._stats
+        for duration in self._durations[start:steps]:
+            stats.record_step("decode", duration)
+        batcher = self._batcher
+        if self.record_utilization:
+            # Each step adds one output token per running sequence and
+            # nothing else moves KV memory inside a run.
+            memory = batcher.memory
+            batch = len(batcher.running)
+            used = memory.used_tokens
+            capacity = memory.capacity_tokens
+            for when in self._bounds[start:steps]:
+                used += batch
+                stats.utilization_samples.append(
+                    (when, used / capacity if capacity else 0.0)
+                )
+        batcher.advance_decode(steps - start)
+
+    def _sync(self) -> None:
+        """Apply the steps of the run in flight that have ended by ``now``,
+        except its last step, which belongs to the wake."""
+        if self._end - 1 > self._applied:
+            done = bisect_right(self._bounds, self.env.now, self._applied, self._end - 1)
+            if done > self._applied:
+                self._apply(done)
+
+    def _cut(self) -> None:
+        """End the run in flight at its first unapplied boundary not before
+        ``now``, so the next plan sees what just changed."""
+        end = self._end
+        if end:
+            step = bisect_left(self._bounds, self.env.now, self._applied, end) + 1
+            if step < end:
+                self._end = step
+                self._wait(self.env.timeout_at(self._bounds[step - 1]), self._on_decoded)
+
+    def _on_put(self, inbox: "_Inbox") -> None:
+        if inbox is self.inbox:
+            self._cut()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

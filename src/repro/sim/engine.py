@@ -122,19 +122,36 @@ class Environment:
         """The process currently being resumed, if any."""
         return self._active_process
 
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        """Insert ``event`` into the timeline ``delay`` seconds from now.
+    def schedule(
+        self,
+        event: Event,
+        delay: float = 0.0,
+        priority: int = NORMAL,
+        *,
+        at: Optional[float] = None,
+    ) -> None:
+        """Insert ``event`` into the timeline ``delay`` seconds from now, or
+        at the absolute time ``at`` when given.
+
+        ``at`` exists for callers that accumulate a float chain of delays
+        ahead of time: ``now + (at - now)`` need not equal ``at``, so a
+        precomputed instant must be scheduled as such.
 
         Raises
         ------
         ValueError
-            If ``delay`` is negative: the simulation clock may never run
-            backwards, and silently clamping would hide workload bugs.
+            If ``delay`` is negative or ``at`` lies before ``now``: the
+            simulation clock may never run backwards, and silently clamping
+            would hide workload bugs.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r} would run the clock backwards")
+        if at is None:
+            if delay < 0:
+                raise ValueError(f"negative delay {delay!r} would run the clock backwards")
+            at = self._now + delay
+        elif at < self._now:
+            raise ValueError(f"at={at!r} lies before now={self._now!r}")
         self._eid += 1
-        self._timeline.push((self._now + delay, priority, self._eid, event))
+        self._timeline.push((at, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
@@ -150,6 +167,14 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event that fires at the absolute time ``when``."""
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        self.schedule(event, at=when)
+        return event
 
     def process(self, generator: Generator) -> Process:
         """Start a new process from ``generator`` and return it."""

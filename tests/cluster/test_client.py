@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClosedLoopClient, Frontend, OpenLoopClient, RequestTracker
+from repro.cluster import ClosedLoopClient, Frontend, RequestTracker
 from repro.network import Network, default_topology
 from repro.replica import TINY_TEST_PROFILE, ReplicaServer
 from repro.sim import Environment, Store
@@ -133,28 +133,3 @@ def test_closed_loop_client_issues_stage_requests_concurrently(env):
     env.run(until=1.0)
     assert a.sent_time == b.sent_time == 0.0
     assert len(balancer.inbox.items) == 2
-
-
-def test_open_loop_client_issues_all_requests_at_given_rate(env):
-    network = Network(env, default_topology(), jitter_fraction=0.0)
-    frontend = Frontend(env, network)
-    balancer = StubBalancer(env, "lb-us", "us")
-    frontend.register_balancer(balancer)
-    tracker = RequestTracker(env)
-    requests = [make_request(prompt_len=5, output_len=1) for _ in range(20)]
-    client = OpenLoopClient(
-        env, "open-0", "us", frontend, tracker, requests, rate_per_s=100.0, seed=1
-    )
-    env.run(until=10.0)
-    assert client.issued_requests == 20
-    assert len(balancer.inbox.items) == 20
-    times = [r.sent_time for r in requests]
-    assert times == sorted(times)
-
-
-def test_open_loop_client_rejects_nonpositive_rate(env):
-    network = Network(env, default_topology(), jitter_fraction=0.0)
-    frontend = Frontend(env, network)
-    tracker = RequestTracker(env)
-    with pytest.raises(ValueError):
-        OpenLoopClient(env, "open-0", "us", frontend, tracker, [], rate_per_s=0.0)

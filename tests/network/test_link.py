@@ -54,14 +54,6 @@ def test_message_accounting_distinguishes_cross_region(env, net):
     assert net.cross_region_messages == 2
 
 
-def test_call_after_delay_runs_callback_later(env, net):
-    fired = []
-    net.call_after_delay("us", "asia", lambda: fired.append(env.now))
-    assert fired == []
-    env.run()
-    assert fired == [pytest.approx(net.topology.one_way("us", "asia"))]
-
-
 def test_probe_reads_state_after_rtt(env, net):
     state = {"value": 7}
     results = []
@@ -110,11 +102,13 @@ def test_blocked_link_drops_messages_both_ways(env, net):
 
 
 def test_blocked_link_drops_callbacks_too(env, net):
-    fired = []
+    # A dropped message schedules no delivery callback at all.
+    inbox = Store(env)
     net.set_link_blocked("us", "eu")
-    net.call_after_delay("us", "eu", lambda: fired.append("nope"))
+    net.deliver("nope", "us", "eu", inbox)
+    assert env._eid == 0
     env.run()
-    assert fired == []
+    assert list(inbox.items) == []
     assert net.dropped_messages == 1
 
 

@@ -90,6 +90,39 @@ def test_events_at_same_time_preserve_insertion_order(env):
     assert order == list("abcd")
 
 
+def test_schedule_at_rejects_a_time_in_the_past(env):
+    env.run(until=2.0)
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), at=1.5)
+    with pytest.raises(ValueError):
+        env.timeout_at(1.999)
+    assert env.peek() == float("inf")
+
+
+def test_schedule_at_uses_the_exact_instant(env):
+    # ``at`` must not round-trip through a delay: in floats,
+    # 0.177 + (0.761 - 0.177) != 0.761.
+    assert 0.177 + (0.761 - 0.177) != 0.761
+    env.run(until=0.177)
+    fired = []
+    env.timeout_at(0.761).callbacks.append(lambda event: fired.append(env.now))
+    env.run()
+    assert fired == [0.761]
+
+
+def test_equal_time_events_pop_in_eid_order_however_scheduled(env):
+    order = []
+    env.run(until=0.5)
+    # Relative and absolute inserts at the same instant pop in the order
+    # they were scheduled, not grouped by how they were scheduled.
+    env.timeout_at(1.0).callbacks.append(lambda e: order.append("at-1"))
+    env.timeout(0.5).callbacks.append(lambda e: order.append("delay-2"))
+    env.timeout_at(1.0).callbacks.append(lambda e: order.append("at-3"))
+    env.timeout(0.5).callbacks.append(lambda e: order.append("delay-4"))
+    env.run()
+    assert order == ["at-1", "delay-2", "at-3", "delay-4"]
+
+
 def test_active_process_is_none_outside_steps(env):
     def worker(env):
         assert env.active_process is not None

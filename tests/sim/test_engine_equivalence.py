@@ -10,9 +10,9 @@ fuzzers pin that:
   bursts, ``inf`` entries) and asserts the popped sequences are identical,
   entry for entry, and
 * an **engine-level** fuzzer builds randomized simulations (processes with
-  mixed delays, same-time bursts, ``AllOf``/``AnyOf`` conditions, events
-  succeeded by helpers, urgent-priority interrupts that cancel waits) from a
-  pre-drawn script, runs the identical script under
+  mixed delays, absolute-time inserts, same-time bursts, ``AllOf``/``AnyOf``
+  conditions, events succeeded by helpers, urgent-priority interrupts that
+  cancel waits) from a pre-drawn script, runs the identical script under
   ``Environment(timeline="heap")`` and ``Environment(timeline="calendar")``
   and asserts the full execution traces and final states match.
 
@@ -127,6 +127,10 @@ def _engine_script(seed: int):
                 steps.append(("all_of", [rng.uniform(0, 3) for _ in range(rng.randrange(2, 5))]))
             elif roll < 0.85:
                 steps.append(("any_of", [rng.uniform(0, 3) for _ in range(rng.randrange(2, 5))]))
+            elif roll < 0.93:
+                # Absolute-time insert; the coarse grid ties it with
+                # relative timeouts landing on the same instant.
+                steps.append(("at", rng.choice([0.5, 1.0, 1.5, 2.0, rng.uniform(0, 4)])))
             else:
                 # Wait on a bare event a helper process succeeds later.
                 steps.append(("helper_event", rng.uniform(0, 3)))
@@ -162,6 +166,8 @@ def _run_engine_script(script, timeline: str):
                     # The losing timeouts still fire later: exercises the
                     # already-processed / double-pop no-op paths.
                     yield env.any_of([env.timeout(d) for d in step[1]])
+                elif step[0] == "at":
+                    yield env.timeout_at(max(env.now, step[1]))
                 else:  # helper_event
                     event = env.event()
                     env.process(helper(env, event, step[1]))
