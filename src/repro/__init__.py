@@ -117,7 +117,8 @@ Sub-packages
 ------------
 ``repro.sim``          discrete-event simulation kernel
 ``repro.replica``      simulated SGLang/vLLM-style inference replica
-``repro.network``      cross-region latency matrix, transport and DNS
+``repro.network``      cross-region latency matrix and DNS
+``repro.net``          the transport: WAN graph, routing, faults, contention
 ``repro.cluster``      deployments, pricing, clients
 ``repro.workloads``    synthetic conversation / Tree-of-Thoughts / diurnal traces
 ``repro.core``         SkyWalker itself (two-layer router, prefix trie, CH,

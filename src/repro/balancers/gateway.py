@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.interface import BalancerBase
-from ..network import Network
+from ..net import Network
 from ..replica import ReplicaServer
 from ..sim import Environment
 from ..workloads.request import Request

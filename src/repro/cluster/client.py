@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
-from ..network import GeoDNS, Network
+from ..net import Network
+from ..network import GeoDNS
 from ..sim import Environment, Event
 from ..workloads.program import Program
 from ..workloads.request import Request, RequestStatus

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..mem import MemoryConfig
-from ..network import Network, NetworkTopology, default_topology
+from ..net import Network
+from ..network import NetworkTopology, default_topology
 from ..replica import LLAMA_8B_L4, ModelProfile, ReplicaServer
 from ..sim import Environment
 from .pricing import G6_XLARGE, InstancePricing

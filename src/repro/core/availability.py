@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, TYPE_CHECKING
 
-from ..network import Network
+from ..net import Network
 from ..replica import ReplicaServer
 from ..sim import Environment, Event
 from .pushing import PushingPolicy, ReplicaProbe, SelectivePushingPending

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from ..network import Network
+from ..net import Network
 from ..replica import ReplicaServer
 from ..sim import Environment, Interrupt
 from ..workloads.request import Request, RequestStatus

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cluster.client import Frontend
-from ..network import Network
+from ..net import Network
 from ..replica import ReplicaServer
 from ..sim import Environment
 from ..workloads.request import Request

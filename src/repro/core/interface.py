@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Protocol, runtime_checkable
 
-from ..network import Network
+from ..net import Network
 from ..replica import ReplicaServer
 from ..sim import Environment, Event, Interrupt, Store
 from ..workloads.request import Request, RequestStatus

@@ -78,10 +78,16 @@ class ClusterConfig:
     #: keeps the flat legacy model and is bit-identical to it.
     memory: Optional[MemoryConfig] = None
     record_utilization: bool = False
-    #: Optional graph-routed WAN (:class:`~repro.net.NetConfig`): multi-hop
-    #: topology, routing policy and shared-link bandwidth contention.
-    #: ``None`` keeps the legacy pairwise network, byte-for-byte.
-    network: Optional[NetConfig] = None
+    #: The WAN (:class:`~repro.net.NetConfig`): graph topology, routing
+    #: policy and shared-link bandwidth contention.  The default is the
+    #: uncontended full mesh over the region latency matrix.
+    network: NetConfig = NetConfig()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.network, NetConfig):
+            raise TypeError(
+                f"ClusterConfig.network must be a NetConfig, got {self.network!r}"
+            )
 
     @property
     def total_replicas(self) -> int:

@@ -45,7 +45,8 @@ from typing import (
 from ..cluster import Deployment, Frontend
 from ..core.interface import Balancer
 from ..core.policies import make_constraint as _make_named_constraint
-from ..network import Network, NetworkTopology
+from ..net import Network
+from ..network import NetworkTopology
 from ..sim import Environment
 from ..workloads.request import Request
 

@@ -30,8 +30,8 @@ from ..metrics import (
     collect_run_metrics,
     paired_difference,
 )
-from ..net import build_routed_network
-from ..network import Network, default_topology
+from ..net import Network, build_routed_network
+from ..network import default_topology
 from ..sim import Environment
 from ..workloads.program import Program
 from ..workloads.request import Request
@@ -40,11 +40,6 @@ from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .registry import REGISTRY, BuildContext, SystemSpec
 
 __all__ = ["ExperimentResult", "SweepResult", "run_experiment", "run_sweep", "build_system"]
-
-#: Historical alias from the era of the (now removed) ``SystemConfig`` shim;
-#: systems are always registry-typed specs today.
-SystemLike = SystemSpec
-
 
 @dataclass
 class ExperimentResult:
@@ -70,15 +65,6 @@ class ExperimentResult:
         return self.injector.controller if self.injector is not None else None
 
 
-def _resolve_system(system: SystemSpec, workload_hash_key: Optional[str]) -> tuple:
-    """Normalise to (typed spec, resolved hash key).
-
-    Typed specs are explicit, so their ``hash_key`` -- when set -- overrides
-    the workload's natural key.
-    """
-    return system, (system.hash_key or workload_hash_key or "user")
-
-
 def build_system(
     system: SystemSpec,
     env: Environment,
@@ -91,18 +77,19 @@ def build_system(
     push_transfer=None,
 ) -> List[Balancer]:
     """Instantiate the requested load-balancing system via the registry and
-    register it with the frontend.  Returns the created balancer objects."""
-    spec, resolved_key = _resolve_system(system, hash_key)
+    register it with the frontend.  Returns the created balancer objects.
+
+    A spec's explicit ``hash_key`` overrides the workload's natural key."""
     ctx = BuildContext(
         env=env,
         network=network,
         deployment=deployment,
         frontend=frontend,
         client_regions=tuple(client_regions),
-        hash_key=resolved_key,
+        hash_key=system.hash_key or hash_key or "user",
         push_transfer=push_transfer,
     )
-    return REGISTRY.build(spec, ctx)
+    return REGISTRY.build(system, ctx)
 
 
 def _split_round_robin(programs: Sequence[Program], parts: int) -> List[List[Program]]:
@@ -128,23 +115,14 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
     """Build the full stack, run it and collect metrics."""
     env = Environment()
     topology = default_topology()
-    if config.cluster.network is not None:
-        # The graph-routed WAN (repro.net): multi-hop routes, per-edge
-        # faults, optional shared-link bandwidth contention.  With the
-        # default NetConfig ("mesh", bandwidth 0) this is bit-identical to
-        # the pairwise Network below.
-        network = build_routed_network(
-            env,
-            config.cluster.network,
-            topology,
-            jitter_fraction=config.network_jitter,
-            seed=config.seed,
-            default_kv_bytes_per_token=config.cluster.profile.kv_bytes_per_token,
-        )
-    else:
-        network = Network(
-            env, topology, jitter_fraction=config.network_jitter, seed=config.seed
-        )
+    network = build_routed_network(
+        env,
+        config.cluster.network,
+        topology,
+        jitter_fraction=config.network_jitter,
+        seed=config.seed,
+        default_kv_bytes_per_token=config.cluster.profile.kv_bytes_per_token,
+    )
 
     specs = [
         ReplicaSpec(region=region, count=count, profile=config.cluster.profile)
@@ -165,10 +143,9 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
     tracker = RequestTracker(env)
     for replica in deployment.replicas:
         replica.add_completion_listener(tracker.complete)
-        if network.contention_enabled and getattr(network, "model_responses", False):
+        if network.contention_enabled and network.model_responses:
             # Finished responses become phantom reverse-path transfers so
-            # they share contended WAN edges with pushes (repro.net); inert
-            # on the legacy pairwise network and with contention off.
+            # they share contended WAN edges with pushes.
             replica.add_completion_listener(network.stream_response)
 
     push_transfer = None
@@ -442,7 +419,7 @@ class SweepResult:
 
 
 def run_sweep(
-    systems: Sequence[SystemLike],
+    systems: Sequence[SystemSpec],
     workloads: Sequence[WorkloadSpec],
     *,
     cluster: Optional[ClusterConfig] = None,
@@ -463,6 +440,10 @@ def run_sweep(
     ``seeds=[a, b, c]`` repeats every (workload, system) cell under each
     seed: per-seed runs land in :attr:`SweepResult.seed_runs` and
     :meth:`SweepResult.aggregate` reports mean/stdev/95% CI per metric.
+    Because the workloads are pre-built, the per-seed variation is the
+    simulation/network randomness; drivers that also want per-seed
+    *traffic* (the macro and pushing benchmarks) rebuild their workloads
+    per seed and go through :meth:`SweepExecutor.run_cells`.
     ``seeds=None`` (default) is the historical single-seed path, and
     ``seeds=[s]`` is bit-identical to ``seed=s``.
 

@@ -62,8 +62,6 @@ __all__ = [
     "plugin_modules",
 ]
 
-#: Historical alias from the era of the (now removed) ``SystemConfig`` shim.
-SystemLike = SystemSpec
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
 
@@ -77,7 +75,7 @@ class SweepTask:
     worker process needs nothing else to reproduce the cell exactly.
     """
 
-    system: SystemLike
+    system: SystemSpec
     workload: WorkloadSpec
     cluster: ClusterConfig
     duration_s: float = 120.0
@@ -179,7 +177,7 @@ def _bootstrap_worker(modules: Tuple[str, ...]) -> None:
         importlib.import_module(name)
 
 
-def check_unique_system_names(systems: Sequence[SystemLike]) -> None:
+def check_unique_system_names(systems: Sequence[SystemSpec]) -> None:
     """Reject sweeps whose variants would collide on display name."""
     names = [system.name for system in systems]
     duplicates = sorted({name for name in names if names.count(name) > 1})
@@ -289,7 +287,7 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     def run(
         self,
-        systems: Sequence[SystemLike],
+        systems: Sequence[SystemSpec],
         workloads: Sequence[WorkloadSpec],
         *,
         cluster: Optional[ClusterConfig] = None,
@@ -299,31 +297,9 @@ class SweepExecutor:
         network_jitter: float = 0.05,
         faults: FaultsLike = None,
     ) -> SweepResult:
-        """Run every system variant against every workload (and seed).
-
-        Each workload is built **once** by the caller and replayed across
-        the system variants (fresh request state per cell), so variants see
-        identical traffic without paying workload generation per run.
-
-        ``seeds=[...]`` fans every (workload, system) cell out across the
-        listed seeds -- the per-seed runs land in
-        :attr:`SweepResult.seed_runs` and aggregate into mean/95%-CI
-        statistics via :meth:`SweepResult.aggregate`.  Because the
-        workloads are pre-built, the per-seed variation here is the
-        simulation/network randomness; drivers that also want per-seed
-        *traffic* (the macro and pushing benchmarks) rebuild their
-        workloads per seed and go through :meth:`run_cells`.
-        ``seeds=None`` (default) is the historical single-seed path, and
-        ``seeds=[s]`` is bit-identical to ``seed=s``.
-
-        ``faults`` applies one deterministic fault schedule (object or
-        registered name) to every cell; ``None``/empty keeps the sweep
-        bit-identical to the fault-free path.
-
-        Results are indexed by each system's display name, so variants of
-        the same kind must be disambiguated with ``label`` (otherwise later
-        runs would silently overwrite earlier ones).
-        """
+        """Run every system variant against every workload (and seed) on
+        this executor; :func:`~repro.experiments.runner.run_sweep` documents
+        the parameters."""
         check_unique_system_names(systems)
         cluster = cluster or ClusterConfig()
         seed_list = normalise_seeds(seed, seeds)

@@ -27,7 +27,7 @@ from ..cluster.client import Frontend, RequestTracker
 from ..cluster.deployment import Deployment
 from ..core.balancer import SkyWalkerBalancer
 from ..core.controller import ServiceController
-from ..network import Network
+from ..net import Network
 from ..replica import ReplicaServer
 from ..sim import Environment
 from ..workloads.request import Request
@@ -597,11 +597,10 @@ def _apply_link_degrade(
     description="Take one physical link down (routes re-converge around it)",
 )
 def _apply_link_down(spec: LinkDown, ctx: FaultContext, record: FaultRecord) -> None:
-    # On the routed network this downs a graph edge and the routing policy
-    # re-converges deterministically (traffic re-routes where the topology
-    # allows); on the pairwise network set_edge_down falls back to a pair
-    # block.  Either way downs are reference-counted, so overlapping
-    # link-down faults compose and each heal removes only its own down.
+    # Downs a graph edge and the routing policy re-converges
+    # deterministically (traffic re-routes where the topology allows).
+    # Downs are reference-counted, so overlapping link-down faults compose
+    # and each heal removes only its own down.
     record.target = f"{spec.a}<->{spec.b}"
     ctx.network.set_edge_down(spec.a, spec.b, True)
     if spec.duration_s is not None:

@@ -54,12 +54,10 @@ Built-in kinds (appliers live in :mod:`repro.faults.injector`):
     Gray network failure: per-message loss probability and extra jitter on
     a link.  Probes feel the jitter but are never lost (slow, not dead).
 ``link-down`` / ``link-up``
-    Take one physical link down / bring it back.  On the graph-routed
-    network (:mod:`repro.net`) this downs a graph edge and re-converges
-    routes around the cut (traffic *re-routes* where the topology allows,
-    unlike a ``region-partition`` which forbids the pair outright); on the
-    legacy pairwise network an edge and a region pair are the same thing,
-    so it degenerates to a partition.
+    Take one physical link down / bring it back.  This downs a graph edge
+    of the network (:mod:`repro.net`) and re-converges routes around the
+    cut: traffic *re-routes* where the topology allows, unlike a
+    ``region-partition`` which forbids the pair outright.
 """
 
 from __future__ import annotations
@@ -249,10 +247,10 @@ class LinkDegrade(FaultSpec):
 class LinkDown(FaultSpec):
     """Take the physical ``a``<->``b`` link down (both directions).
 
-    ``a``/``b`` name *graph nodes* -- regions or WAN routers.  On the
-    routed network the route table re-converges deterministically around
-    the cut (observable as ``route_changed`` events); pairs left with no
-    surviving path drop messages until the link heals.  Downs are
+    ``a``/``b`` name *graph nodes* -- regions or WAN routers.  The
+    network's route table re-converges deterministically around the cut
+    (observable as ``route_changed`` events); pairs left with no surviving
+    path drop messages until the link heals.  Downs are
     reference-counted, so overlapping faults compose.  ``duration_s=None``
     keeps the link down until an explicit ``link-up`` event.
     """

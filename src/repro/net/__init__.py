@@ -1,9 +1,9 @@
 """``repro.net``: the graph-routed WAN with shared-link bandwidth contention.
 
-The legacy :mod:`repro.network` models the WAN as a pairwise latency matrix:
-every region pair has a private wire, so messages never share a path and the
+:mod:`repro.network` describes regions as a pairwise latency matrix, where
+every region pair has a private wire: messages never share a path and the
 bandwidth-scarce regime the paper's BP vs SP-O/SP-P comparison diverges in
-is unreachable.  This package replaces the wire with a routed graph:
+is unreachable.  This package carries messages over a routed graph instead:
 
 * :mod:`~repro.net.graph` -- :class:`WanGraph` (regions + WAN routers,
   directed edges with latency and optional finite bandwidth) and the
@@ -11,16 +11,16 @@ is unreachable.  This package replaces the wire with a routed graph:
 * :mod:`~repro.net.routing` -- the ``register_routing_policy`` registry
   (``"shortest-path"`` Dijkstra with the deterministic ``(cost, name)``
   tie-break, ``"static-route"``, ``"cost-weighted"``).
-* :mod:`~repro.net.routed` -- :class:`RoutedNetwork`, a drop-in
-  :class:`~repro.network.Network` doing multi-hop delivery, per-edge FIFO
+* :mod:`~repro.net.routed` -- :class:`Network`, the simulator's only
+  transport: multi-hop delivery and probes, per-edge faults, FIFO
   contention and deterministic route re-convergence under faults
   (observable as :class:`RouteChange` events).
 * :mod:`~repro.net.config` -- the frozen :class:`NetConfig` that rides on
   :class:`~repro.experiments.config.ClusterConfig` into sweep workers.
 
-With contention disabled (the default) the routed ``"mesh"`` network is
-bit-identical to the legacy pairwise one -- see ``docs/NETWORK.md`` for the
-full determinism contract.
+The default network (``"mesh"``, contention off) routes every pair over
+its direct edge and reproduces the historical pairwise transport bit for
+bit -- see ``docs/NETWORK.md`` for the full determinism contract.
 """
 
 from .config import NetConfig
@@ -31,7 +31,7 @@ from .graph import (
     register_wan_topology,
     registered_wan_topologies,
 )
-from .routed import RoutedNetwork, RouteChange, build_routed_network
+from .routed import Network, RouteChange, build_routed_network
 from .routing import (
     CostWeightedRouting,
     RoutingPolicy,
@@ -57,7 +57,7 @@ __all__ = [
     "register_routing_policy",
     "make_routing_policy",
     "registered_routing_policies",
-    "RoutedNetwork",
+    "Network",
     "RouteChange",
     "build_routed_network",
     "run_route_trace",

@@ -4,8 +4,8 @@
 only registry *names* plus scalars, resolved into live objects
 (:func:`repro.net.routed.build_routed_network`) inside each worker process.
 Attach one to :class:`~repro.experiments.config.ClusterConfig` via its
-``network`` field; ``None`` (the default) keeps the legacy pairwise
-:class:`~repro.network.Network` byte-for-byte.
+``network`` field; the default ``NetConfig()`` is the plain
+:class:`~repro.net.Network` (mesh graph, no bandwidth contention).
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ __all__ = ["NetConfig"]
 
 @dataclass(frozen=True)
 class NetConfig:
-    """How to build the routed network for an experiment.
+    """How to build the network for an experiment.
 
     ``wan_bandwidth_bytes_per_s=0`` (the default) leaves every edge
-    uncontended: messages pay only routed latency, wire sizes stay zero and
-    the run is bit-identical to the legacy pairwise network on the
-    ``"mesh"`` topology.  A positive bandwidth turns the topology's WAN
+    uncontended: messages pay only routed latency and wire sizes are never
+    computed; on the ``"mesh"`` topology that is the default network.  A positive bandwidth turns the topology's WAN
     edges into shared FIFOs and switches dispatch into computing wire
     sizes from the per-token byte rates below.
     """

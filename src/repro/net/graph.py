@@ -1,9 +1,9 @@
 """The routed WAN graph: regions and routers as nodes, links as edges.
 
-The legacy :class:`~repro.network.topology.NetworkTopology` is a pairwise
-one-way latency matrix -- every region pair has its own private wire, so
-messages never share a path and never queue.  :class:`WanGraph` replaces
-that wire with a real graph: *region* nodes (the deployment's regions) plus
+:class:`~repro.network.topology.NetworkTopology` is a pairwise one-way
+latency matrix -- on its own, every region pair has a private wire, so
+messages never share a path and never queue.  :class:`WanGraph` turns it
+into a real graph: *region* nodes (the deployment's regions) plus
 optional *WAN router* nodes, connected by directed :class:`WanLink` edges
 that carry a propagation latency and an optional finite bandwidth.  Routes
 between regions are computed by a registered routing policy
@@ -16,10 +16,10 @@ frozen :class:`~repro.net.config.NetConfig` can carry just the name plus
 scalar arguments into sweep worker processes, exactly like the pushing /
 selection / constraint registries:
 
-* ``"mesh"`` -- one direct edge per legacy latency-matrix entry.  With the
-  bandwidth knob at 0 this is the pairwise network re-expressed as a graph
-  (single-hop routes, same latencies), which is what the bit-identity
-  contract is checked against.
+* ``"mesh"`` -- one direct edge per latency-matrix entry, the default
+  network's graph.  With the bandwidth knob at 0 every route is the single
+  direct hop at the matrix latency, which is what keeps the default
+  network bit-identical to the historical pairwise transport.
 * ``"backbone"`` -- one WAN router per continent; regions attach to their
   continent's router and routers interconnect.  All cross-continent
   traffic between two continents shares one router-to-router edge pair,
@@ -32,10 +32,12 @@ selection / constraint registries:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from .._registry import NameRegistry
-from ..network.topology import NetworkTopology
+
+if TYPE_CHECKING:
+    from ..network.topology import NetworkTopology
 
 __all__ = [
     "WanLink",
@@ -197,12 +199,11 @@ def registered_wan_topologies() -> Tuple[str, ...]:
 def build_mesh(
     regions: NetworkTopology, *, wan_bandwidth_bytes_per_s: float = 0.0
 ) -> WanGraph:
-    """Full mesh: one direct edge per legacy latency-matrix entry.
+    """Full mesh: one direct edge per latency-matrix entry.
 
-    Every route is the single hop the pairwise matrix already modelled, and
-    each edge's latency is the matrix entry itself -- with the bandwidth
-    knob at 0 the routed network built on this graph is bit-identical to
-    the legacy :class:`~repro.network.Network`.
+    Every route is the single hop the pairwise matrix models, and each
+    edge's latency is the matrix entry itself -- the default
+    :class:`~repro.net.Network` graph.
     """
     graph = WanGraph(regions)
     for (src, dst), latency_s in sorted(regions.links().items()):
@@ -239,7 +240,7 @@ def build_backbone(
     """One (or two, ``redundancy=2``) WAN router(s) per continent.
 
     Regions attach to their continent's router(s) over a short access link;
-    routers interconnect with a latency derived from the legacy matrix
+    routers interconnect with a latency derived from the latency matrix
     between each continent's representative regions (minus the two access
     legs, clamped at ``min_backbone_latency_s``), so end-to-end routed
     latencies track the matrix.  The ``wan_bandwidth_bytes_per_s`` knob

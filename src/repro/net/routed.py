@@ -1,52 +1,63 @@
-"""The routed network: multi-hop delivery with shared-link contention.
+"""The network: latency-faithful, multi-hop message transport over the WAN.
 
-:class:`RoutedNetwork` is a drop-in :class:`~repro.network.Network` whose
-latency comes from a routed path over a :class:`~repro.net.graph.WanGraph`
-instead of a pairwise matrix lookup, and whose messages -- when any edge
-carries finite bandwidth -- serialise through per-edge FIFO queues as real
-simulation processes (store-and-forward per hop).
+:class:`Network` is the simulator's one transport between simulation
+actors.  It routes every region pair over a
+:class:`~repro.net.graph.WanGraph` with a registered routing policy, samples
+a jittered latency summed edge by edge along the route, and then delivers
+the payload into the destination's inbox store.  Probes (heartbeat RTTs) are
+modelled the same way, which is what makes "probe all replicas from every
+load balancer" measurably more expensive than SkyWalker's two-layer design.
+When any edge carries finite bandwidth, cross-region messages instead
+serialise through per-edge FIFO queues as simulation processes
+(store-and-forward per hop).
 
 Determinism contract (the part the golden traces pin):
 
-* **Contention off** (every edge bandwidth 0, the default): on the
-  ``"mesh"`` topology the routed network is *bit-identical* to the legacy
-  pairwise network.  Routes are the single direct hop, the per-edge latency
-  is the matrix entry, fault surcharges key on the same ``(src, dst)``
-  pairs, and both the jitter RNG and the fault RNG are consumed in exactly
-  the historical order.
+* **The default network** is the ``"mesh"`` graph (one direct edge per
+  latency-matrix entry) with ``"shortest-path"`` routing and no bandwidth.
+  Every route is the single direct hop, so samples, fault-RNG draws and
+  counters reproduce the historical pairwise-matrix transport bit for bit
+  (``tests/net/data/pairwise_legacy.json``).
 * **Contention on**: transit becomes event-driven (queue, transmit
   ``size/bandwidth``, propagate per hop), so latencies depend on concurrent
   traffic -- but the whole schedule is still a pure function of
   (spec, workload, seed): serial, ``workers=N`` and forced-spawn sweeps
   produce identical results.
 * **Re-convergence**: route tables are recomputed whenever an edge goes
-  down/up or a region pair is (un)blocked, by the registered routing policy
-  with its deterministic tie-break; every table diff is appended to
-  :attr:`RoutedNetwork.route_events` in sorted pair order, so two runs
-  agree on the exact ``route_changed`` sequence.
+  down/up or a region pair is (un)blocked, by the routing policy with its
+  deterministic tie-break; every table diff is appended to
+  :attr:`Network.route_events` in sorted pair order, so two runs agree on
+  the exact ``route_changed`` sequence.
 
 A pair whose route is cut keeps its *last-known-good* path in the table
 (latency sampling stays finite for code that asks) but is marked
-unreachable: messages sent across it are dropped, exactly like the legacy
-partition semantics, and :meth:`link_blocked` reports it down so
-availability probes see the cut.
+unreachable: messages sent across it are dropped and :meth:`link_blocked`
+reports it down so availability probes see the cut.
 """
 
 from __future__ import annotations
 
+import random
+import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-from ..network.link import Network
-from ..sim import Environment, Resource, Store
+from ..sim import Environment, Resource, Store, Timeout
 from .config import NetConfig
 from .graph import WanGraph, make_wan_topology
 from .routing import RoutingPolicy, make_routing_policy
 
-__all__ = ["RouteChange", "RoutedNetwork", "build_routed_network"]
+if TYPE_CHECKING:
+    from ..network.topology import NetworkTopology
+
+__all__ = ["Network", "RouteChange", "build_routed_network"]
 
 Path = Tuple[str, ...]
 Pair = Tuple[str, str]
+#: One hop of a route: the fault-table key and its propagation latency.
+#: A same-region message crosses a single ``(region, region)`` leg whose
+#: latency is the topology's intra-region latency.
+Leg = Tuple[Pair, float]
 
 #: Sentinel payload for phantom transfers (response streams) that occupy
 #: link bandwidth but are never delivered into an inbox.
@@ -75,19 +86,42 @@ class RouteChange:
                 self.old_path, self.new_path)
 
 
-class RoutedNetwork(Network):
-    """Multi-hop message transport over a WAN graph.
+def _adjust_count(table: Dict[Pair, int], key: Pair, up: bool) -> None:
+    """Reference-count ``key`` up or down; an unmatched down is a no-op."""
+    if up:
+        table[key] = table.get(key, 0) + 1
+    else:
+        count = table.get(key, 0)
+        if count <= 1:
+            table.pop(key, None)
+        else:
+            table[key] = count - 1
 
-    Parameters beyond the legacy :class:`Network` ones:
 
+def _pairs(src: str, dst: str, symmetric: bool) -> List[Pair]:
+    return [(src, dst)] + ([(dst, src)] if symmetric else [])
+
+
+class Network:
+    """Message transport between regions over a routed WAN graph.
+
+    Parameters
+    ----------
+    topology:
+        The run's regions and their one-way latency matrix.
+    jitter_fraction / seed:
+        Every sampled latency is jittered uniformly by up to
+        ``jitter_fraction`` of itself, from a RNG seeded with ``seed``.
     graph / policy:
-        The :class:`WanGraph` to route over and the
-        :class:`~repro.net.routing.RoutingPolicy` computing paths.  Edge
-        bandwidths are fixed at build time (``contention_enabled`` is
-        cached), so mutate the graph before constructing the network.
+        The :class:`WanGraph` to route over -- built over ``topology``;
+        the default is the ``"mesh"`` graph -- and the
+        :class:`~repro.net.routing.RoutingPolicy` computing paths (default
+        ``"shortest-path"``).  Edge bandwidths are fixed at build time
+        (``contention_enabled`` is cached), so mutate the graph before
+        constructing the network.
     request_bytes_per_token / response_bytes_per_token / kv_bytes_per_token:
-        Wire-size coefficients for the contention model (all inert while
-        contention is off).
+        Wire-size coefficients for the contention model (inert while no
+        edge has finite bandwidth).
     model_responses:
         When contended, finished responses become phantom reverse-path
         transfers (:meth:`stream_response`) so they share WAN edges with
@@ -98,42 +132,72 @@ class RoutedNetwork(Network):
     def __init__(
         self,
         env: Environment,
-        graph: WanGraph,
-        policy: RoutingPolicy,
+        topology: NetworkTopology,
         *,
         jitter_fraction: float = 0.05,
         seed: int = 0,
+        graph: Optional[WanGraph] = None,
+        policy: Optional[RoutingPolicy] = None,
         request_bytes_per_token: float = 0.0,
         response_bytes_per_token: float = 0.0,
         kv_bytes_per_token: float = 0.0,
         model_responses: bool = True,
     ) -> None:
-        super().__init__(
-            env, graph.regions, jitter_fraction=jitter_fraction, seed=seed
-        )
+        if graph is None:
+            graph = make_wan_topology("mesh", topology)
+        elif graph.regions is not topology:
+            raise ValueError("the WAN graph must be built over the network's topology")
+        self.env = env
+        self.topology = topology
         self.graph = graph
-        self.policy = policy
+        self.policy = policy if policy is not None else make_routing_policy("shortest-path")
+        self.jitter_fraction = jitter_fraction
+        self.seed = seed
+        self._rng = random.Random(seed)
         self.request_bytes_per_token = request_bytes_per_token
         self.response_bytes_per_token = response_bytes_per_token
         self.kv_bytes_per_token = kv_bytes_per_token
         self.model_responses = model_responses
-        self._contended = graph.has_finite_bandwidth
-        # Route table over region pairs.  _route_base caches the summed
-        # path latency for the (hot) no-active-fault sampling path.
-        self._routes: Dict[Pair, Path] = {}
-        self._route_base: Dict[Pair, float] = {}
+        #: Whether messages contend for finite link bandwidth: true when any
+        #: graph edge carries one, which switches the dispatch path into
+        #: computing wire sizes.
+        self.contention_enabled = graph.has_finite_bandwidth
+        # Traffic accounting (useful for the architecture ablation).
+        self.messages_sent = 0
+        self.cross_region_messages = 0
+        self.probe_count = 0
+        self.dropped_messages = 0
+        # Contention accounting.
+        self.wire_bytes_sent = 0.0
+        self.response_streams = 0
+        self.response_bytes = 0.0
+        # Fault state (driven by repro.faults), keyed per directed edge:
+        # blocked region pairs and downed edges (reference-counted), latency
+        # spikes, and gray degrades' loss probability / extra jitter.  All
+        # start empty so fault-free runs take the fast paths; the fault RNG
+        # is created lazily on the first degrade so fault-free runs draw
+        # nothing from it.
+        self._blocked_links: Dict[Pair, int] = {}
         self._down_edges: Dict[Pair, int] = {}
+        self._extra_latency: Dict[Pair, float] = {}
+        self._link_loss: Dict[Pair, float] = {}
+        self._link_extra_jitter: Dict[Pair, float] = {}
+        self._fault_rng: Optional[random.Random] = None
+        # Route table over region pairs.  _legs holds each pair's hops and
+        # _route_base their summed latency (the hot no-fault sampling path);
+        # _unreachable holds blocked and cut pairs.
+        self._routes: Dict[Pair, Path] = {}
+        self._legs: Dict[Pair, Tuple[Leg, ...]] = {}
+        self._route_base: Dict[Pair, float] = {}
         self._unreachable: Set[Pair] = set()
         #: Every route-table diff, in event order (sorted pair order within
         #: one re-convergence) -- the observable ``route_changed`` stream.
         self.route_events: List[RouteChange] = []
         # One FIFO queue per finite-bandwidth edge, created lazily.
         self._edge_queues: Dict[Pair, Resource] = {}
-        # Contention accounting (separate from the legacy message counters,
-        # which golden traces may observe indirectly).
-        self.wire_bytes_sent = 0.0
-        self.response_streams = 0
-        self.response_bytes = 0.0
+        for region in graph.region_names():
+            intra = ((region, region), topology.one_way(region, region))
+            self._set_legs((region, region), (intra,))
         self._reconverge(None)
 
     # ------------------------------------------------------------------
@@ -151,6 +215,10 @@ class RoutedNetwork(Network):
     def reachable(self, src: str, dst: str) -> bool:
         return src == dst or (src, dst) not in self._unreachable
 
+    def _set_legs(self, pair: Pair, legs: Tuple[Leg, ...]) -> None:
+        self._legs[pair] = legs
+        self._route_base[pair] = sum(latency for _, latency in legs)
+
     def _reconverge(self, reason: Optional[str]) -> None:
         """Recompute every region pair's route and record the diffs.
 
@@ -166,10 +234,7 @@ class RoutedNetwork(Network):
                 if src == dst:
                     continue
                 pair = (src, dst)
-                old_path: Optional[Path] = (
-                    self._routes[pair] if pair in self._routes and pair not in self._unreachable
-                    else None
-                )
+                old_path = None if pair in self._unreachable else self._routes.get(pair)
                 if pair in self._blocked_links:
                     # A blocked *pair* is a policy statement that these two
                     # regions must not communicate (the partition fault), so
@@ -189,18 +254,46 @@ class RoutedNetwork(Network):
                 else:
                     self._unreachable.discard(pair)
                     self._routes[pair] = new_path
-                    self._route_base[pair] = sum(
-                        self.graph.latency(u, v)
+                    self._set_legs(pair, tuple(
+                        ((u, v), self.graph.latency(u, v))
                         for u, v in zip(new_path, new_path[1:])
-                    )
+                    ))
                 if reason is not None and old_path != new_path:
                     self.route_events.append(
                         RouteChange(self.env.now, reason, src, dst, old_path, new_path)
                     )
 
     # ------------------------------------------------------------------
-    # fault surface: edges down, pairs blocked
+    # link faults: partitions and downed edges
     # ------------------------------------------------------------------
+    def set_link_blocked(
+        self, src: str, dst: str, blocked: bool = True, *, symmetric: bool = True
+    ) -> None:
+        """(Un)block a region pair: a network partition, as a graph cut.
+
+        Messages sent across a blocked pair are dropped and counted in
+        :attr:`dropped_messages`, and probes see the pair down.  Any direct
+        edge between the two nodes also goes down so third-party routes
+        avoid it, and the route table re-converges -- which is what makes
+        the partition observable as ``route_changed`` events.
+
+        Blocks are reference-counted per direction, so overlapping faults
+        compose: a pair stays blocked until *every* fault that blocked it
+        has healed (an unblock without a matching block is a no-op).
+        """
+        if src == dst:
+            raise ValueError(f"cannot partition region {src!r} from itself")
+        for pair in _pairs(src, dst, symmetric):
+            _adjust_count(self._blocked_links, pair, blocked)
+            if self.graph.has_edge(*pair):
+                _adjust_count(self._down_edges, pair, blocked)
+        self._reconverge("partition" if blocked else "heal")
+
+    def link_blocked(self, src: str, dst: str) -> bool:
+        """Is ``src -> dst`` partitioned away -- blocked, or its route cut?
+        Availability probes detect graph cuts the same way as partitions."""
+        return (src, dst) in self._unreachable
+
     def set_edge_down(
         self, u: str, v: str, down: bool = True, *, symmetric: bool = True
     ) -> None:
@@ -209,95 +302,171 @@ class RoutedNetwork(Network):
         Downs are reference-counted per direction, like pair blocks, so
         overlapping faults compose.  Unlike a blocked pair, traffic *routes
         around* a downed edge when the policy finds an alternative."""
-        pairs = [(u, v)] + ([(v, u)] if symmetric else [])
+        pairs = _pairs(u, v, symmetric)
         for a, b in pairs:
             if not self.graph.has_edge(a, b):
                 raise KeyError(f"no edge {a!r} -> {b!r} in the graph")
         for pair in pairs:
-            self._adjust_down_edge(pair, down)
+            _adjust_count(self._down_edges, pair, down)
         self._reconverge("link-down" if down else "link-up")
 
-    def _adjust_down_edge(self, pair: Pair, down: bool) -> None:
-        if down:
-            self._down_edges[pair] = self._down_edges.get(pair, 0) + 1
-        else:
-            count = self._down_edges.get(pair, 0)
-            if count <= 1:
-                self._down_edges.pop(pair, None)
-            else:
-                self._down_edges[pair] = count - 1
-
-    def set_link_blocked(
-        self, src: str, dst: str, blocked: bool = True, *, symmetric: bool = True
+    # ------------------------------------------------------------------
+    # link faults: latency spikes and gray degrades
+    # ------------------------------------------------------------------
+    def add_link_extra_latency(
+        self, src: str, dst: str, extra_s: float, *, symmetric: bool = True
     ) -> None:
-        """A partition between two regions, as a graph cut.
+        """Add a latency-spike *contribution* to an edge.
 
-        The pair block itself is inherited (messages across the pair drop,
-        probes see it down); additionally any *direct* edge between the two
-        nodes goes down so third-party routes avoid it, and the route table
-        re-converges -- which is what makes the partition observable as
-        ``route_changed`` events."""
-        super().set_link_blocked(src, dst, blocked, symmetric=symmetric)
-        pairs = [(src, dst)] + ([(dst, src)] if symmetric else [])
-        for pair in pairs:
-            if self.graph.has_edge(*pair):
-                self._adjust_down_edge(pair, blocked)
-        self._reconverge("partition" if blocked else "heal")
+        Contributions from overlapping faults sum; each fault later removes
+        exactly what it added (:meth:`remove_link_extra_latency`), so spikes
+        compose instead of clobbering each other.  Jitter applies to the
+        inflated latency, the way real congestion inflates variance along
+        with the mean."""
+        if extra_s < 0:
+            raise ValueError("extra latency must be non-negative")
+        if extra_s == 0:
+            return
+        for pair in _pairs(src, dst, symmetric):
+            self._extra_latency[pair] = self._extra_latency.get(pair, 0.0) + extra_s
 
-    def link_blocked(self, src: str, dst: str) -> bool:
-        """Down when the pair is blocked *or* the route to it is cut, so
-        availability probes detect graph cuts the same way they detect
-        pairwise partitions."""
-        return super().link_blocked(src, dst) or (src, dst) in self._unreachable
+    def remove_link_extra_latency(
+        self, src: str, dst: str, extra_s: float, *, symmetric: bool = True
+    ) -> None:
+        """Remove a contribution previously added with
+        :meth:`add_link_extra_latency` (clamped at zero)."""
+        if extra_s <= 0:
+            return
+        for pair in _pairs(src, dst, symmetric):
+            remaining = self._extra_latency.get(pair, 0.0) - extra_s
+            if remaining <= 1e-12:
+                self._extra_latency.pop(pair, None)
+            else:
+                self._extra_latency[pair] = remaining
 
-    # ------------------------------------------------------------------
-    # latency sampling (the uncontended path)
-    # ------------------------------------------------------------------
-    def _sample_base(self, src: str, dst: str) -> float:
-        """Pre-jitter latency summed edge by edge along the routed path.
+    def link_extra_latency(self, src: str, dst: str) -> float:
+        """The current latency-spike surcharge on ``src -> dst``."""
+        return self._extra_latency.get((src, dst), 0.0)
 
-        Spike surcharges and degrade jitter key on graph *edges*; on the
-        mesh topology the path is the single ``(src, dst)`` edge, so the
-        arithmetic, the dict keys and the fault-RNG draws are exactly the
-        legacy pairwise code's -- that is the bit-identity contract."""
-        if src == dst:
-            return super()._sample_base(src, dst)
-        path = self._routes[(src, dst)]
-        if not self._extra_latency and not self._link_extra_jitter:
-            return self._route_base[(src, dst)]
-        base = 0.0
-        for u, v in zip(path, path[1:]):
-            leg = self.graph.latency(u, v)
-            if self._extra_latency:
-                leg += self._extra_latency.get((u, v), 0.0)
-            if self._link_extra_jitter:
-                extra = self._link_extra_jitter.get((u, v), 0.0)
-                if extra > 0:
-                    leg += self._ensure_fault_rng().uniform(0.0, leg * extra)
-            base += leg
-        return base
+    def _ensure_fault_rng(self) -> random.Random:
+        if self._fault_rng is None:
+            # Derived from the network seed but independent of the jitter
+            # stream: installing a degrade must not shift the draws that
+            # fault-free traffic would have made.
+            self._fault_rng = random.Random(
+                zlib.crc32(f"link-faults:{self.seed}".encode("utf-8"))
+            )
+        return self._fault_rng
+
+    def add_link_degrade(
+        self,
+        src: str,
+        dst: str,
+        *,
+        loss_probability: float = 0.0,
+        extra_jitter_fraction: float = 0.0,
+        symmetric: bool = True,
+    ) -> None:
+        """Degrade an edge: per-message loss probability and extra jitter.
+
+        Contributions from overlapping degrades are additive (loss is
+        clamped to 1.0 when drawn).  Probes feel the jitter but are never
+        lost -- a gray link looks slow, not dead."""
+        if not 0.0 <= loss_probability <= 1.0:
+            raise ValueError("loss probability must be in [0, 1]")
+        if extra_jitter_fraction < 0:
+            raise ValueError("extra jitter fraction must be non-negative")
+        self._ensure_fault_rng()
+        for pair in _pairs(src, dst, symmetric):
+            if loss_probability:
+                self._link_loss[pair] = (
+                    self._link_loss.get(pair, 0.0) + loss_probability
+                )
+            if extra_jitter_fraction:
+                self._link_extra_jitter[pair] = (
+                    self._link_extra_jitter.get(pair, 0.0) + extra_jitter_fraction
+                )
+
+    def remove_link_degrade(
+        self,
+        src: str,
+        dst: str,
+        *,
+        loss_probability: float = 0.0,
+        extra_jitter_fraction: float = 0.0,
+        symmetric: bool = True,
+    ) -> None:
+        """Remove a degrade contribution previously added with
+        :meth:`add_link_degrade` (clamped at zero)."""
+        for pair in _pairs(src, dst, symmetric):
+            for table, amount in (
+                (self._link_loss, loss_probability),
+                (self._link_extra_jitter, extra_jitter_fraction),
+            ):
+                if amount <= 0:
+                    continue
+                remaining = table.get(pair, 0.0) - amount
+                if remaining <= 1e-12:
+                    table.pop(pair, None)
+                else:
+                    table[pair] = remaining
+
+    def link_loss_probability(self, src: str, dst: str) -> float:
+        """Current per-message loss probability on ``src -> dst``."""
+        return min(1.0, self._link_loss.get((src, dst), 0.0))
 
     def _message_lost(self, src: str, dst: str) -> bool:
-        """Per-edge loss checks, in path order (single-edge on the mesh,
-        where this reduces byte-for-byte to the pairwise check)."""
-        if not self._link_loss or src == dst:
-            return super()._message_lost(src, dst)
-        path = self._routes.get((src, dst))
-        if path is None:
-            return super()._message_lost(src, dst)
-        for u, v in zip(path, path[1:]):
-            loss = min(1.0, self._link_loss.get((u, v), 0.0))
+        """Per-edge loss draws, in path order."""
+        if not self._link_loss:
+            return False
+        for edge, _ in self._legs[(src, dst)]:
+            loss = min(1.0, self._link_loss.get(edge, 0.0))
             if loss > 0.0 and self._ensure_fault_rng().random() < loss:
                 return True
         return False
 
     # ------------------------------------------------------------------
+    # latency sampling
+    # ------------------------------------------------------------------
+    def _faulted(self, edge: Pair, latency: float) -> float:
+        """One leg's latency plus its spike surcharge and degrade jitter.
+
+        Degrade jitter only ever inflates (congestion variance), and draws
+        from the fault RNG so the nominal jitter stream is untouched by the
+        degrade being installed."""
+        if self._extra_latency:
+            latency += self._extra_latency.get(edge, 0.0)
+        if self._link_extra_jitter:
+            extra = self._link_extra_jitter.get(edge, 0.0)
+            if extra > 0:
+                latency += self._ensure_fault_rng().uniform(0.0, latency * extra)
+        return latency
+
+    def _jittered(self, base: float) -> float:
+        if self.jitter_fraction <= 0:
+            return base
+        jitter = base * self.jitter_fraction
+        return max(0.0, base + self._rng.uniform(-jitter, jitter))
+
+    def _sample_base(self, src: str, dst: str) -> float:
+        """Pre-jitter one-way latency, summed leg by leg along the route."""
+        if not self._extra_latency and not self._link_extra_jitter:
+            return self._route_base[(src, dst)]
+        base = 0.0
+        for edge, latency in self._legs[(src, dst)]:
+            base += self._faulted(edge, latency)
+        return base
+
+    def sample_one_way(self, src: str, dst: str) -> float:
+        """One-way latency sample (routed latency plus bounded jitter)."""
+        return self._jittered(self._sample_base(src, dst))
+
+    def sample_rtt(self, src: str, dst: str) -> float:
+        return self.sample_one_way(src, dst) + self.sample_one_way(dst, src)
+
+    # ------------------------------------------------------------------
     # wire sizes (the contention model's inputs)
     # ------------------------------------------------------------------
-    @property
-    def contention_enabled(self) -> bool:
-        return self._contended
-
     def request_wire_bytes(self, request: Any) -> float:
         return self.request_bytes_per_token * request.prompt_len
 
@@ -309,7 +478,7 @@ class RoutedNetwork(Network):
         return self.response_bytes_per_token * tokens
 
     # ------------------------------------------------------------------
-    # delivery
+    # delivery and probes
     # ------------------------------------------------------------------
     def deliver(
         self,
@@ -321,46 +490,44 @@ class RoutedNetwork(Network):
         extra_delay: float = 0.0,
         size_bytes: float = 0.0,
     ) -> None:
-        if src != dst and self._contended:
-            self.messages_sent += 1
+        """Asynchronously place ``item`` into ``inbox`` after the network delay.
+
+        ``extra_delay`` is serialised on top of the sampled link delay --
+        used for payload-dependent costs such as shipping pushed KV prefixes
+        (the latency sample itself stays payload-independent so RNG draws
+        are unchanged).  ``size_bytes`` is the message's wire size: on a
+        contended network a cross-region message serialises it through each
+        finite-bandwidth edge on its path; otherwise it is ignored.
+        Messages across a blocked or cut pair are dropped (the packet-loss
+        view of a partition): the item never arrives, even if the link
+        heals."""
+        self.messages_sent += 1
+        if src != dst:
             self.cross_region_messages += 1
-            if (src, dst) in self._blocked_links or (src, dst) in self._unreachable:
-                self.dropped_messages += 1
-                return
-            if self._message_lost(src, dst):
-                self.dropped_messages += 1
-                return
+        if (src, dst) in self._unreachable or self._message_lost(src, dst):
+            self.dropped_messages += 1
+            return
+        if self.contention_enabled and src != dst:
             self.wire_bytes_sent += size_bytes
             self.env.process(
                 self._transit(item, src, dst, inbox, extra_delay, size_bytes)
             )
             return
-        if self._drop_unreachable(src, dst):
-            return
-        super().deliver(item, src, dst, inbox, extra_delay=extra_delay, size_bytes=size_bytes)
+        delay = self.sample_one_way(src, dst) + extra_delay
+        self.env.timeout(delay, (inbox, item)).callbacks.append(_put_into_inbox)
 
-    def _drop_unreachable(self, src: str, dst: str) -> bool:
-        """Drop (with legacy counter order) across a cut that is not also a
-        pair block -- the pair-block drop itself lives in the base class."""
-        if (
-            src != dst
-            and (src, dst) in self._unreachable
-            and (src, dst) not in self._blocked_links
-        ):
-            self.messages_sent += 1
-            self.cross_region_messages += 1
-            self.dropped_messages += 1
-            return True
-        return False
+    def probe_delay(self, src: str, dst: str) -> Timeout:
+        """Timeout event covering a full probe round trip."""
+        self.probe_count += 1
+        return self.env.timeout(self.sample_rtt(src, dst))
 
     # ------------------------------------------------------------------
     # contended transit
     # ------------------------------------------------------------------
-    def _edge_queue(self, u: str, v: str) -> Resource:
-        key = (u, v)
-        queue = self._edge_queues.get(key)
+    def _edge_queue(self, edge: Pair) -> Resource:
+        queue = self._edge_queues.get(edge)
         if queue is None:
-            queue = self._edge_queues[key] = Resource(self.env, capacity=1)
+            queue = self._edge_queues[edge] = Resource(self.env, capacity=1)
         return queue
 
     def _transit(
@@ -377,45 +544,28 @@ class RoutedNetwork(Network):
         latency.  Zero-size messages still pass through the queue (they
         wait behind in-flight transmissions -- shared-FIFO semantics), and
         a message already in flight completes over its captured path even
-        if an edge on it goes down mid-transit."""
+        if an edge on it goes down mid-transit.
+
+        Each hop's delay (fault surcharges and bounded jitter included) is
+        drawn at forwarding time, hop by hop rather than once end-to-end,
+        because contended hops happen at different sim times."""
         if extra_delay > 0:
             yield self.env.timeout(extra_delay)
-        path = self._routes[(src, dst)]
-        for u, v in zip(path, path[1:]):
-            link = self.graph.link(u, v)
-            if link.bandwidth_bytes_per_s > 0:
-                queue = self._edge_queue(u, v)
+        for edge, latency in self._legs[(src, dst)]:
+            bandwidth = self.graph.link(*edge).bandwidth_bytes_per_s
+            if bandwidth > 0:
+                queue = self._edge_queue(edge)
                 grant = queue.request()
                 yield grant
                 if size_bytes > 0:
-                    yield self.env.timeout(size_bytes / link.bandwidth_bytes_per_s)
+                    yield self.env.timeout(size_bytes / bandwidth)
                 # No ``finally:`` (nothing interrupts a transit): GC closing a
                 # finished run's transit would release into its dead env.
                 queue.release(grant)
-            yield self.env.timeout(self._hop_delay(u, v))
+            yield self.env.timeout(self._jittered(self._faulted(edge, latency)))
         if inbox is not None:
             yield inbox.put(item)
 
-    def _hop_delay(self, u: str, v: str) -> float:
-        """One hop's propagation delay: edge latency, fault surcharges and
-        bounded jitter, drawn at forwarding time (hop by hop, rather than
-        once end-to-end, because contended hops happen at different sim
-        times)."""
-        leg = self.graph.latency(u, v)
-        if self._extra_latency:
-            leg += self._extra_latency.get((u, v), 0.0)
-        if self._link_extra_jitter:
-            extra = self._link_extra_jitter.get((u, v), 0.0)
-            if extra > 0:
-                leg += self._ensure_fault_rng().uniform(0.0, leg * extra)
-        if self.jitter_fraction > 0:
-            jitter = leg * self.jitter_fraction
-            leg = max(0.0, leg + self._rng.uniform(-jitter, jitter))
-        return leg
-
-    # ------------------------------------------------------------------
-    # response streams (phantom reverse-path transfers)
-    # ------------------------------------------------------------------
     def stream_response(self, request: Any) -> None:
         """Completion listener: occupy the reverse path with the finished
         response's bytes.
@@ -425,7 +575,7 @@ class RoutedNetwork(Network):
         untouched); what this models is the *load* responses place on
         shared WAN edges, which is the other half of the contention story
         -- pushes and response streams queue behind each other."""
-        if not self._contended or not self.model_responses:
+        if not self.contention_enabled or not self.model_responses:
             return
         src = request.serving_region or request.region
         dst = request.region
@@ -434,21 +584,26 @@ class RoutedNetwork(Network):
         size = self.response_wire_bytes(request)
         self.response_streams += 1
         self.response_bytes += size
-        if (src, dst) in self._blocked_links or (src, dst) in self._unreachable:
+        if (src, dst) in self._unreachable:
             return
         self.env.process(self._transit(_PHANTOM, src, dst, None, 0.0, size))
+
+
+def _put_into_inbox(timeout: Timeout) -> None:
+    inbox, item = timeout.value
+    inbox.put(item)
 
 
 def build_routed_network(
     env: Environment,
     config: NetConfig,
-    regions,
+    regions: NetworkTopology,
     *,
     jitter_fraction: float = 0.05,
     seed: int = 0,
     default_kv_bytes_per_token: float = 0.0,
-) -> RoutedNetwork:
-    """Resolve a frozen :class:`NetConfig` into a live routed network.
+) -> Network:
+    """Resolve a frozen :class:`NetConfig` into a live :class:`Network`.
 
     ``regions`` is the experiment's :class:`~repro.network.NetworkTopology`;
     ``default_kv_bytes_per_token`` is the model profile's KV footprint, used
@@ -462,15 +617,15 @@ def build_routed_network(
         **dict(config.topology_args),
     )
     policy = make_routing_policy(config.routing, **dict(config.routing_args))
-    kv_bytes = config.kv_bytes_per_token or default_kv_bytes_per_token
-    return RoutedNetwork(
+    return Network(
         env,
-        graph,
-        policy,
+        regions,
         jitter_fraction=jitter_fraction,
         seed=seed,
+        graph=graph,
+        policy=policy,
         request_bytes_per_token=config.request_bytes_per_token,
         response_bytes_per_token=config.response_bytes_per_token,
-        kv_bytes_per_token=kv_bytes,
+        kv_bytes_per_token=config.kv_bytes_per_token or default_kv_bytes_per_token,
         model_responses=config.model_responses,
     )

@@ -17,11 +17,10 @@ __all__ = ["run_route_trace"]
 
 def run_route_trace(task) -> Tuple[tuple, ...]:
     """Run one :class:`~repro.experiments.sweep.SweepTask` and return the
-    routed network's :class:`~repro.net.routed.RouteChange` sequence as a
-    tuple of :meth:`~repro.net.routed.RouteChange.as_tuple` values (empty
-    for runs on the legacy pairwise network)."""
+    network's :class:`~repro.net.routed.RouteChange` sequence as a
+    tuple of :meth:`~repro.net.routed.RouteChange.as_tuple` values."""
     # Imported lazily: the experiments package imports repro.net for the
-    # runner's routed branch, so a module-level import here would cycle.
+    # runner's network, so a module-level import here would cycle.
     from ..experiments.config import ExperimentConfig
     from ..experiments.runner import run_experiment
 
@@ -34,5 +33,4 @@ def run_route_trace(task) -> Tuple[tuple, ...]:
         faults=task.faults,
     )
     result = run_experiment(config, task.workload.fresh_copy())
-    events = getattr(result.frontend.network, "route_events", ())
-    return tuple(event.as_tuple() for event in events)
+    return tuple(event.as_tuple() for event in result.frontend.network.route_events)

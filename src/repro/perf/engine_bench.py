@@ -213,7 +213,8 @@ def _run_streamed_cell(
     from repro.experiments.registry import REGISTRY
     from repro.experiments.runner import build_system
     from repro.mem import MemoryConfig
-    from repro.network import Network, default_topology
+    from repro.net import Network
+    from repro.network import default_topology
     from repro.replica import LLAMA_8B_L4
     from repro.sim import EmptySchedule, Environment
 

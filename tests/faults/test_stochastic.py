@@ -110,15 +110,17 @@ def test_validation_errors():
 
 
 def test_injector_rejects_uncompiled_schedules():
+    from repro.network import Network, default_topology
     from repro.sim import Environment
 
-    # The type check fires before any collaborator is touched, so the
-    # wiring can stay empty here.
+    # The type check fires before any other collaborator is touched, so
+    # the rest of the wiring can stay empty here.
+    env = Environment()
     with pytest.raises(TypeError, match="compile"):
         FaultInjector(
-            Environment(),
+            env,
             StochasticFaultSchedule(processes=(crash_process(),)),
-            network=None,
+            network=Network(env, default_topology()),
             deployment=None,
             frontend=None,
             balancers=[],

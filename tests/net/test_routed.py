@@ -1,17 +1,12 @@
-"""Tests for the routed network: bit-identity, contention, fault refit."""
+"""Tests for the routed network: multi-hop faults, re-convergence,
+contention.  Its identity with the retired pairwise transport is pinned by
+``test_pairwise_legacy.py``."""
 
 import pytest
 
-from repro.net import NetConfig, RoutedNetwork, build_routed_network
+from repro.net import NetConfig, build_routed_network
 from repro.network import Network, default_topology
 from repro.sim import Environment, Store
-
-REGIONS = ("us", "eu", "asia")
-
-
-def _legacy(seed=0, jitter=0.05):
-    env = Environment()
-    return Network(env, default_topology(), jitter_fraction=jitter, seed=seed)
 
 
 def _routed(seed=0, jitter=0.05, **config_kwargs):
@@ -25,55 +20,10 @@ def _routed(seed=0, jitter=0.05, **config_kwargs):
     )
 
 
-# ----------------------------------------------------------------------
-# the bit-identity contract (contention off, mesh topology)
-# ----------------------------------------------------------------------
-def test_mesh_sampling_is_bit_identical_to_legacy():
-    legacy, routed = _legacy(seed=3), _routed(seed=3)
-    for _ in range(5):
-        for src in REGIONS:
-            for dst in REGIONS:
-                assert legacy.sample_one_way(src, dst) == routed.sample_one_way(src, dst)
-
-
-def test_mesh_sampling_bit_identical_under_spike_and_degrade():
-    legacy, routed = _legacy(seed=7), _routed(seed=7)
-    for network in (legacy, routed):
-        network.add_link_extra_latency("us", "eu", 0.05)
-        network.add_link_degrade(
-            "us", "eu", loss_probability=0.2, extra_jitter_fraction=0.4
-        )
-    # Same floats AND the same fault-RNG stream consumption (jitter draws
-    # and loss draws interleave identically).
-    for _ in range(20):
-        assert legacy.sample_one_way("us", "eu") == routed.sample_one_way("us", "eu")
-        assert legacy._message_lost("us", "eu") == routed._message_lost("us", "eu")
-
-
-def test_mesh_delivery_bit_identical_to_legacy():
-    results = []
-    for make in (_legacy, _routed):
-        network = make(seed=5)
-        inbox = Store(network.env)
-        arrivals = []
-
-        def consume(env=network.env, inbox=inbox, arrivals=arrivals):
-            while True:
-                item = yield inbox.get()
-                arrivals.append((env.now, item))
-
-        network.env.process(consume())
-        for index in range(10):
-            network.deliver(index, "us", "eu", inbox, extra_delay=0.01 * index)
-        network.env.run(until=10.0)
-        results.append(arrivals)
-    assert results[0] == results[1]
-
-
 def test_contention_off_is_default():
     routed = _routed()
     assert not routed.contention_enabled
-    assert isinstance(routed, RoutedNetwork)
+    assert type(routed) is Network
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +165,9 @@ def test_disconnected_topology_rejected_at_build():
     graph = WanGraph(default_topology())
     graph.add_edge("us", "eu", 0.075)  # asia left unconnected
     with pytest.raises(ValueError, match="asia"):
-        RoutedNetwork(Environment(), graph, ShortestPathRouting())
+        Network(Environment(), graph.regions, graph=graph, policy=ShortestPathRouting())
+    with pytest.raises(ValueError, match="topology"):
+        Network(Environment(), default_topology(), graph=graph)
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +268,11 @@ def test_netconfig_validation():
         NetConfig(request_bytes_per_token=-1.0)
     with pytest.raises(ValueError, match="topology_args"):
         NetConfig(topology_args=("not-a-pair",))
+    from repro.experiments import ClusterConfig
+
+    assert ClusterConfig().network == NetConfig()
+    with pytest.raises(TypeError, match="NetConfig"):
+        ClusterConfig(network=None)
 
 
 def test_finished_contended_run_is_freed_in_one_gc_pass():

@@ -1,7 +1,9 @@
-"""Unit tests for the latency-faithful message transport."""
+"""Unit tests for the latency-faithful message transport on the default
+(mesh) network."""
 
 import pytest
 
+from repro.faults import FaultInjector, FaultSchedule, LinkDown, RegionPartition
 from repro.network import Network, default_topology
 from repro.sim import Environment, Store
 
@@ -123,19 +125,20 @@ def test_asymmetric_block(env, net):
 
 def test_latency_spike_inflates_one_way_samples(env, net):
     base = net.topology.one_way("us", "eu")
-    net.set_link_extra_latency("us", "eu", 0.25)
+    net.add_link_extra_latency("us", "eu", 0.25)
     assert net.sample_one_way("us", "eu") == pytest.approx(base + 0.25)
     assert net.sample_one_way("eu", "us") == pytest.approx(base + 0.25)
     assert net.link_extra_latency("us", "eu") == pytest.approx(0.25)
-    # Other links are untouched, and clearing restores the baseline.
+    # Other links are untouched, and removing the spike restores the baseline.
     assert net.sample_one_way("us", "asia") == pytest.approx(net.topology.one_way("us", "asia"))
-    net.set_link_extra_latency("us", "eu", 0.0)
-    assert net.sample_one_way("us", "eu") == pytest.approx(base)
+    net.remove_link_extra_latency("us", "eu", 0.25)
+    assert net.link_extra_latency("us", "eu") == 0.0
+    assert net.sample_one_way("us", "eu") == base
 
 
 def test_latency_spike_rejects_negative(env, net):
     with pytest.raises(ValueError, match="non-negative"):
-        net.set_link_extra_latency("us", "eu", -0.1)
+        net.add_link_extra_latency("us", "eu", -0.1)
 
 
 def test_overlapping_blocks_are_reference_counted(env, net):
@@ -156,3 +159,67 @@ def test_overlapping_blocks_are_reference_counted(env, net):
     net.set_link_blocked("us", "eu", False)
     net.set_link_blocked("us", "eu")
     assert net.link_blocked("us", "eu")
+
+
+def test_a_region_cannot_be_partitioned_from_itself(env, net):
+    with pytest.raises(ValueError, match="itself"):
+        net.set_link_blocked("us", "us")
+
+
+# ----------------------------------------------------------------------
+# fault kinds on the default network
+# ----------------------------------------------------------------------
+def _inject(env, net, delay, spec):
+    FaultInjector(
+        env,
+        FaultSchedule.single(delay, spec),
+        network=net,
+        deployment=None,
+        frontend=None,
+        balancers=[],
+    ).start()
+
+
+def test_link_down_reroutes_through_the_third_region(env, net):
+    _inject(env, net, 1.0, LinkDown(a="us", b="eu", duration_s=2.0))
+    env.run(until=1.5)
+    assert net.route("us", "eu") == ("us", "asia", "eu")
+    assert net.route("eu", "us") == ("eu", "asia", "us")
+    assert net.reachable("us", "eu") and not net.link_blocked("us", "eu")
+    # Messages still arrive, over both legs of the detour.
+    topology = net.topology
+    detour = topology.one_way("us", "asia") + topology.one_way("asia", "eu")
+    assert net.sample_one_way("us", "eu") == pytest.approx(detour)
+    inbox = Store(env)
+    net.deliver("detoured", "us", "eu", inbox)
+    env.run(until=1.5 + detour + 1e-9)
+    assert list(inbox.items) == ["detoured"]
+    assert net.dropped_messages == 0
+
+    env.run(until=3.5)  # the link heals at t=3
+    assert net.route("us", "eu") == ("us", "eu")
+    events = [event.as_tuple() for event in net.route_events]
+    assert events == [
+        (1.0, "link-down", "eu", "us", ("eu", "us"), ("eu", "asia", "us")),
+        (1.0, "link-down", "us", "eu", ("us", "eu"), ("us", "asia", "eu")),
+        (3.0, "link-up", "eu", "us", ("eu", "asia", "us"), ("eu", "us")),
+        (3.0, "link-up", "us", "eu", ("us", "asia", "eu"), ("us", "eu")),
+    ]
+
+
+def test_region_partition_fault_drops_both_ways(env, net):
+    _inject(env, net, 1.0, RegionPartition(a="us", b="eu", duration_s=2.0))
+    env.run(until=1.5)
+    inbox = Store(env)
+    net.deliver("lost-there", "us", "eu", inbox)
+    net.deliver("lost-back", "eu", "us", inbox)
+    net.deliver("arrives", "us", "asia", inbox)
+    assert net.link_blocked("us", "eu") and net.link_blocked("eu", "us")
+    # A partition forbids the pair: no detour through asia.
+    assert net.route("us", "eu") is None
+    env.run(until=2.5)
+    assert list(inbox.items) == ["arrives"]
+    assert net.dropped_messages == 2
+    env.run(until=3.5)  # healed at t=3
+    assert net.route("us", "eu") == ("us", "eu")
+    assert [event.reason for event in net.route_events] == ["partition"] * 2 + ["heal"] * 2
