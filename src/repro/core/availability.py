@@ -155,8 +155,7 @@ class AvailabilityMonitor:
             # all (they are probed concurrently in the real system).
             if self._local_replicas:
                 yield self.network.probe_delay(self.region, self.region)
-                for replica in list(self._local_replicas.values()):
-                    self._record_replica_probe(replica)
+                self._record_replica_probes()
             # Wake any waiter at least once per cycle, even if the probe set
             # is empty, so the balancer's retry loop can never stall forever.
             self._notify_change()
@@ -169,6 +168,10 @@ class AvailabilityMonitor:
             rtt.callbacks.append(partial(self._balancer_probe_landed, balancer))
 
     def _balancer_probe_landed(self, balancer: "SkyWalkerBalancer", rtt: Event) -> None:
+        # A probe still in flight when its peer was removed (or replaced)
+        # lands on nothing.
+        if self._remote_balancers.get(balancer.name) is not balancer:
+            return
         # A partitioned peer's probe never really comes back: record it as
         # unhealthy (with no spare replicas) so the peer stops being a
         # forward target until the link heals and a later probe lands.
@@ -185,17 +188,13 @@ class AvailabilityMonitor:
         self._forwarded_since_probe[balancer.name] = 0
         self._notify_change()
 
-    def _record_replica_probe(self, replica: ReplicaServer) -> None:
-        self.replica_probes[replica.name] = ReplicaProbe(
-            replica_name=replica.name,
-            healthy=replica.healthy,
-            num_pending=replica.num_pending,
-            num_running=replica.num_running,
-            num_outstanding=replica.num_outstanding,
-            memory_utilization=replica.memory_utilization,
-            probe_time=self.env.now,
-        )
-        self._dispatched_since_probe[replica.name] = 0
+    def _record_replica_probes(self) -> None:
+        now = self.env.now
+        probes = self.replica_probes
+        dispatched = self._dispatched_since_probe
+        for name, replica in self._local_replicas.items():
+            probes[name] = ReplicaProbe(name, replica.healthy, *replica.load(), now)
+            dispatched[name] = 0
         self.load_version += 1
 
     # ------------------------------------------------------------------

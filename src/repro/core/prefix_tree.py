@@ -22,10 +22,12 @@ Hot-path design (the per-request costs this module is built around):
   number (nodes sharing one are ancestor/descendant by construction), so
   the heap's pop order is exactly the old full-scan "oldest leaf first"
   order.
-* **Lookups are allocation-free**: the traversal indexes into the caller's
-  token sequence with an offset instead of slicing suffix tuples, and the
-  availability set is used as-is when the caller already holds a set (or a
-  dict keys view).
+* **Lookups compare whole edges**: the traversal walks the caller's token
+  sequence with an offset and compares each edge against one slice of the
+  length of that edge (one transient allocation per edge, at C speed),
+  falling back to a token-by-token walk only on the edge where the prompt
+  diverges or ends.  The availability set is used as-is when the caller
+  already holds a set (or a dict keys view).
 * **Tie-breaking is O(1)-deterministic**: each node maps every target to
   the sequence number of the last insert that recorded it there, and
   :meth:`best_target` picks the available target with the most recent
@@ -56,6 +58,26 @@ from typing import (
 __all__ = ["PrefixTree", "PrefixMatch"]
 
 T = TypeVar("T", bound=Hashable)
+
+
+def _edge_overlap(
+    tokens: Sequence[int], idx: int, key: Tuple[int, ...], klen: int, n: int
+) -> int:
+    """How many leading tokens of the edge ``key`` (of length ``klen``)
+    ``tokens[idx:n]`` matches.
+
+    Full-edge matches dominate repeat prefixes, so the whole edge is
+    compared at C speed first (one transient slice; a list slice never
+    equals the tuple key and takes the scalar walk).  The caller reached
+    ``key`` through its first token, so the overlap is at least 1.
+    """
+    if klen <= n - idx and tokens[idx : idx + klen] == key:
+        return klen
+    limit = min(klen, n - idx)
+    overlap = 1
+    while overlap < limit and key[overlap] == tokens[idx + overlap]:
+        overlap += 1
+    return overlap
 
 
 class _TrieNode(Generic[T]):
@@ -162,15 +184,7 @@ class PrefixTree(Generic[T]):
                 break
             key = child.key
             klen = len(key)
-            # Full-edge matches dominate repeat prefixes; compare the whole
-            # edge at C speed before falling back to the scalar walk.
-            if klen <= n - idx and tokens[idx : idx + klen] == key:
-                overlap = klen
-            else:
-                limit = min(klen, n - idx)
-                overlap = 0
-                while overlap < limit and key[overlap] == tokens[idx + overlap]:
-                    overlap += 1
+            overlap = _edge_overlap(tokens, idx, key, klen, n)
             if overlap < klen:
                 child = self._split(child, overlap)
             child.targets[target] = seq
@@ -258,19 +272,15 @@ class PrefixTree(Generic[T]):
             if child is None:
                 break
             key = child.key
-            limit = min(len(key), n - idx)
-            overlap = 0
-            while overlap < limit and key[overlap] == tokens[idx + overlap]:
-                overlap += 1
-            if overlap == 0:
-                break
+            klen = len(key)
+            overlap = _edge_overlap(tokens, idx, key, klen, n)
             reachable = self._freshest_available(child.targets, available_set)
             if reachable is None:
                 # No available target deeper down this path: terminate early.
                 break
             matched = idx + overlap
             best_target = reachable
-            if overlap < len(key):
+            if overlap < klen:
                 break
             node = child
             idx += overlap
@@ -308,16 +318,12 @@ class PrefixTree(Generic[T]):
             if child is None:
                 break
             key = child.key
-            limit = min(len(key), n - idx)
-            overlap = 0
-            while overlap < limit and key[overlap] == tokens[idx + overlap]:
-                overlap += 1
-            if overlap == 0:
-                break
+            klen = len(key)
+            overlap = _edge_overlap(tokens, idx, key, klen, n)
             if target is not None and target not in child.targets:
                 break
             idx += overlap
-            if overlap < len(key):
+            if overlap < klen:
                 break
             node = child
         return idx

@@ -519,7 +519,23 @@ class Network:
     def probe_delay(self, src: str, dst: str) -> Timeout:
         """Timeout event covering a full probe round trip."""
         self.probe_count += 1
-        return self.env.timeout(self.sample_rtt(src, dst))
+        fraction = self.jitter_fraction
+        if self._extra_latency or self._link_extra_jitter or fraction <= 0:
+            return self.env.timeout(self.sample_rtt(src, dst))
+        # The fault-free path of sample_rtt, inlined (probes run every
+        # 100 ms per balancer): the same draws from the same RNG in the
+        # same order, out then back, each ``uniform(low, high)``'s own
+        # ``low + (high - low) * random()``.
+        draw = self._rng.random
+        base = self._route_base[(src, dst)]
+        high = base * fraction
+        low = -high
+        rtt = max(0.0, base + (low + (high - low) * draw()))
+        base = self._route_base[(dst, src)]
+        high = base * fraction
+        low = -high
+        rtt += max(0.0, base + (low + (high - low) * draw()))
+        return self.env.timeout(rtt)
 
     # ------------------------------------------------------------------
     # contended transit

@@ -13,12 +13,15 @@ a prefill ``Timeout``, or the wake that ends a *decode run*.  A decode run is
 every decode step up to the next batch change
 (:meth:`ContinuousBatcher.decode_run_length`); it costs one event instead of
 one per step.  The steps inside a run are applied lazily: every read of
-per-step state (:attr:`ReplicaServer.batcher`, :attr:`~ReplicaServer.stats`,
-:attr:`~ReplicaServer.memory_utilization`, and :meth:`~ReplicaServer.fail`)
-first applies the steps that have ended by ``now``, and an arrival or a
-change of compute rate cuts the run at the first step boundary not before
-``now``.  The simulation is bit-identical to stepping one ``Timeout`` at a
-time; ``tests/replica/test_decode_runs.py`` checks it against that loop.
+per-step state (:attr:`ReplicaServer.batcher`, :attr:`~ReplicaServer.stats`
+and :meth:`~ReplicaServer.fail`) first applies the steps that have ended by
+``now``, and an arrival or a change of compute rate cuts the run at the
+first step boundary not before ``now``.  The probe reads
+(:attr:`~ReplicaServer.memory_utilization`, :meth:`~ReplicaServer.load`)
+apply nothing: they count the steps that have ended instead, each of which
+adds one token per running sequence.  The simulation is bit-identical to
+stepping one ``Timeout`` at a time; ``tests/replica/test_decode_runs.py``
+checks it against that loop.
 """
 
 from __future__ import annotations
@@ -283,7 +286,9 @@ class ReplicaServer:
     # probe interface (observable load signals)
     # ------------------------------------------------------------------
     # Queue lengths and cache counters only change at a plan or at the end
-    # of a decode run, so they are read without catching up.
+    # of a decode run, and KV memory grows by one token per running sequence
+    # per step inside a run, so every probe read is exact without catching
+    # up.
     @property
     def num_pending(self) -> int:
         """Requests not yet scheduled into the continuous batch (§3.3)."""
@@ -299,8 +304,29 @@ class ReplicaServer:
 
     @property
     def memory_utilization(self) -> float:
-        self._sync()
-        return self._batcher.memory_utilization
+        """Fraction of the KV budget in use at ``now`` (applies no step)."""
+        return self._utilization(len(self._batcher.running))
+
+    def load(self) -> Tuple[int, int, int, float]:
+        """``(num_pending, num_running, num_outstanding,
+        memory_utilization)`` in one read: what an availability probe sees."""
+        batcher = self._batcher
+        queued = len(self.inbox.items)
+        pending = len(batcher.waiting)
+        running = len(batcher.running)
+        return (
+            pending + queued,
+            running,
+            pending + running + queued,
+            self._utilization(running),
+        )
+
+    def _utilization(self, running: int) -> float:
+        memory = self._batcher.memory
+        capacity = memory.capacity_tokens
+        if not capacity:
+            return 0.0
+        return (memory.used_tokens + self._ended_steps() * running) / capacity
 
     @property
     def cache_hit_rate(self) -> float:
@@ -434,13 +460,20 @@ class ReplicaServer:
                 )
         batcher.advance_decode(steps - start)
 
+    def _ended_steps(self) -> int:
+        """How many unapplied steps of the run in flight have ended by
+        ``now``, not counting its last step, which belongs to the wake."""
+        last = self._end - 1
+        applied = self._applied
+        if last > applied:
+            return bisect_right(self._bounds, self.env.now, applied, last) - applied
+        return 0
+
     def _sync(self) -> None:
-        """Apply the steps of the run in flight that have ended by ``now``,
-        except its last step, which belongs to the wake."""
-        if self._end - 1 > self._applied:
-            done = bisect_right(self._bounds, self.env.now, self._applied, self._end - 1)
-            if done > self._applied:
-                self._apply(done)
+        """Apply the steps of the run in flight that have ended by ``now``."""
+        done = self._ended_steps()
+        if done:
+            self._apply(self._applied + done)
 
     def _cut(self) -> None:
         """End the run in flight at its first unapplied boundary not before

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import AvailabilityMonitor, SelectivePushingPending
+from repro.core import AvailabilityMonitor, SelectivePushingPending, SkyWalkerBalancer
 from repro.faults import FaultInjector, FaultSchedule, RegionPartition
 from repro.network import Network, default_topology
 from repro.replica import TINY_TEST_PROFILE, ReplicaServer
@@ -292,3 +292,27 @@ def test_notify_without_waiter_schedules_nothing(env, monitor):
     monitor._notify_change()
     assert env._eid == scheduled + 1  # the parked waiter's wake-up
     assert change.triggered and monitor.wait_for_change() is not change
+
+
+def test_probe_in_flight_to_a_removed_peer_lands_on_nothing(env, network, make_tiny_replica):
+    """A peer probe sent just before ``remove_peer`` must not write the
+    removed peer back into the monitor's tables when it lands."""
+    balancers = {}
+    for region in ("us", "eu", "asia"):
+        balancer = SkyWalkerBalancer(env, f"sw@{region}", region, network)
+        balancer.add_replica(make_tiny_replica(region))
+        balancers[region] = balancer
+    for balancer in balancers.values():
+        for peer in balancers.values():
+            balancer.add_peer(peer)
+        balancer.start()
+    # The second cycle's peer probes leave at 0.1 s and land after it.
+    env.run(until=0.1000001)
+    us, eu = balancers["us"], balancers["eu"]
+    us.remove_peer(eu.name)
+    env.run(until=0.5)
+    assert eu.name not in us.monitor.balancer_probes
+    assert eu.name not in us.monitor._forwarded_since_probe
+    assert [peer.name for peer in us.monitor.remote_balancers()] == ["sw@asia"]
+    # The remaining peer is still probed.
+    assert us.monitor.balancer_probes["sw@asia"].probe_time > 0.1

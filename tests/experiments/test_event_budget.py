@@ -22,7 +22,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.macro import default_macro_cluster
-from repro.replica import TINY_TEST_PROFILE
+from repro.replica import TINY_TEST_PROFILE, ContinuousBatcher
 from repro.sim import Environment
 
 EXPECTED_BUDGET = {
@@ -60,7 +60,18 @@ def test_tiny_skywalker_cell_event_budget(monkeypatch):
     assert result.env._eid == sum(EXPECTED_BUDGET.values()) == 3472
 
 
-def test_fig08_cell_stays_under_100_events_per_completion():
+def test_fig08_cell_stays_under_100_events_per_completion(monkeypatch):
+    """Also pins how often a decode run is caught up: availability probes
+    read replica load without applying steps, so steps are applied only at
+    a run's wake, at a cut, or when the batcher or stats are read."""
+    catch_ups = Counter()
+    advance_decode = ContinuousBatcher.advance_decode
+
+    def counted_advance_decode(batcher, steps):
+        catch_ups["advance_decode"] += 1
+        return advance_decode(batcher, steps)
+
+    monkeypatch.setattr(ContinuousBatcher, "advance_decode", counted_advance_decode)
     config = ExperimentConfig(
         system=REGISTRY.spec("skywalker"),
         cluster=default_macro_cluster(0.5),
@@ -71,3 +82,4 @@ def test_fig08_cell_stays_under_100_events_per_completion():
     completed = result.metrics.num_completed
     assert (result.env._eid, completed) == (21_001, 227)
     assert result.env._eid / completed < 100
+    assert catch_ups["advance_decode"] == 265

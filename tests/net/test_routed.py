@@ -5,7 +5,7 @@ contention.  Its identity with the retired pairwise transport is pinned by
 import pytest
 
 from repro.net import NetConfig, build_routed_network
-from repro.network import Network, default_topology
+from repro.network import Network, default_topology, wide_topology
 from repro.sim import Environment, Store
 
 
@@ -24,6 +24,48 @@ def test_contention_off_is_default():
     routed = _routed()
     assert not routed.contention_enabled
     assert type(routed) is Network
+
+
+# ----------------------------------------------------------------------
+# probe round trips
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("topology", [default_topology, wide_topology])
+@pytest.mark.parametrize("jitter", [0.05, 0.0])
+def test_probe_delay_draws_what_sample_rtt_draws(topology, jitter):
+    """``probe_delay``'s inlined fault-free path and its ``sample_rtt``
+    fallback (spikes, degrades, no jitter) draw the same RTTs from the same
+    RNGs in the same order as ``sample_rtt``, before, during and after a
+    fault, and over asymmetric routes."""
+    probed = Network(Environment(), topology(), jitter_fraction=jitter, seed=7)
+    sampled = Network(Environment(), topology(), jitter_fraction=jitter, seed=7)
+    regions = sorted(probed.graph.region_names())
+    pairs = [(src, dst) for src in regions for dst in regions] * 3
+    a, b, c = regions[:3]
+
+    def phase():
+        for src, dst in pairs:
+            assert probed.probe_delay(src, dst).delay == sampled.sample_rtt(src, dst)
+
+    def both(method, *args, **kwargs):
+        for network in (probed, sampled):
+            getattr(network, method)(*args, **kwargs)
+
+    phase()
+    both("add_link_extra_latency", a, b, 0.02)
+    phase()
+    both("add_link_degrade", b, c, extra_jitter_fraction=0.3)
+    phase()
+    both("remove_link_extra_latency", a, b, 0.02)
+    phase()
+    both("remove_link_degrade", b, c, extra_jitter_fraction=0.3)
+    phase()
+    # A one-way edge down reroutes a -> b only: the two legs differ.
+    both("set_edge_down", a, b, symmetric=False)
+    assert probed.route(a, b) != tuple(reversed(probed.route(b, a)))
+    phase()
+    assert probed.probe_count == 6 * len(pairs)
+    assert probed._rng.getstate() == sampled._rng.getstate()
+    assert probed._fault_rng.getstate() == sampled._fault_rng.getstate()
 
 
 # ----------------------------------------------------------------------

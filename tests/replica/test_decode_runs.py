@@ -18,8 +18,10 @@ a crash and recovery, and ``record_utilization``.
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mem import MemoryConfig
 from repro.replica import ReplicaServer, TINY_TEST_PROFILE
 from repro.sim import Environment
 from repro.workloads.request import Request
@@ -30,7 +32,8 @@ from .stepwise import StepwiseReplica
 #: arrival time).
 RequestSpec = Tuple[int, int, int, float]
 
-#: The caught-up accessors a probe read goes through.
+#: The accessors a read goes through: ``stats`` and ``batcher`` catch up,
+#: ``utilization`` counts the ended steps without applying them.
 READS = ("stats", "utilization", "batcher")
 
 #: A prompt that fits an idle replica but not beside a running batch.
@@ -84,14 +87,15 @@ def _simulate(cls, scenario: Scenario, record_utilization: bool):
         return action
 
     def read(kind):
-        # Each kind goes through one caught-up accessor only, so a missing
-        # catch-up in any of them shows.
+        # Each kind goes through one accessor only, so a missing catch-up
+        # (or a miscounted step) in any of them shows.
         probes = (
             replica.num_pending,
             replica.num_running,
             replica.num_outstanding,
             replica.cache_hit_rate,
             replica.has_capacity,
+            replica.load(),
         )
         if kind == "stats":
             stats = replica.stats
@@ -267,6 +271,65 @@ def test_fail_then_recover_mid_run():
     )
     assert any(entry[0] == "failed" and entry[2] for entry in outcome["log"])
     assert outcome["requests"][3][0] == "finished"
+
+
+@pytest.mark.parametrize(
+    "memory",
+    [
+        None,
+        MemoryConfig(
+            page_size=16, hbm_fraction=0.5, host_capacity_tokens=4096, offload="lru-demote"
+        ),
+    ],
+    ids=["default", "paged-host-tier"],
+)
+def test_utilization_read_mid_run_applies_no_step(memory):
+    """A probe's ``memory_utilization`` (and ``load()``) read counts the
+    steps that have ended inside the run in flight instead of applying
+    them, and still equals what the one-step-at-a-time loop reports."""
+    shared = tuple(range(10_000, 10_060))
+
+    def simulate(cls):
+        requests = [
+            Request(
+                prompt_tokens=shared + tuple(range(1_000 * i, 1_000 * i + 40 + 7 * i)),
+                output_len=30 + 13 * i,
+            )
+            for i in range(6)
+        ]
+        env = Environment()
+        replica = cls(
+            env, "us/r0", "us", TINY_TEST_PROFILE, memory=memory, record_utilization=True
+        )
+        reads, counted = [], []
+
+        def read(_):
+            applied = replica._applied
+            counted.append(replica._ended_steps())
+            utilization = replica.memory_utilization
+            load = replica.load()
+            assert load == (
+                replica.num_pending, replica.num_running, replica.num_outstanding, utilization
+            )
+            reads.append((env.now, utilization))
+            assert replica._applied == applied
+
+        for i, request in enumerate(requests):
+            env.timeout(0.011 * i).callbacks.append(
+                lambda _, request=request: replica.submit(request)
+            )
+        for k in range(1, 120):
+            env.timeout(0.00737 * k).callbacks.append(read)
+        env.run(until=2.0)
+        assert all(request.finished for request in requests)
+        return reads, counted, list(replica.stats.utilization_samples)
+
+    expected, _, expected_samples = simulate(StepwiseReplica)
+    actual, counted, samples = simulate(ReplicaServer)
+    assert actual == expected
+    assert samples == expected_samples
+    # Many reads landed inside a run with ended but unapplied steps.
+    assert sum(1 for done in counted if done) > 20
 
 
 # ----------------------------------------------------------------------
