@@ -15,16 +15,37 @@ staleness the real system lives with.  To avoid dumping a whole queue onto
 one target inside a single interval, the monitor additionally counts how
 many requests were dispatched to each target since its last probe and lets
 the pushing policy take that into account.
+
+A peer probe's landing is rarely observed before the next one from the same
+peer overwrites it, so it is not an event: its round trip is drawn when it
+is sent, and it lands as a deferred timer (:meth:`Environment.defer
+<repro.sim.Environment.defer>`) that is applied, from the peer's state as
+of that moment, when something settles the environment.  That is exact
+because everything a landing reads settles before it changes:
+
+* the peer's health and queues (``BalancerBase.fail``/``recover``, its
+  inbox's puts and gets, its serving loop);
+* the peer monitor's replica records, dispatch notes and replica
+  registration, and the health of each of its replicas;
+* the route table (``Network._reconverge``) and the reader's own peer
+  registration;
+
+and every read of a probe record (:attr:`balancer_probes`,
+:meth:`available_remote_balancers`, :meth:`note_forward`) settles first.  A
+landing becomes a scheduled event only when it could wake someone: a
+balancer parking on :meth:`wait_for_change` promotes its monitor's
+landings still in flight, and probes sent while it is parked are promoted
+at once.  Either way a landing takes exactly the place among events the
+round trip's ``Timeout`` would have taken.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, TYPE_CHECKING
 
 from ..net import Network
 from ..replica import ReplicaServer
-from ..sim import Environment, Event
+from ..sim import Deferred, Environment, Event
 from .pushing import PushingPolicy, ReplicaProbe, SelectivePushingPending
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,9 +90,12 @@ class AvailabilityMonitor:
         self._remote_balancers: Dict[str, "SkyWalkerBalancer"] = {}
 
         self.replica_probes: Dict[str, ReplicaProbe] = {}
-        self.balancer_probes: Dict[str, LoadBalancerProbe] = {}
+        self._balancer_probes: Dict[str, LoadBalancerProbe] = {}
         self._dispatched_since_probe: Dict[str, int] = {}
         self._forwarded_since_probe: Dict[str, int] = {}
+        #: Peer-probe landings not promoted to events (and perhaps already
+        #: applied): the ones a waiter parking now must promote.
+        self._in_flight: List[Deferred] = []
 
         #: Bumped whenever any input of a replica load estimate changes (a
         #: probe landing or a dispatch being recorded).  Selection policies
@@ -86,7 +110,10 @@ class AvailabilityMonitor:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
+    # Peers' probes in flight read this monitor's replica registration,
+    # records and dispatch notes: each change below settles first.
     def add_local_replica(self, replica: ReplicaServer) -> None:
+        self.env.settle()
         self._local_replicas[replica.name] = replica
         self._dispatched_since_probe.setdefault(replica.name, 0)
         self.load_version += 1
@@ -103,19 +130,22 @@ class AvailabilityMonitor:
         )
 
     def remove_local_replica(self, replica_name: str) -> None:
+        self.env.settle()
         self._local_replicas.pop(replica_name, None)
         self.replica_probes.pop(replica_name, None)
         self._dispatched_since_probe.pop(replica_name, None)
         self.load_version += 1
 
     def add_remote_balancer(self, balancer: "SkyWalkerBalancer") -> None:
+        # Probes in flight land only on a registered peer.
+        self.env.settle()
         self._remote_balancers[balancer.name] = balancer
         self._forwarded_since_probe.setdefault(balancer.name, 0)
         # Seed from the peer's live state (mirroring add_local_replica): a
         # peer that is already failed when attached -- e.g. controller
         # failover re-wiring -- must not look like a forward target until the
         # first real probe lands.
-        self.balancer_probes[balancer.name] = LoadBalancerProbe(
+        self._balancer_probes[balancer.name] = LoadBalancerProbe(
             balancer_name=balancer.name,
             healthy=balancer.healthy,
             num_available_replicas=balancer.num_available_replicas,
@@ -124,8 +154,9 @@ class AvailabilityMonitor:
         )
 
     def remove_remote_balancer(self, balancer_name: str) -> None:
+        self.env.settle()
         self._remote_balancers.pop(balancer_name, None)
-        self.balancer_probes.pop(balancer_name, None)
+        self._balancer_probes.pop(balancer_name, None)
         self._forwarded_since_probe.pop(balancer_name, None)
 
     def local_replicas(self) -> List[ReplicaServer]:
@@ -163,11 +194,26 @@ class AvailabilityMonitor:
             yield env.timeout(max(0.0, self.probe_interval_s - elapsed))
 
     def _send_balancer_probes(self, timer: Event) -> None:
+        env = self.env
+        # Only a parked waiter can hear a landing: while one is, landings
+        # are events from the start.
+        parked = bool(self._change_event.callbacks)
+        in_flight = [landing for landing in self._in_flight if landing.callbacks is not None]
+        probe_rtt = self.network.probe_rtt
+        landed = self._balancer_probe_landed
         for balancer in timer.value:
-            rtt = self.network.probe_delay(self.region, balancer.region)
-            rtt.callbacks.append(partial(self._balancer_probe_landed, balancer))
+            landing = env.defer(probe_rtt(self.region, balancer.region), balancer)
+            landing.callbacks.append(landed)
+            if parked:
+                env.promote(landing)
+            else:
+                in_flight.append(landing)
+        self._in_flight = in_flight
 
-    def _balancer_probe_landed(self, balancer: "SkyWalkerBalancer", rtt: Event) -> None:
+    def _balancer_probe_landed(self, landing: Deferred) -> None:
+        # A promoted landing first applies the ones that landed before it.
+        self.env.settle()
+        balancer: "SkyWalkerBalancer" = landing.value
         # A probe still in flight when its peer was removed (or replaced)
         # lands on nothing.
         if self._remote_balancers.get(balancer.name) is not balancer:
@@ -178,17 +224,18 @@ class AvailabilityMonitor:
         blocked = self.network.link_blocked(
             self.region, balancer.region
         ) or self.network.link_blocked(balancer.region, self.region)
-        self.balancer_probes[balancer.name] = LoadBalancerProbe(
-            balancer_name=balancer.name,
-            healthy=balancer.healthy and not blocked,
-            num_available_replicas=0 if blocked else balancer.num_available_replicas,
-            queue_size=balancer.queue_size,
-            probe_time=self.env.now,
+        self._balancer_probes[balancer.name] = LoadBalancerProbe(
+            balancer.name,
+            balancer.healthy and not blocked,
+            0 if blocked else balancer.num_available_replicas,
+            balancer.queue_size,
+            landing.at,
         )
         self._forwarded_since_probe[balancer.name] = 0
         self._notify_change()
 
     def _record_replica_probes(self) -> None:
+        self.env.settle()
         now = self.env.now
         probes = self.replica_probes
         dispatched = self._dispatched_since_probe
@@ -212,11 +259,18 @@ class AvailabilityMonitor:
                 available.append(replica)
         return available
 
+    @property
+    def balancer_probes(self) -> Dict[str, LoadBalancerProbe]:
+        """The latest landed probe of each registered peer."""
+        self.env.settle()
+        return self._balancer_probes
+
     def available_remote_balancers(self) -> List["SkyWalkerBalancer"]:
         """Remote balancers with spare replicas and a short queue."""
         available: List["SkyWalkerBalancer"] = []
+        probes = self.balancer_probes
         for name, balancer in self._remote_balancers.items():
-            probe = self.balancer_probes.get(name)
+            probe = probes.get(name)
             if probe is None or not probe.healthy:
                 continue
             forwarded = self._forwarded_since_probe.get(name, 0)
@@ -237,6 +291,7 @@ class AvailabilityMonitor:
 
     def note_dispatch(self, replica_name: str) -> None:
         """Record that a request was just pushed to a local replica."""
+        self.env.settle()
         self._dispatched_since_probe[replica_name] = (
             self._dispatched_since_probe.get(replica_name, 0) + 1
         )
@@ -244,6 +299,7 @@ class AvailabilityMonitor:
 
     def note_forward(self, balancer_name: str) -> None:
         """Record that a request was just forwarded to a peer balancer."""
+        self.env.settle()
         self._forwarded_since_probe[balancer_name] = (
             self._forwarded_since_probe.get(balancer_name, 0) + 1
         )
@@ -252,7 +308,16 @@ class AvailabilityMonitor:
     # change notification (lets the balancer sleep while nothing is free)
     # ------------------------------------------------------------------
     def wait_for_change(self) -> Event:
-        """An event that triggers the next time any probe result is updated."""
+        """An event that triggers the next time any probe result is updated.
+
+        The caller is about to park on it, so the peer-probe landings still
+        in flight become events: each of them can wake it."""
+        env = self.env
+        env.settle()
+        for landing in self._in_flight:
+            if landing.callbacks is not None:
+                env.promote(landing)
+        self._in_flight = []
         return self._change_event
 
     def _notify_change(self) -> None:

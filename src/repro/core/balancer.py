@@ -226,17 +226,24 @@ class SkyWalkerBalancer(BalancerBase):
     # serving loop (HANDLEREQUEST in Algorithm 1)
     # ------------------------------------------------------------------
     def _serve(self):
+        # queue_size is read by peer probes in flight: every change to it
+        # settles first (the inbox settles its own puts and gets).
+        settle = self.env.settle
         try:
             while True:
                 if not self.queue:
                     request = yield self.inbox.get()
+                    settle()
                     self._accept(request)
                 # Drain whatever else already arrived so queue_size is honest.
+                # Items move from the inbox to the queue with no settle in
+                # between, so queue_size does not change.
                 while self.inbox.items:
                     self._accept(self.inbox.items.popleft())
                 request = self.queue[0]
                 placed = yield from self._place(request)
                 if placed:
+                    settle()
                     self.queue.popleft()
         except Interrupt:
             return

@@ -33,6 +33,24 @@ from ..workloads.request import Request, RequestStatus
 __all__ = ["Balancer", "BalancerBase"]
 
 
+class _Inbox(Store):
+    """A balancer's inbox.  Its length is part of the queue size a balancer
+    advertises to peer probes, so every put and get first settles the
+    probes already landed (:meth:`~repro.sim.Environment.settle`)."""
+
+    def put(self, item):
+        self.env.settle()
+        return super().put(item)
+
+    def put_nowait(self, item) -> None:
+        self.env.settle()
+        super().put_nowait(item)
+
+    def get(self):
+        self.env.settle()
+        return super().get()
+
+
 @runtime_checkable
 class Balancer(Protocol):
     """Anything the stack can treat as a load balancer.
@@ -96,7 +114,7 @@ class BalancerBase:
         self.name = name
         self.region = region
         self.network = network
-        self.inbox: Store = Store(env)
+        self.inbox: Store = _Inbox(env)
         self.healthy = True
         self._replicas: Dict[str, ReplicaServer] = {}
         self.outstanding: Dict[str, int] = {}
@@ -193,6 +211,8 @@ class BalancerBase:
         """
         if not self.healthy:
             return []
+        # Health and queues are read by peer probes in flight.
+        self.env.settle()
         self.healthy = False
         stranded = self._collect_stranded()
         process = self._process
@@ -220,6 +240,7 @@ class BalancerBase:
         """
         if self.healthy:
             return
+        self.env.settle()
         self.healthy = True
         if self.stranded:
             self._restore_stranded(self.stranded)

@@ -40,6 +40,9 @@ class RunMetrics:
 
     ttft: LatencySummary
     e2e_latency: LatencySummary
+    #: First LB arrival to the *last* batch admission, so a request preempted
+    #: after its first token counts its preemption here
+    #: (:attr:`Request.queueing_delay`).
     queueing_delay: LatencySummary
 
     #: Fleet-wide token-level prefix cache hit rate.

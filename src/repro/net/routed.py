@@ -227,6 +227,8 @@ class Network:
         Pairs are visited in sorted order so the event sequence of one
         re-convergence is deterministic.
         """
+        # Probes in flight read link_blocked when they land.
+        self.env.settle()
         down = frozenset(self._down_edges)
         regions = sorted(self.graph.region_names())
         for src in regions:
@@ -518,10 +520,14 @@ class Network:
 
     def probe_delay(self, src: str, dst: str) -> Timeout:
         """Timeout event covering a full probe round trip."""
+        return self.env.timeout(self.probe_rtt(src, dst))
+
+    def probe_rtt(self, src: str, dst: str) -> float:
+        """Draw one probe's round-trip time (and count the probe)."""
         self.probe_count += 1
         fraction = self.jitter_fraction
         if self._extra_latency or self._link_extra_jitter or fraction <= 0:
-            return self.env.timeout(self.sample_rtt(src, dst))
+            return self.sample_rtt(src, dst)
         # The fault-free path of sample_rtt, inlined (probes run every
         # 100 ms per balancer): the same draws from the same RNG in the
         # same order, out then back, each ``uniform(low, high)``'s own
@@ -535,7 +541,7 @@ class Network:
         high = base * fraction
         low = -high
         rtt += max(0.0, base + (low + (high - low) * draw()))
-        return self.env.timeout(rtt)
+        return rtt
 
     # ------------------------------------------------------------------
     # contended transit
@@ -607,7 +613,7 @@ class Network:
 
 def _put_into_inbox(timeout: Timeout) -> None:
     inbox, item = timeout.value
-    inbox.put(item)
+    inbox.put_nowait(item)
 
 
 def build_routed_network(

@@ -72,6 +72,10 @@ class _Inbox(Store):
         self._on_put(self)
         return event
 
+    def put_nowait(self, item) -> None:
+        super().put_nowait(item)
+        self._on_put(self)
+
 
 class ReplicaServer:
     """One model replica in one region.
@@ -184,6 +188,8 @@ class ReplicaServer:
         """Crash the replica: abort all work and stop the serving loop."""
         if not self.healthy:
             return []
+        # Health is read by probes in flight (Environment.settle).
+        self.env.settle()
         self._sync()
         self.healthy = False
         self._stop()
@@ -205,6 +211,7 @@ class ReplicaServer:
         """
         if self.healthy:
             return
+        self.env.settle()
         self.healthy = True
         old_tiers = self._batcher.memory.tiers
         self._batcher = ContinuousBatcher(

@@ -6,7 +6,7 @@ This is a self-contained, SimPy-style kernel: generator processes yield
 """
 
 from .engine import EmptySchedule, Environment
-from .events import AllOf, AnyOf, Event, PENDING, Timeout
+from .events import AllOf, AnyOf, Deferred, Event, PENDING, Timeout
 from .process import Interrupt, InvalidYield, Process
 from .resources import PriorityStore, Resource, Store
 
@@ -15,6 +15,7 @@ __all__ = [
     "EmptySchedule",
     "Event",
     "Timeout",
+    "Deferred",
     "AllOf",
     "AnyOf",
     "PENDING",

@@ -14,6 +14,16 @@ randomized schedules through both and asserts identical pop order and final
 state.  Both timelines order events by ``(time, priority, eid)`` where
 ``eid`` is a strictly increasing insertion counter, so the order is a unique
 deterministic sequence — ties at the same timestamp pop in insertion order.
+
+A *deferred* timer (:meth:`Environment.defer`) is one that may never need to
+be an event.  It takes the place in that order an ordinary timer created at
+the same moment would have taken -- a fractional tie-break between the
+counter's current value and the next one -- but stays off the timeline.
+:meth:`Environment.settle` runs the callbacks of every deferred timer that
+sorts before the event being processed, and :meth:`Environment.promote` puts
+one on the timeline at its reserved place when something must be woken by
+it.  Whoever owns a deferred timer's inputs calls ``settle()`` before
+changing them, so its callbacks see exactly the state of its firing time.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import heapq
 from typing import Any, Generator, List, Optional, Tuple
 
 from .calendar import CalendarQueue
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, AnyOf, Deferred, Event, Timeout
 from .process import Process
 
 __all__ = ["Environment", "EmptySchedule"]
@@ -31,6 +41,14 @@ __all__ = ["Environment", "EmptySchedule"]
 #: before normal events scheduled at the same timestamp.
 URGENT = 0
 NORMAL = 1
+
+#: Spacing of the fractional tie-breaks handed to deferred timers created
+#: while the insertion counter holds one value: exact in a float for any
+#: counter below 2**32, and room for 2**20 timers between two events.
+_TIE_STEP = 2.0 ** -20
+_TIES_PER_EID = 2 ** 20
+
+_INF = float("inf")
 
 
 class EmptySchedule(Exception):
@@ -103,6 +121,15 @@ class Environment:
         self._timeline_name = timeline
         self._eid = 0
         self._active_process: Optional[Process] = None
+        #: The timeline entry being processed, or the point the clock was
+        #: stopped at: a deferred timer sorting before it has fired.
+        self._entry: tuple = (-_INF,)
+        #: Deferred timers not known to have fired: ``(at, NORMAL, key,
+        #: timer)`` heap entries, the same shape as the timeline's.
+        self._deferred: List[tuple] = []
+        self._settling = False
+        self._tie_eid = -1
+        self._ties = 0
 
     # ------------------------------------------------------------------
     # clock and scheduling
@@ -129,6 +156,7 @@ class Environment:
         priority: int = NORMAL,
         *,
         at: Optional[float] = None,
+        tiebreak: Optional[float] = None,
     ) -> None:
         """Insert ``event`` into the timeline ``delay`` seconds from now, or
         at the absolute time ``at`` when given.
@@ -136,6 +164,11 @@ class Environment:
         ``at`` exists for callers that accumulate a float chain of delays
         ahead of time: ``now + (at - now)`` need not equal ``at``, so a
         precomputed instant must be scheduled as such.
+
+        ``tiebreak`` replaces the insertion counter as the event's place
+        among events at the same time and priority; :meth:`promote` passes
+        the fractional key a deferred timer reserved.  The counter still
+        advances, so it keeps counting every scheduled event.
 
         Raises
         ------
@@ -151,11 +184,70 @@ class Environment:
         elif at < self._now:
             raise ValueError(f"at={at!r} lies before now={self._now!r}")
         self._eid += 1
-        self._timeline.push((at, priority, self._eid, event))
+        self._timeline.push(
+            (at, priority, self._eid if tiebreak is None else tiebreak, event)
+        )
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._timeline.peek_time()
+
+    # ------------------------------------------------------------------
+    # deferred timers
+    # ------------------------------------------------------------------
+    def defer(self, delay: float, value: Any = None) -> Deferred:
+        """A timer firing ``delay`` seconds from now that is not scheduled.
+
+        It fires at ``now + delay`` -- the instant :meth:`schedule` would
+        compute -- and sorts after every event scheduled so far and before
+        every event scheduled from now on, as an ordinary timer created now
+        would.  Its callbacks run from :meth:`settle` once the clock has
+        passed that place, or from the timeline if it is promoted first.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r} would run the clock backwards")
+        eid = self._eid
+        if eid != self._tie_eid:
+            self._tie_eid = eid
+            self._ties = 0
+        self._ties += 1
+        if self._ties >= _TIES_PER_EID:
+            raise RuntimeError("too many deferred timers between two scheduled events")
+        timer = Deferred(self, self._now + delay, eid + self._ties * _TIE_STEP, value)
+        heapq.heappush(self._deferred, (timer.at, NORMAL, timer.key, timer))
+        return timer
+
+    def promote(self, timer: Deferred) -> None:
+        """Schedule a deferred timer that has not fired yet as an event, at
+        the place it reserved."""
+        self.schedule(timer, at=timer.at, tiebreak=timer.key)
+
+    def settle(self) -> None:
+        """Run the callbacks of every deferred timer that has fired: those
+        sorting before the event being processed (or, between runs, at or
+        before the time the clock stopped at), in firing order.
+
+        Call it before changing any state a deferred timer's callbacks read.
+        It is a no-op when nothing has fired, and it does not nest: a
+        callback that settles while :meth:`settle` runs it changes nothing.
+        """
+        deferred = self._deferred
+        if not deferred or self._settling or not deferred[0] < self._entry:
+            return
+        self._settling = True
+        try:
+            entry = self._entry
+            while deferred and deferred[0] < entry:
+                timer = heapq.heappop(deferred)[3]
+                callbacks = timer.callbacks
+                if callbacks is None:
+                    # Promoted, and already processed on the timeline.
+                    continue
+                timer.callbacks = None
+                for callback in callbacks:
+                    callback(timer)
+        finally:
+            self._settling = False
 
     # ------------------------------------------------------------------
     # factories
@@ -200,10 +292,12 @@ class Environment:
             If the timeline is empty.
         """
         try:
-            when, _priority, _eid, event = self._timeline.pop()
+            entry = self._timeline.pop()
         except IndexError:
             raise EmptySchedule("no more events scheduled") from None
-        self._now = when
+        self._entry = entry
+        self._now = entry[0]
+        event = entry[3]
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             # An event may legitimately end up in the queue twice (e.g. a
@@ -239,12 +333,19 @@ class Environment:
                     f"until={stop_time} lies in the past (now={self._now})"
                 )
 
+        value = self._run(stop_event, stop_time)
+        # Leave the state as of where the run stopped, so code between runs
+        # may read and change it freely.
+        self.settle()
+        return value
+
+    def _run(self, stop_event: Optional[Event], stop_time: float) -> Any:
         timeline = self._timeline
         while timeline:
             if stop_event is not None and stop_event.processed:
                 return stop_event.value
             if timeline.peek_time() > stop_time:
-                self._now = stop_time
+                self._stop_at(stop_time)
                 return None
             self.step()
 
@@ -255,8 +356,13 @@ class Environment:
                 "run() finished but the awaited event never triggered"
             )
         if stop_time != float("inf"):
-            self._now = stop_time
+            self._stop_at(stop_time)
         return None
+
+    def _stop_at(self, when: float) -> None:
+        """Stop the clock at ``when``: everything at or before it happened."""
+        self._now = when
+        self._entry = (when, _INF)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

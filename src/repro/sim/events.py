@@ -21,6 +21,7 @@ __all__ = [
     "PENDING",
     "Event",
     "Timeout",
+    "Deferred",
     "ConditionEvent",
     "AllOf",
     "AnyOf",
@@ -147,6 +148,32 @@ class Timeout(Event):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Timeout delay={self.delay}>"
+
+
+class Deferred(Event):
+    """A timer that is not on the timeline (see :meth:`Environment.defer`).
+
+    It fires at ``at`` with the tie-break ``key`` an ordinary timer created
+    at the same moment would have had, but only becomes an event when it is
+    promoted; until then :meth:`Environment.settle` runs its callbacks once
+    the event being processed sorts after it.  Its callbacks must therefore
+    read the firing time from ``at``, not from ``env.now``.
+    """
+
+    __slots__ = ("at", "key")
+
+    def __init__(self, env: "Environment", at: float, key: float, value: Any = None) -> None:
+        # Event.__init__ inlined: a deferred timer is made per peer probe.
+        self.env = env
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self.defused = False
+        self.at = at
+        self.key = key
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"<Deferred at={self.at}>"
 
 
 class ConditionEvent(Event):

@@ -66,6 +66,19 @@ class Store:
         """Request to add ``item``; returns an event."""
         return StorePut(self, item)
 
+    def put_nowait(self, item: Any) -> None:
+        """Add ``item`` at once, creating no event.
+
+        Only for unbounded stores, where a put never waits: it is
+        :meth:`put` without the event nobody would wait on -- the
+        fire-and-forget delivery of a message -- so a waiting getter is
+        served exactly as :meth:`put` would serve it.
+        """
+        if self.capacity != float("inf"):
+            raise ValueError("put_nowait needs an unbounded store")
+        self._add(item)
+        self._trigger()
+
     def get(self) -> StoreGet:
         """Request to remove and return the oldest item; returns an event."""
         return StoreGet(self)
@@ -92,9 +105,12 @@ class Store:
         return False
 
     # ------------------------------------------------------------------
+    def _add(self, item: Any) -> None:
+        self.items.append(item)
+
     def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            self.items.append(event.item)
+        if len(self) < self.capacity:
+            self._add(event.item)
             event.succeed()
             return True
         return False
@@ -146,12 +162,8 @@ class PriorityStore(Store):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, event.item)
-            event.succeed()
-            return True
-        return False
+    def _add(self, item: Any) -> None:
+        heapq.heappush(self._heap, item)
 
     def _do_get(self, event: StoreGet) -> bool:
         if self._heap:

@@ -91,7 +91,9 @@ class Request:
     lb_arrival_time: Optional[float] = None
     lb_dispatch_time: Optional[float] = None
     replica_arrival_time: Optional[float] = None
-    schedule_time: Optional[float] = None       # admitted to continuous batch
+    #: Last admission into the continuous batch: a request preempted after
+    #: its first token is re-stamped when it is re-admitted.
+    schedule_time: Optional[float] = None
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
 
@@ -134,7 +136,12 @@ class Request:
 
     @property
     def queueing_delay(self) -> Optional[float]:
-        """Delay between arriving at the first LB and being scheduled."""
+        """Delay between arriving at the first LB and the *last* admission
+        into the continuous batch (:attr:`schedule_time`).
+
+        For a request preempted and re-admitted after its first token, this
+        includes the preemption, so ``RunMetrics.queueing_delay`` does too.
+        """
         if self.schedule_time is None or self.lb_arrival_time is None:
             return None
         return self.schedule_time - self.lb_arrival_time

@@ -186,10 +186,11 @@ def test_probe_counters_reflect_probe_traffic(env, network, make_tiny_replica):
 # ----------------------------------------------------------------------
 # event budget and pinned probe semantics
 # ----------------------------------------------------------------------
-def test_idle_cycle_schedules_five_events(env, make_tiny_replica):
+def test_idle_cycle_schedules_three_events(env, make_tiny_replica):
     """One cycle with local replicas and 2 peers: the peer-probe timer, the
-    local round trip, one round trip per peer and the interval timeout.
-    Notifications nobody waits for schedule nothing."""
+    local round trip and the interval timeout.  The peer round trips land
+    without an event while no waiter is parked, and notifications nobody
+    waits for schedule nothing."""
     network = Network(env, default_topology(), jitter_fraction=0.05, seed=3)
     monitor = AvailabilityMonitor(env, network, "us", probe_interval_s=0.1)
     monitor.add_local_replica(make_tiny_replica("us"))
@@ -200,7 +201,7 @@ def test_idle_cycle_schedules_five_events(env, make_tiny_replica):
     env.run(until=1.05)
     scheduled = env._eid
     env.run(until=2.05)
-    assert env._eid - scheduled == 5 * 10
+    assert env._eid - scheduled == 3 * 10
 
 
 PROBE_LANDINGS = Path(__file__).parent / "data" / "probe_landings.json"
@@ -222,17 +223,21 @@ def _probe_landings():
     class Recording(dict):
         def __setitem__(self, name, probe):
             landings.append(
-                [env.now, name, probe.healthy, probe.num_available_replicas, probe.queue_size]
+                [probe.probe_time, name, probe.healthy, probe.num_available_replicas,
+                 probe.queue_size]
             )
             super().__setitem__(name, probe)
 
-    monitor.balancer_probes = Recording(monitor.balancer_probes)
+    monitor._balancer_probes = Recording(monitor._balancer_probes)
 
     def churn():
         # Peer state moves off the probe grid, so each landing pins which
         # value it read (the one current when the round trip completed).
         for step in range(1, 60):
             yield env.timeout(0.037)
+            # Probes in flight read this state: settle before changing it,
+            # as a real balancer does.
+            env.settle()
             for index, peer in enumerate(peers):
                 peer.queue_size = (step * (index + 2)) % 5
                 peer.num_available_replicas = (step + index) % 3
