@@ -27,7 +27,7 @@ def test_ablation_sp_o_threshold_sensitivity(benchmark, record_result):
                 sp_o_threshold=threshold,
                 seed=9,
             )
-            results[f"SP-O@{threshold}"] = outcome.runs["SP-O"]
+            results[f"SP-O@{threshold}"] = outcome.get("tot-single-region", "SP-O")
         spp = run_pushing_benchmark(
             policies=("SP-P",),
             replicas=4,
@@ -35,7 +35,7 @@ def test_ablation_sp_o_threshold_sensitivity(benchmark, record_result):
             duration_s=bench_duration(),
             seed=9,
         )
-        results["SP-P"] = spp.runs["SP-P"]
+        results["SP-P"] = spp.get("tot-single-region", "SP-P")
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import ALL_SYSTEMS, default_macro_cluster, run_macro_benchmark
+from repro.experiments.macro import speedup_over_baselines
 
 from conftest import bench_duration, bench_scale, bench_seeds, bench_workers
 
@@ -41,7 +42,7 @@ def _render(result, workload) -> str:
         )
     sky = result.runs[workload]["skywalker"]
     lines.append("")
-    for system, speedup in result.speedup_over_baselines(workload).items():
+    for system, speedup in speedup_over_baselines(result, workload).items():
         lines.append(f"  skywalker throughput vs {system:<18}: {speedup:5.2f}x")
     lines.append(f"  skywalker forwarded fraction: {sky.forwarded_fraction:.1%}")
     seeds = bench_seeds(0)

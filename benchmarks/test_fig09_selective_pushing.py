@@ -7,6 +7,7 @@ The paper reports SP-P improving throughput by 1.27x over blind pushing and
 from __future__ import annotations
 
 from repro.experiments import run_pushing_benchmark
+from repro.experiments.pushing import p90_ttft_reduction, throughput_gain
 
 from conftest import bench_duration, bench_scale, bench_seeds, bench_workers
 
@@ -35,25 +36,27 @@ def test_fig09_selective_pushing(benchmark, record_result):
         f"  {'policy':<8}{'tput tok/s':>12}{'ttft p50':>10}{'ttft p90':>10}{'e2e p50':>10}"
         f"{'hit rate':>10}{'completed':>11}"
     )
-    for policy, metrics in result.runs.items():
+    (workload,) = result.workloads()
+    runs = result.runs[workload]
+    for policy, metrics in runs.items():
         lines.append(
             f"  {policy:<8}{metrics.throughput_tokens_per_s:>12.1f}{metrics.ttft.p50:>10.3f}"
             f"{metrics.ttft.p90:>10.3f}{metrics.e2e_latency.p50:>10.2f}"
             f"{metrics.cache_hit_rate * 100:>9.1f}%{metrics.num_completed:>11}"
         )
     lines.append("")
-    lines.append(f"  SP-P throughput vs BP  : {result.throughput_gain('BP', 'SP-P'):.2f}x   (paper: 1.27x)")
-    lines.append(f"  SP-P throughput vs SP-O: {result.throughput_gain('SP-O', 'SP-P'):.2f}x   (paper: 1.4x)")
-    lines.append(f"  SP-P p90 TTFT reduction vs BP: {result.p90_ttft_reduction('BP', 'SP-P'):.2f}x   (paper: 18.47x)")
+    lines.append(f"  SP-P throughput vs BP  : {throughput_gain(result, 'BP', 'SP-P'):.2f}x   (paper: 1.27x)")
+    lines.append(f"  SP-P throughput vs SP-O: {throughput_gain(result, 'SP-O', 'SP-P'):.2f}x   (paper: 1.4x)")
+    lines.append(f"  SP-P p90 TTFT reduction vs BP: {p90_ttft_reduction(result, 'BP', 'SP-P'):.2f}x   (paper: 18.47x)")
     seeds = bench_seeds(7)
     if len(seeds) > 1:
         lines.append("")
         lines.append(f"  aggregate over seeds {seeds} (mean±95% CI):")
-        for policy in result.runs:
-            lines.append("  " + result.aggregate(policy).format_row())
+        for policy in runs:
+            lines.append("  " + result.aggregate(workload, policy).format_row())
     record_result("fig09_selective_pushing", "\n".join(lines))
 
-    bp, spo, spp = result.runs["BP"], result.runs["SP-O"], result.runs["SP-P"]
+    bp, spo, spp = runs["BP"], runs["SP-O"], runs["SP-P"]
     # SP-P never loses meaningfully to blind pushing on throughput or tail
     # latency.  (In this reproduction the balancer's load-aware candidate
     # selection already prevents most of the imbalance blind pushing causes

@@ -18,6 +18,12 @@ less sensitive to redistribution than the real testbed).
 from __future__ import annotations
 
 from repro.experiments import run_diurnal_sweep
+from repro.experiments.diurnal_sweep import (
+    fleet_runs,
+    replicas_meeting_slo,
+    slo_cost_reduction,
+    speedup_at,
+)
 
 from conftest import bench_duration, bench_seeds, bench_workers
 
@@ -43,12 +49,14 @@ def test_fig10_skywalker_vs_region_local(benchmark, record_result):
         f"  {'replicas':<9}{'sky tok/s':>12}{'local tok/s':>13}{'tput ratio':>12}"
         f"{'sky US p90 TTFT':>17}{'local US p90 TTFT':>19}{'offloaded':>11}"
     )
+    skywalker = fleet_runs(result, "skywalker")
+    region_local = fleet_runs(result, "region-local")
     for count in REPLICA_COUNTS:
-        sky = result.skywalker[count]
-        local = result.region_local[count]
+        sky = skywalker[count]
+        local = region_local[count]
         lines.append(
             f"  {count:<9}{sky.throughput_tokens_per_s:>12.1f}{local.throughput_tokens_per_s:>13.1f}"
-            f"{result.speedup_at(count):>11.2f}x"
+            f"{speedup_at(result, count):>11.2f}x"
             f"{sky.extra.get('us_ttft_p90', sky.ttft.p90):>16.2f}s"
             f"{local.extra.get('us_ttft_p90', local.ttft.p90):>18.2f}s"
             f"{sky.forwarded_fraction:>10.1%}"
@@ -56,9 +64,9 @@ def test_fig10_skywalker_vs_region_local(benchmark, record_result):
     lines.append("")
     best_reduction = None
     for slo in SLO_CANDIDATES_S:
-        sky_needed = result.replicas_meeting_slo("skywalker", slo)
-        local_needed = result.replicas_meeting_slo("region-local", slo)
-        reduction = result.slo_cost_reduction(slo)
+        sky_needed = replicas_meeting_slo(result, "skywalker", slo)
+        local_needed = replicas_meeting_slo(result, "region-local", slo)
+        reduction = slo_cost_reduction(result, slo)
         lines.append(
             f"  US p90 TTFT SLO {slo:.1f}s -> SkyWalker needs {sky_needed}, "
             f"region-local needs {local_needed}"
@@ -75,8 +83,8 @@ def test_fig10_skywalker_vs_region_local(benchmark, record_result):
         lines.append("")
         lines.append(f"  aggregate over seeds {seeds} (mean±95% CI):")
         for count in REPLICA_COUNTS:
-            for system in ("skywalker", "region-local"):
-                agg = result.aggregate(system, count)
+            for system, runs in (("skywalker", skywalker), ("region-local", region_local)):
+                agg = result.aggregate(runs[count].workload, system)
                 tput = agg.stat("throughput_tokens_per_s")
                 lines.append(
                     f"  {system:<14} replicas={count:<3} "
@@ -89,13 +97,13 @@ def test_fig10_skywalker_vs_region_local(benchmark, record_result):
     # saturated low end of the sweep.
     for count in REPLICA_COUNTS:
         if count >= 6:
-            assert result.speedup_at(count) > 0.9
+            assert speedup_at(result, count) > 0.9
     # The overloaded region's tail latency is strictly better under
     # SkyWalker, dramatically so when the skew bites hardest.
     us_improvements = []
     for count in REPLICA_COUNTS:
-        sky_p90 = result.skywalker[count].extra.get("us_ttft_p90")
-        local_p90 = result.region_local[count].extra.get("us_ttft_p90")
+        sky_p90 = skywalker[count].extra.get("us_ttft_p90")
+        local_p90 = region_local[count].extra.get("us_ttft_p90")
         assert sky_p90 is not None and local_p90 is not None
         us_improvements.append(local_p90 / sky_p90)
         assert sky_p90 <= local_p90 * 1.05

@@ -41,11 +41,14 @@ mean / stdev / 95% CI (Student-t, stdlib-only) via
 ``seeds=[s]`` is bit-identical to the legacy single-seed ``seed=s`` path,
 and ``run_macro_benchmark`` / ``run_pushing_benchmark`` /
 ``run_diurnal_sweep`` accept the same ``seeds=[...]`` (rebuilding their
-workloads per seed so each trial sees fresh traffic).  Per-cell host
-wall-clock is recorded in ``SweepResult.cell_seconds`` (and per seed in
-``seed_cell_seconds``); it is telemetry only and deliberately **excluded
-from ``RunMetrics.to_dict()``**, which is the payload every bit-identity
-check (serial vs parallel, golden traces) compares.
+workloads per seed so each trial sees fresh traffic) and return a
+``SweepResult`` too; each figure's questions are functions over it in the
+driver module, e.g. ``repro.experiments.macro.speedup_over_baselines``
+(Fig. 8), ``pushing.throughput_gain`` (Fig. 9) and
+``diurnal_sweep.slo_cost_reduction`` (Fig. 10).  Per-cell host wall-clock
+(``SweepResult.wall_clock``) is telemetry only and deliberately
+**excluded from ``RunMetrics.to_dict()``**, which is the payload every
+bit-identity check (serial vs parallel, golden traces) compares.
 
 Lower-level control (arbitrary per-cell functions, e.g. the Fig. 10 sweep's
 per-region percentiles) is available through

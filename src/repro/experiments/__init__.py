@@ -20,7 +20,7 @@ from .config import (
     ExperimentConfig,
     WorkloadSpec,
 )
-from .diurnal_sweep import DiurnalSweepResult, build_skewed_workload, run_diurnal_sweep
+from .diurnal_sweep import build_skewed_workload, run_diurnal_sweep
 from .hitrate import (
     SCENARIOS as HITRATE_SCENARIOS,
     HitRateComparison,
@@ -31,8 +31,8 @@ from .hitrate import (
 )
 from .hybrid import HybridSelection, SkyWalkerHybridConfig
 from .imbalance import ImbalanceResult, run_imbalance_experiment
-from .macro import MacroResult, default_macro_cluster, run_macro_benchmark
-from .pushing import PushingResult, build_single_region_tot_workload, run_pushing_benchmark
+from .macro import default_macro_cluster, run_macro_benchmark
+from .pushing import build_single_region_tot_workload, run_pushing_benchmark
 from .registry import (
     REGISTRY,
     BuildContext,
@@ -94,10 +94,8 @@ __all__ = [
     "run_experiment",
     "run_sweep",
     "build_system",
-    "MacroResult",
     "run_macro_benchmark",
     "default_macro_cluster",
-    "PushingResult",
     "run_pushing_benchmark",
     "build_single_region_tot_workload",
     "HitRateComparison",
@@ -108,7 +106,6 @@ __all__ = [
     "run_hitrate_benchmark",
     "ImbalanceResult",
     "run_imbalance_experiment",
-    "DiurnalSweepResult",
     "run_diurnal_sweep",
     "build_skewed_workload",
     "MACRO_WORKLOAD_BUILDERS",

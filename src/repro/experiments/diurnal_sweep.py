@@ -11,125 +11,81 @@ with fewer replicas -- the paper's 9-replica SkyWalker matches the
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, Optional, Sequence
 
-from ..analysis.cost import CostModel
 from ..faults import FaultsLike
-from ..metrics import AggregateMetrics, LatencySummary, RunMetrics, aggregate_cell
+from ..metrics import LatencySummary, RunMetrics
 from ..workloads import ARENA_LIKE, ConversationConfig, ConversationWorkload, ProgramStream
-from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
+from .config import ClusterConfig, WorkloadSpec
 from .registry import REGISTRY
-from .runner import run_experiment
-from .sweep import SweepExecutor, normalise_seeds
+from .runner import SweepResult, metric_ratio, run_experiment
+from .sweep import SweepExecutor, SweepTask, normalise_seeds
 
-__all__ = ["DiurnalSweepResult", "build_skewed_workload", "run_diurnal_sweep"]
+__all__ = [
+    "build_skewed_workload",
+    "run_diurnal_sweep",
+    "fleet_runs",
+    "speedup_at",
+    "replicas_meeting_slo",
+    "slo_cost_reduction",
+]
 
 _REGIONS = ("us", "eu", "asia")
 
 
-@dataclass
-class DiurnalSweepResult:
-    """Throughput per system per total replica count.
+def _fleet_workload(workload: WorkloadSpec, total_replicas: int) -> WorkloadSpec:
+    """Name the sweep row of one fleet size, e.g. ``regionally-skewed@9``.
 
-    :attr:`skywalker` / :attr:`region_local` hold the base-seed run per
-    replica count (bit-identical to the historical single-seed output);
-    multi-seed sweeps also fill the ``*_seed_runs`` maps, which feed
-    :meth:`aggregate`.
+    Fig. 10's cells are (system, fleet size), so each fleet size gets its
+    own workload row of the :class:`SweepResult`.  The name is display-only:
+    the programs are shared, and :func:`fleet_runs` is the only reader.
     """
+    return replace(workload, name=f"{workload.name}@{total_replicas}")
 
-    skywalker: Dict[int, RunMetrics] = field(default_factory=dict)
-    region_local: Dict[int, RunMetrics] = field(default_factory=dict)
-    #: Per-seed runs: ``skywalker_seed_runs[total_replicas][seed]``.
-    skywalker_seed_runs: Dict[int, Dict[int, RunMetrics]] = field(default_factory=dict)
-    region_local_seed_runs: Dict[int, Dict[int, RunMetrics]] = field(default_factory=dict)
 
-    def replica_counts(self) -> List[int]:
-        return sorted(set(self.skywalker) | set(self.region_local))
+def fleet_runs(result: SweepResult, system: str) -> Dict[int, RunMetrics]:
+    """Base-seed runs of ``system`` (``"skywalker"`` or ``"region-local"``)
+    keyed by total replica count, in sweep order."""
+    return {
+        int(workload.rpartition("@")[2]): result.get(workload, system)
+        for workload in result.workloads()
+    }
 
-    def aggregate(self, system: str, replicas: int) -> AggregateMetrics:
-        """Mean/stdev/95% CI for one (system, replica count) across seeds.
 
-        ``system`` must be ``"skywalker"`` or ``"region-local"`` (the two
-        arms of the Fig. 10 comparison).
-        """
-        if system == "skywalker":
-            seed_runs, base = self.skywalker_seed_runs, self.skywalker
-        elif system == "region-local":
-            seed_runs, base = self.region_local_seed_runs, self.region_local
-        else:
-            raise ValueError(
-                f"unknown system {system!r}; expected 'skywalker' or 'region-local'"
-            )
-        return aggregate_cell(seed_runs.get(replicas), base[replicas])
+def speedup_at(result: SweepResult, replicas: int) -> float:
+    """SkyWalker throughput over region-local at equal replica count."""
+    return metric_ratio(
+        fleet_runs(result, "skywalker")[replicas], fleet_runs(result, "region-local")[replicas]
+    )
 
-    def throughput_series(self) -> Dict[str, Dict[int, float]]:
-        return {
-            "skywalker": {
-                n: metrics.throughput_tokens_per_s for n, metrics in self.skywalker.items()
-            },
-            "region-local": {
-                n: metrics.throughput_tokens_per_s for n, metrics in self.region_local.items()
-            },
-        }
 
-    def speedup_at(self, replicas: int) -> float:
-        """SkyWalker throughput over region-local at equal replica count."""
-        base = self.region_local[replicas].throughput_tokens_per_s
-        if base == 0:
-            return float("inf")
-        return self.skywalker[replicas].throughput_tokens_per_s / base
+def replicas_meeting_slo(result: SweepResult, system: str, ttft_p90_slo_s: float,
+                         region: Optional[str] = "us") -> Optional[int]:
+    """Smallest fleet whose (optionally per-region) p90 TTFT meets an SLO.
 
-    def tail_ttft_improvement_at(self, replicas: int) -> float:
-        """Region-local p90 TTFT over SkyWalker p90 TTFT (higher = better)."""
-        sky = self.skywalker[replicas].ttft.p90
-        if sky == 0:
-            return float("inf")
-        return self.region_local[replicas].ttft.p90 / sky
+    The overloaded region's tail latency is what forces region-local
+    deployments to over-provision; SkyWalker meets the same SLO with
+    fewer replicas by spilling that region's excess load elsewhere.
+    """
+    runs = fleet_runs(result, system)
+    for count in sorted(runs):
+        metrics = runs[count]
+        key = f"{region}_ttft_p90"
+        value = metrics.extra.get(key, metrics.ttft.p90) if region else metrics.ttft.p90
+        if value <= ttft_p90_slo_s:
+            return count
+    return None
 
-    def replicas_matching_region_local(self, region_local_replicas: int) -> Optional[int]:
-        """Smallest SkyWalker fleet whose throughput matches (or exceeds) the
-        region-local deployment with ``region_local_replicas`` replicas."""
-        if region_local_replicas not in self.region_local:
-            return None
-        target = self.region_local[region_local_replicas].throughput_tokens_per_s
-        for count in sorted(self.skywalker):
-            if self.skywalker[count].throughput_tokens_per_s >= target:
-                return count
+
+def slo_cost_reduction(result: SweepResult, ttft_p90_slo_s: float,
+                       region: str = "us") -> Optional[float]:
+    """Fractional replica (and thus reserved-cost) saving at equal SLO."""
+    sky = replicas_meeting_slo(result, "skywalker", ttft_p90_slo_s, region)
+    local = replicas_meeting_slo(result, "region-local", ttft_p90_slo_s, region)
+    if sky is None or local is None or local == 0:
         return None
-
-    def replicas_meeting_slo(self, system: str, ttft_p90_slo_s: float,
-                             region: Optional[str] = "us") -> Optional[int]:
-        """Smallest fleet whose (optionally per-region) p90 TTFT meets an SLO.
-
-        The overloaded region's tail latency is what forces region-local
-        deployments to over-provision; SkyWalker meets the same SLO with
-        fewer replicas by spilling that region's excess load elsewhere.
-        """
-        runs = self.skywalker if system == "skywalker" else self.region_local
-        for count in sorted(runs):
-            metrics = runs[count]
-            key = f"{region}_ttft_p90"
-            value = metrics.extra.get(key, metrics.ttft.p90) if region else metrics.ttft.p90
-            if value <= ttft_p90_slo_s:
-                return count
-        return None
-
-    def cost_reduction(self, region_local_replicas: int) -> Optional[float]:
-        """Fractional cost saved at equal throughput (the paper reports 25 %)."""
-        match = self.replicas_matching_region_local(region_local_replicas)
-        if match is None:
-            return None
-        model = CostModel(requests_per_replica_hour=1.0)
-        return model.cost_reduction_at_equal_throughput(match, region_local_replicas)
-
-    def slo_cost_reduction(self, ttft_p90_slo_s: float, region: str = "us") -> Optional[float]:
-        """Fractional replica (and thus reserved-cost) saving at equal SLO."""
-        sky = self.replicas_meeting_slo("skywalker", ttft_p90_slo_s, region)
-        local = self.replicas_meeting_slo("region-local", ttft_p90_slo_s, region)
-        if sky is None or local is None or local == 0:
-            return None
-        return 1.0 - sky / local
+    return 1.0 - sky / local
 
 
 def build_skewed_workload(scale: float = 1.0, *, seed: int = 5,
@@ -180,39 +136,16 @@ def build_skewed_workload(scale: float = 1.0, *, seed: int = 5,
     )
 
 
-@dataclass(frozen=True)
-class _DiurnalCell:
-    """One (system kind, total replica count) cell of the Fig. 10 sweep."""
-
-    kind: str
-    total_replicas: int
-    workload: WorkloadSpec
-    duration_s: float
-    seed: int
-    faults: FaultsLike = None
-
-
-def _run_diurnal_cell(cell: _DiurnalCell) -> RunMetrics:
+def _run_diurnal_cell(task: SweepTask) -> RunMetrics:
     """Run one Fig. 10 cell, annotating per-region tail latency.
 
     Module-level so :meth:`SweepExecutor.map` can ship it to a worker
     process; the per-region percentiles have to be computed here because
     only the worker sees the completed request objects.
     """
-    per_region = cell.total_replicas // len(_REGIONS)
-    cluster = ClusterConfig(
-        replicas_per_region={region: per_region for region in _REGIONS}
-    )
-    config = ExperimentConfig(
-        system=REGISTRY.spec(cell.kind, hash_key="user"),
-        cluster=cluster,
-        duration_s=cell.duration_s,
-        seed=cell.seed,
-        faults=cell.faults,
-    )
-    outcome = run_experiment(config, cell.workload.fresh_copy())
+    outcome = run_experiment(task.config(), task.workload.fresh_copy())
     metrics = outcome.metrics
-    metrics.seed = cell.seed
+    metrics.seed = task.seed
     # Per-region tail latency: the overloaded (US) region is the one
     # a region-local deployment must over-provision for.
     for region in _REGIONS:
@@ -233,42 +166,40 @@ def run_diurnal_sweep(
     seeds: Optional[Sequence[int]] = None,
     workers: int = 1,
     faults: FaultsLike = None,
-) -> DiurnalSweepResult:
+) -> SweepResult:
     """Sweep total replica counts for SkyWalker and the region-local baseline.
 
-    ``seeds=[...]`` repeats the whole sweep with a freshly built skewed
-    workload per seed (``seeds=[s]`` is bit-identical to ``seed=s``); the
-    per-seed runs feed :meth:`DiurnalSweepResult.aggregate`.  ``workers`` >
-    1 distributes the (kind, replica count, seed) cells over that many
-    worker processes; results are identical to the serial sweep for the
-    same seeds.  ``faults`` applies one deterministic fault schedule to
-    every cell (e.g. to ask how many replicas each design needs when a
-    balancer dies mid-peak).
+    The result has one workload row per fleet size (see
+    :func:`fleet_runs`) and the two systems as columns.  ``seeds=[...]``
+    repeats the whole sweep with a freshly built skewed workload per seed
+    (``seeds=[s]`` is bit-identical to ``seed=s``); the per-seed runs feed
+    :meth:`SweepResult.aggregate`.  ``workers`` > 1 distributes the (kind,
+    replica count, seed) cells over that many worker processes; results
+    are identical to the serial sweep for the same seeds.  ``faults``
+    applies one deterministic fault schedule to every cell (e.g. to ask
+    how many replicas each design needs when a balancer dies mid-peak).
     """
     for total in replica_counts:
         if total % len(_REGIONS) != 0:
             raise ValueError("replica counts must be divisible by the number of regions")
     seed_list = normalise_seeds(seed, seeds)
-    cells = [
-        _DiurnalCell(
-            kind=kind,
-            total_replicas=total,
-            workload=workload,
+    tasks = [
+        SweepTask(
+            system=REGISTRY.spec(kind, hash_key="user"),
+            workload=_fleet_workload(workload, total),
+            cluster=ClusterConfig(
+                replicas_per_region={region: total // len(_REGIONS) for region in _REGIONS}
+            ),
             duration_s=duration_s,
             seed=cell_seed,
             faults=faults,
         )
         for cell_seed in seed_list
-        for workload in (build_skewed_workload(scale=scale, seed=cell_seed),)
+        for workload in [build_skewed_workload(scale=scale, seed=cell_seed)]
         for total in replica_counts
         for kind in ("skywalker", "region-local")
     ]
-    result = DiurnalSweepResult()
-    for cell, metrics in zip(cells, SweepExecutor(workers=workers).map(_run_diurnal_cell, cells)):
-        if cell.kind == "skywalker":
-            bucket, seed_bucket = result.skywalker, result.skywalker_seed_runs
-        else:
-            bucket, seed_bucket = result.region_local, result.region_local_seed_runs
-        bucket.setdefault(cell.total_replicas, metrics)
-        seed_bucket.setdefault(cell.total_replicas, {})[cell.seed] = metrics
+    result = SweepResult()
+    for metrics in SweepExecutor(workers=workers).map(_run_diurnal_cell, tasks):
+        result.add(metrics)
     return result

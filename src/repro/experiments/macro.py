@@ -12,105 +12,37 @@ build (fresh traffic, not just fresh network jitter) and every
 (workload, system, seed) cell fans out through the
 :class:`~repro.experiments.sweep.SweepExecutor` process pool.  The
 per-seed runs aggregate into mean/95%-CI statistics
-(:meth:`MacroResult.aggregate`), which is what turns the figure's
+(:meth:`SweepResult.aggregate`), which is what turns the figure's
 "1.12-2.06x over the baselines" claims into interval statements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..faults import FaultsLike
-from ..metrics import AggregateMetrics, RunMetrics, SweepReport, aggregate_cell
 from .config import ALL_SYSTEMS, ClusterConfig
 from .registry import REGISTRY
+from .runner import SweepResult, metric_ratio
 from .sweep import SweepExecutor, SweepTask, check_unique_system_names, normalise_seeds
 from .workloads import MACRO_WORKLOAD_BUILDERS
 
-__all__ = ["MacroResult", "run_macro_benchmark", "default_macro_cluster"]
+__all__ = ["run_macro_benchmark", "default_macro_cluster", "speedup_over_baselines"]
 
 
-@dataclass
-class MacroResult:
-    """All runs of one macro-benchmark sweep, indexed by (system, workload).
-
-    :attr:`runs` holds the base-seed run of each cell (for a single-seed
-    benchmark that is simply *the* run, bit-identical to the historical
-    output); :attr:`seed_runs` keeps every per-seed run and feeds
-    :meth:`aggregate`.
-    """
-
-    runs: Dict[str, Dict[str, RunMetrics]] = field(default_factory=dict)
-    #: Per-seed runs: ``seed_runs[workload][system][seed]``.
-    seed_runs: Dict[str, Dict[str, Dict[int, RunMetrics]]] = field(default_factory=dict)
-
-    def add(self, metrics: RunMetrics) -> None:
-        if metrics.seed is None:
-            self.runs.setdefault(metrics.workload, {})[metrics.system] = metrics
-            return
-        self.seed_runs.setdefault(metrics.workload, {}).setdefault(metrics.system, {})[
-            metrics.seed
-        ] = metrics
-        self.runs.setdefault(metrics.workload, {}).setdefault(metrics.system, metrics)
-
-    def workloads(self) -> List[str]:
-        return list(self.runs)
-
-    def systems(self, workload: str) -> List[str]:
-        return list(self.runs[workload])
-
-    def get(self, workload: str, system: str, seed: Optional[int] = None) -> RunMetrics:
-        if seed is None:
-            return self.runs[workload][system]
-        return self.seed_runs[workload][system][seed]
-
-    def aggregate(self, workload: str, system: str) -> AggregateMetrics:
-        """Mean/stdev/95% CI of one cell across its seeds (degenerate n=1
-        aggregate for single-seed benchmarks)."""
-        return aggregate_cell(
-            self.seed_runs.get(workload, {}).get(system), self.runs[workload][system]
-        )
-
-    def report(self) -> SweepReport:
-        report = SweepReport()
-        for workload in self.workloads():
-            for system in self.systems(workload):
-                report.add(self.aggregate(workload, system))
-        return report
-
-    def throughput_table(self) -> Dict[str, Dict[str, float]]:
-        return {
-            workload: {system: m.throughput_tokens_per_s for system, m in row.items()}
-            for workload, row in self.runs.items()
-        }
-
-    def speedup_over_baselines(self, workload: str, system: str = "skywalker") -> Dict[str, float]:
-        """Throughput of ``system`` relative to every other system (paper
-        reports 1.12-2.06x over the baselines), on the base-seed runs;
-        use :meth:`aggregate` when an interval statement is needed."""
-        row = self.runs[workload]
-        target = row[system].throughput_tokens_per_s
-        return {
-            other: target / metrics.throughput_tokens_per_s
-            for other, metrics in row.items()
-            if other != system and metrics.throughput_tokens_per_s > 0
-        }
-
-    def format_report(self) -> str:
-        lines: List[str] = []
-        for workload, row in self.runs.items():
-            lines.append(f"== {workload} ==")
-            for system, metrics in row.items():
-                lines.append("  " + metrics.format_row())
-        if self.seed_runs and any(
-            len(per_seed) > 1
-            for row in self.seed_runs.values()
-            for per_seed in row.values()
-        ):
-            lines.append("== aggregate (mean±95% CI) ==")
-            lines.append(self.report().format_table())
-        return "\n".join(lines)
+def speedup_over_baselines(
+    result: SweepResult, workload: str, system: str = "skywalker"
+) -> Dict[str, float]:
+    """Throughput of ``system`` relative to every other system on
+    ``workload`` (paper reports 1.12-2.06x over the baselines), on the
+    base-seed runs; use :meth:`SweepResult.aggregate` when an interval
+    statement is needed."""
+    target = result.get(workload, system)
+    return {
+        other: metric_ratio(target, result.get(workload, other))
+        for other in result.systems(workload)
+        if other != system
+    }
 
 
 def default_macro_cluster(scale: float = 1.0, *, record_utilization: bool = False) -> ClusterConfig:
@@ -133,7 +65,7 @@ def run_macro_benchmark(
     seeds: Optional[Sequence[int]] = None,
     workers: int = 1,
     faults: FaultsLike = None,
-) -> MacroResult:
+) -> SweepResult:
     """Run the Fig. 8 sweep and return all metrics.
 
     Per seed, each workload is generated once (with that seed) and replayed
@@ -150,30 +82,19 @@ def run_macro_benchmark(
     specs = [REGISTRY.spec(kind) for kind in systems]
     check_unique_system_names(specs)
     seed_list = normalise_seeds(seed, seeds)
-    tasks: List[SweepTask] = []
-    for cell_seed in seed_list:
-        built = [
-            MACRO_WORKLOAD_BUILDERS[workload_name](scale=scale, seed=cell_seed)
-            for workload_name in workloads
+    tasks = [
+        SweepTask(
+            system=spec,
+            workload=workload,
+            cluster=cluster,
+            duration_s=duration_s,
+            seed=cell_seed,
+            faults=faults,
+        )
+        for cell_seed in seed_list
+        for workload in [
+            MACRO_WORKLOAD_BUILDERS[name](scale=scale, seed=cell_seed) for name in workloads
         ]
-        for workload in built:
-            for spec in specs:
-                tasks.append(
-                    SweepTask(
-                        system=spec,
-                        workload=workload,
-                        cluster=cluster,
-                        duration_s=duration_s,
-                        seed=cell_seed,
-                        faults=faults,
-                    )
-                )
-    sweep = SweepExecutor(workers=workers).run_cells(tasks)
-    result = MacroResult()
-    for workload in sweep.workloads():
-        for system in sweep.systems(workload):
-            # run_sweep_task stamps every run's seed, so runs_for is never
-            # empty and insertion order (base seed first) carries over.
-            for metrics in sweep.runs_for(workload, system).values():
-                result.add(metrics)
-    return result
+        for spec in specs
+    ]
+    return SweepExecutor(workers=workers).run_cells(tasks)

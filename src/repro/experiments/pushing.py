@@ -9,80 +9,49 @@ The variants are one sweep (same workload, one system spec per registered
 pushing-policy name), so they run through the
 :class:`~repro.experiments.sweep.SweepExecutor` and parallelise across
 processes like every other sweep.  ``seeds=[...]`` repeats the ablation
-with a freshly generated ToT workload per seed; per-seed runs land in
-:attr:`PushingResult.seed_runs` and :meth:`PushingResult.aggregate` gives
-each policy's mean/95%-CI statistics.
+with a freshly generated ToT workload per seed; the result is the
+executor's :class:`~repro.experiments.runner.SweepResult`, one workload
+row whose systems are the policies, so :meth:`SweepResult.aggregate`
+gives each policy's mean/95%-CI statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..faults import FaultsLike
-from ..metrics import AggregateMetrics, RunMetrics, SweepReport, aggregate_cell
+from ..metrics import RunMetrics
 from ..workloads import TreeOfThoughtsConfig, TreeOfThoughtsWorkload
 from .config import ClusterConfig, WorkloadSpec
+from .runner import SweepResult, metric_ratio
 from .sweep import SweepExecutor, SweepTask, check_unique_system_names, normalise_seeds
 from .systems import SkyWalkerConfig
 
-__all__ = ["PushingResult", "run_pushing_benchmark", "build_single_region_tot_workload"]
+__all__ = [
+    "run_pushing_benchmark",
+    "build_single_region_tot_workload",
+    "throughput_gain",
+    "p90_ttft_reduction",
+]
 
 PUSHING_VARIANTS = ("BP", "SP-O", "SP-P")
 
 
-@dataclass
-class PushingResult:
-    """Metrics per pushing policy.
+def _base_run(result: SweepResult, policy: str) -> RunMetrics:
+    (workload,) = result.workloads()
+    return result.get(workload, policy)
 
-    :attr:`runs` holds each policy's base-seed run (bit-identical to the
-    historical single-seed output); :attr:`seed_runs` keeps every per-seed
-    run for :meth:`aggregate`.
-    """
 
-    runs: Dict[str, RunMetrics] = field(default_factory=dict)
-    #: Per-seed runs: ``seed_runs[policy][seed]``.
-    seed_runs: Dict[str, Dict[int, RunMetrics]] = field(default_factory=dict)
+def throughput_gain(result: SweepResult, over: str = "BP", policy: str = "SP-P") -> float:
+    """Base-seed throughput of ``policy`` over ``over`` (paper: SP-P is
+    1.27x BP and 1.4x SP-O)."""
+    return metric_ratio(_base_run(result, policy), _base_run(result, over))
 
-    def get(self, policy: str, seed: Optional[int] = None) -> RunMetrics:
-        if seed is None:
-            return self.runs[policy]
-        return self.seed_runs[policy][seed]
 
-    def aggregate(self, policy: str) -> AggregateMetrics:
-        """Mean/stdev/95% CI of one policy across its seeds."""
-        return aggregate_cell(self.seed_runs.get(policy), self.runs[policy])
-
-    def report(self) -> SweepReport:
-        report = SweepReport()
-        for policy in self.runs:
-            report.add(self.aggregate(policy))
-        return report
-
-    def throughput_gain(self, over: str = "BP", policy: str = "SP-P") -> float:
-        base = self.runs[over].throughput_tokens_per_s
-        if base == 0:
-            raise ValueError(
-                f"baseline run {over!r} completed no tokens (zero throughput); "
-                "cannot compute a throughput gain over an empty run"
-            )
-        return self.runs[policy].throughput_tokens_per_s / base
-
-    def p90_ttft_reduction(self, over: str = "BP", policy: str = "SP-P") -> float:
-        target = self.runs[policy].ttft.p90
-        if target == 0:
-            raise ValueError(
-                f"run {policy!r} recorded no first tokens (zero p90 TTFT); "
-                "cannot compute a TTFT reduction against an empty run"
-            )
-        return self.runs[over].ttft.p90 / target
-
-    def format_report(self) -> str:
-        lines = [metrics.format_row() for metrics in self.runs.values()]
-        if any(len(per_seed) > 1 for per_seed in self.seed_runs.values()):
-            lines.append("-- aggregate (mean±95% CI) --")
-            lines.append(self.report().format_table())
-        return "\n".join(lines)
+def p90_ttft_reduction(result: SweepResult, over: str = "BP", policy: str = "SP-P") -> float:
+    """Base-seed p90 TTFT of ``over`` over that of ``policy`` (paper: SP-P
+    cuts BP's by 18.47x)."""
+    return metric_ratio(_base_run(result, over), _base_run(result, policy), "ttft_p90")
 
 
 def build_single_region_tot_workload(
@@ -113,7 +82,7 @@ def run_pushing_benchmark(
     seeds: Optional[Sequence[int]] = None,
     workers: int = 1,
     faults: FaultsLike = None,
-) -> PushingResult:
+) -> SweepResult:
     """Run the BP / SP-O / SP-P comparison in one region.
 
     ``policies`` may name any registered pushing policy, not just the
@@ -136,28 +105,19 @@ def run_pushing_benchmark(
     cluster = ClusterConfig(replicas_per_region={region: replicas})
     check_unique_system_names(systems)
     seed_list = normalise_seeds(seed, seeds)
-    tasks: List[SweepTask] = []
-    workload_name = None
-    for cell_seed in seed_list:
-        workload = build_single_region_tot_workload(
-            region=region, clients=clients, seed=cell_seed
+    tasks = [
+        SweepTask(
+            system=system,
+            workload=workload,
+            cluster=cluster,
+            duration_s=duration_s,
+            seed=cell_seed,
+            faults=faults,
         )
-        workload_name = workload.name
-        for system in systems:
-            tasks.append(
-                SweepTask(
-                    system=system,
-                    workload=workload,
-                    cluster=cluster,
-                    duration_s=duration_s,
-                    seed=cell_seed,
-                    faults=faults,
-                )
-            )
-    sweep = SweepExecutor(workers=workers).run_cells(tasks)
-    result = PushingResult()
-    for policy in policies:
-        # run_sweep_task stamps every run's seed, so runs_for is never empty.
-        result.runs[policy] = sweep.get(workload_name, policy)
-        result.seed_runs[policy] = sweep.runs_for(workload_name, policy)
-    return result
+        for cell_seed in seed_list
+        for workload in [
+            build_single_region_tot_workload(region=region, clients=clients, seed=cell_seed)
+        ]
+        for system in systems
+    ]
+    return SweepExecutor(workers=workers).run_cells(tasks)

@@ -21,11 +21,11 @@ from ..cluster import ClosedLoopClient, Deployment, Frontend, ReplicaSpec, Reque
 from ..core.interface import Balancer
 from ..faults import FaultInjector, FaultsLike, resolve_fault_schedule
 from ..metrics import (
+    AGGREGATED_METRICS,
     AggregateMetrics,
     RunMetrics,
     Statistic,
     SweepReport,
-    aggregate_cell,
     collect_memory_metrics,
     collect_run_metrics,
     paired_difference,
@@ -39,7 +39,14 @@ from ..workloads.streams import ProgramStream
 from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .registry import REGISTRY, BuildContext, SystemSpec
 
-__all__ = ["ExperimentResult", "SweepResult", "run_experiment", "run_sweep", "build_system"]
+__all__ = [
+    "ExperimentResult",
+    "SweepResult",
+    "metric_ratio",
+    "run_experiment",
+    "run_sweep",
+    "build_system",
+]
 
 @dataclass
 class ExperimentResult:
@@ -244,31 +251,22 @@ class SweepResult:
     entry of the seeds list) so every legacy accessor keeps returning a
     deterministic, bit-identical-to-single-seed view.  The statistical
     layer on top -- mean, stdev, 95% CI per metric -- comes from
-    :meth:`aggregate` / :meth:`report`.
+    :meth:`aggregate` / :meth:`report`.  The Fig. 8/9/10 drivers return
+    one too; each figure's own questions are functions in its driver
+    module.
     """
 
     runs: Dict[str, Dict[str, RunMetrics]] = field(default_factory=dict)
-    #: Host wall-clock seconds per cell (``cell_seconds[workload][system]``,
-    #: base seed), recorded by the sweep executor so benchmark logs show
-    #: where the run's time went.  Not part of any bit-identity comparison
-    #: (and therefore excluded from ``RunMetrics.to_dict()``).
-    cell_seconds: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Per-seed runs: ``seed_runs[workload][system][seed]``.  Populated by
     #: the sweep executor (which stamps ``RunMetrics.seed``); direct
     #: :meth:`add` calls with un-stamped metrics only feed :attr:`runs`.
     seed_runs: Dict[str, Dict[str, Dict[int, RunMetrics]]] = field(default_factory=dict)
-    #: Per-seed wall-clock: ``seed_cell_seconds[workload][system][seed]``.
-    seed_cell_seconds: Dict[str, Dict[str, Dict[int, float]]] = field(default_factory=dict)
 
     def add(self, metrics: RunMetrics) -> None:
         if metrics.seed is None:
             # Legacy path (metrics not produced by the sweep executor):
             # exactly the historical overwrite semantics, no seed tracking.
             self.runs.setdefault(metrics.workload, {})[metrics.system] = metrics
-            if metrics.wall_clock_s is not None:
-                self.cell_seconds.setdefault(metrics.workload, {})[
-                    metrics.system
-                ] = metrics.wall_clock_s
             return
         # Seed-stamped path: the first run added for a cell is its base
         # seed (the executor orders each cell's tasks seeds-first).
@@ -276,13 +274,6 @@ class SweepResult:
             metrics.seed
         ] = metrics
         self.runs.setdefault(metrics.workload, {}).setdefault(metrics.system, metrics)
-        if metrics.wall_clock_s is not None:
-            self.seed_cell_seconds.setdefault(metrics.workload, {}).setdefault(
-                metrics.system, {}
-            )[metrics.seed] = metrics.wall_clock_s
-            self.cell_seconds.setdefault(metrics.workload, {}).setdefault(
-                metrics.system, metrics.wall_clock_s
-            )
 
     def workloads(self) -> List[str]:
         return list(self.runs)
@@ -291,9 +282,17 @@ class SweepResult:
         return list(self.runs[workload])
 
     def get(self, workload: str, system: str, seed: Optional[int] = None) -> RunMetrics:
-        """One cell's metrics: the base-seed run, or a specific seed's."""
+        """One cell's metrics: the base-seed run, or a specific seed's.  An
+        unknown workload or system raises a ValueError naming the known ones."""
+        if workload not in self.runs:
+            raise ValueError(f"unknown workload {workload!r}; known: {self.workloads()}")
+        row = self.runs[workload]
+        if system not in row:
+            raise ValueError(
+                f"unknown system {system!r} on workload {workload!r}; known: {list(row)}"
+            )
         if seed is None:
-            return self.runs[workload][system]
+            return row[system]
         return self.seed_runs[workload][system][seed]
 
     def runs_for(self, workload: str, system: str) -> Dict[int, RunMetrics]:
@@ -315,9 +314,7 @@ class SweepResult:
     ) -> Optional[float]:
         """Host seconds one cell took (base seed, or a specific seed's run),
         or ``None`` if it predates recording."""
-        if seed is None:
-            return self.cell_seconds.get(workload, {}).get(system)
-        return self.seed_cell_seconds.get(workload, {}).get(system, {}).get(seed)
+        return self.get(workload, system, seed).wall_clock_s
 
     # -- statistics ----------------------------------------------------
     def aggregate(self, workload: str, system: str) -> AggregateMetrics:
@@ -327,9 +324,11 @@ class SweepResult:
         for cells without per-seed runs, so report code need not special-
         case single-seed sweeps.
         """
-        return aggregate_cell(
-            self.seed_runs.get(workload, {}).get(system), self.runs[workload][system]
-        )
+        base = self.get(workload, system)
+        per_seed = self.runs_for(workload, system)
+        if per_seed:
+            return AggregateMetrics.from_runs(list(per_seed.values()), seeds=list(per_seed))
+        return AggregateMetrics.from_runs([base], seeds=())
 
     def report(self) -> SweepReport:
         """Text-table / JSON report of every cell's aggregate statistics."""
@@ -416,6 +415,25 @@ class SweepResult:
                 for system in self.systems(workload):
                     lines.append("  " + self.aggregate(workload, system).format_row())
         return "\n".join(lines)
+
+
+def metric_ratio(
+    run: RunMetrics, baseline: RunMetrics, metric: str = "throughput_tokens_per_s"
+) -> float:
+    """``metric(run) / metric(baseline)`` for any :data:`AGGREGATED_METRICS` name.
+
+    The one ratio rule behind every figure's speedup: a zero baseline (an
+    empty run) raises a :class:`ValueError` naming that run instead of
+    yielding ``inf`` or being skipped.
+    """
+    extract = AGGREGATED_METRICS[metric]
+    base = extract(baseline)
+    if base == 0:
+        raise ValueError(
+            f"run {baseline.system!r} on {baseline.workload!r} has zero {metric}; "
+            "cannot compute a ratio over an empty run"
+        )
+    return extract(run) / base
 
 
 def run_sweep(

@@ -86,6 +86,17 @@ class SweepTask:
     #: of a registered schedule factory (resolved inside the worker).
     faults: FaultsLike = None
 
+    def config(self) -> ExperimentConfig:
+        """The :class:`ExperimentConfig` this cell runs."""
+        return ExperimentConfig(
+            system=self.system,
+            cluster=self.cluster,
+            duration_s=self.duration_s,
+            seed=self.seed,
+            network_jitter=self.network_jitter,
+            faults=self.faults,
+        )
+
 
 def run_sweep_task(task: SweepTask) -> RunMetrics:
     """Run one sweep cell and return its metrics.
@@ -97,16 +108,8 @@ def run_sweep_task(task: SweepTask) -> RunMetrics:
     re-runs this exact function in a forked process; either way the traffic
     is identical.
     """
-    config = ExperimentConfig(
-        system=task.system,
-        cluster=task.cluster,
-        duration_s=task.duration_s,
-        seed=task.seed,
-        network_jitter=task.network_jitter,
-        faults=task.faults,
-    )
     start = time.perf_counter()
-    metrics = run_experiment(config, task.workload.fresh_copy()).metrics
+    metrics = run_experiment(task.config(), task.workload.fresh_copy()).metrics
     # Recorded on the metrics object (picklable, so it survives the trip
     # back from a worker process) but excluded from to_dict(): wall-clock
     # is where-the-time-went telemetry, not part of the result identity,

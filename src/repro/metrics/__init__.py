@@ -9,7 +9,6 @@ from .aggregate import (
     AggregateMetrics,
     Statistic,
     SweepReport,
-    aggregate_cell,
     paired_difference,
     student_t_critical,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "AggregateMetrics",
     "Statistic",
     "SweepReport",
-    "aggregate_cell",
     "paired_difference",
     "student_t_critical",
 ]

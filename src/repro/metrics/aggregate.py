@@ -38,7 +38,6 @@ __all__ = [
     "AggregateMetrics",
     "Statistic",
     "SweepReport",
-    "aggregate_cell",
     "paired_difference",
     "student_t_critical",
 ]
@@ -338,27 +337,13 @@ def paired_difference(
     return Statistic.paired_diff(samples_a, samples_b)
 
 
-def aggregate_cell(
-    per_seed: Optional[Dict[int, "RunMetrics"]], base_run: "RunMetrics"
-) -> AggregateMetrics:
-    """Aggregate one result cell: its per-seed runs when present, else a
-    degenerate (n=1, no interval) aggregate of the single base run.
-
-    The shared fallback behind every result object's ``aggregate()``
-    accessor, so report code never special-cases single-seed sweeps.
-    """
-    if per_seed:
-        return AggregateMetrics.from_runs(list(per_seed.values()), seeds=list(per_seed))
-    return AggregateMetrics.from_runs([base_run], seeds=())
-
-
 @dataclass
 class SweepReport:
     """Report over every aggregated cell of a multi-seed sweep.
 
-    Built by :meth:`SweepResult.report` (and the figure-level result
-    objects); offers the two output shapes benchmarks need: an aligned text
-    table for logs and a JSON document for committed artifacts.
+    Built by :meth:`SweepResult.report`; offers the two output shapes
+    benchmarks need: an aligned text table for logs and a JSON document
+    for committed artifacts.
     """
 
     cells: List[AggregateMetrics] = field(default_factory=list)

@@ -21,16 +21,7 @@ def run_route_trace(task) -> Tuple[tuple, ...]:
     tuple of :meth:`~repro.net.routed.RouteChange.as_tuple` values."""
     # Imported lazily: the experiments package imports repro.net for the
     # runner's network, so a module-level import here would cycle.
-    from ..experiments.config import ExperimentConfig
     from ..experiments.runner import run_experiment
 
-    config = ExperimentConfig(
-        system=task.system,
-        cluster=task.cluster,
-        duration_s=task.duration_s,
-        seed=task.seed,
-        network_jitter=task.network_jitter,
-        faults=task.faults,
-    )
-    result = run_experiment(config, task.workload.fresh_copy())
+    result = run_experiment(task.config(), task.workload.fresh_copy())
     return tuple(event.as_tuple() for event in result.frontend.network.route_events)

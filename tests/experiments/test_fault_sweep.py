@@ -21,6 +21,7 @@ from repro.experiments import (
     run_pushing_benchmark,
     run_sweep,
 )
+from repro.experiments.diurnal_sweep import fleet_runs
 from repro.faults import (
     BalancerFailure,
     FaultSchedule,
@@ -116,9 +117,9 @@ def test_diurnal_sweep_threads_faults_through_cells():
     result = run_diurnal_sweep(
         replica_counts=(3,), scale=0.03, duration_s=25.0, faults=OUTAGE
     )
-    assert result.skywalker[3].resilience is not None
+    assert fleet_runs(result, "skywalker")[3].resilience is not None
     # region-local has a us balancer too; the schedule applies to both arms.
-    assert result.region_local[3].resilience is not None
+    assert fleet_runs(result, "region-local")[3].resilience is not None
 
 
 def test_pushing_benchmark_threads_faults_through_cells():
@@ -127,7 +128,7 @@ def test_pushing_benchmark_threads_faults_through_cells():
         policies=("BP", "SP-P"), replicas=2, clients=6, duration_s=25.0, faults=schedule
     )
     for policy in ("BP", "SP-P"):
-        assert result.get(policy).resilience is not None, policy
+        assert result.get("tot-single-region", policy).resilience is not None, policy
 
 
 # ----------------------------------------------------------------------

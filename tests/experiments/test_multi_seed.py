@@ -21,6 +21,8 @@ from repro.experiments import (
     run_pushing_benchmark,
     run_sweep,
 )
+from repro.experiments.diurnal_sweep import fleet_runs, replicas_meeting_slo
+from repro.experiments.pushing import throughput_gain
 from repro.replica import TINY_TEST_PROFILE
 
 
@@ -160,32 +162,44 @@ def test_pushing_benchmark_multi_seed():
         duration_s=10.0,
         seeds=[7, 8],
     )
+    workload = "tot-single-region"
     for policy in ("BP", "SP-P"):
-        assert result.get(policy).num_completed > 0
-        assert result.get(policy).to_dict() == result.get(policy, seed=7).to_dict()
-        agg = result.aggregate(policy)
+        assert result.get(workload, policy).num_completed > 0
+        assert (
+            result.get(workload, policy).to_dict()
+            == result.get(workload, policy, seed=7).to_dict()
+        )
+        agg = result.aggregate(workload, policy)
         assert agg.num_seeds == 2
         assert agg.ci95("ttft_p50") is not None
     # Base-seed ratio helpers keep working on the multi-seed result.
-    assert result.throughput_gain("BP", "SP-P") > 0
+    assert throughput_gain(result, "BP", "SP-P") > 0
 
 
 def test_diurnal_sweep_multi_seed():
     result = run_diurnal_sweep(
         replica_counts=(3,), scale=0.05, duration_s=10.0, seeds=[5, 6]
     )
-    for system, base, seed_runs in (
-        ("skywalker", result.skywalker, result.skywalker_seed_runs),
-        ("region-local", result.region_local, result.region_local_seed_runs),
-    ):
-        assert set(seed_runs[3]) == {5, 6}
-        assert base[3].to_dict() == seed_runs[3][5].to_dict()
-        agg = result.aggregate(system, 3)
+    (workload,) = result.workloads()
+    for system in ("skywalker", "region-local"):
+        base = fleet_runs(result, system)[3]
+        seed_runs = result.runs_for(workload, system)
+        assert set(seed_runs) == {5, 6}
+        assert base.to_dict() == seed_runs[5].to_dict()
+        agg = result.aggregate(workload, system)
         assert agg.num_seeds == 2 and agg.seeds == (5, 6)
         assert agg.ci95("throughput_tokens_per_s") is not None
-    # A typoed system name must fail loudly, not return the wrong arm.
-    with pytest.raises(ValueError, match="unknown system"):
-        result.aggregate("sky-walker", 3)
+    # A typoed system (or row) name must fail loudly, naming the known
+    # ones, not return the wrong arm.
+    for lookup in (
+        lambda: result.aggregate(workload, "sky-walker"),
+        lambda: result.get(workload, "sky-walker"),
+        lambda: replicas_meeting_slo(result, "sky-walker", 5.0, region=None),
+    ):
+        with pytest.raises(ValueError, match="unknown system 'sky-walker'.*'region-local'"):
+            lookup()
+    with pytest.raises(ValueError, match="unknown workload 'regionally-skewed'"):
+        result.get("regionally-skewed", "skywalker")
 
 
 def test_figure_drivers_single_seed_unchanged_by_seed_plumbing():

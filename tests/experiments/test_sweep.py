@@ -138,7 +138,7 @@ def test_cell_wall_clock_recorded_in_serial_and_parallel_modes():
         for system in sweep.systems(workload.name):
             seconds = sweep.wall_clock(workload.name, system)
             assert seconds is not None and seconds > 0.0, (workers, system)
-            assert sweep.cell_seconds[workload.name][system] == seconds
+            assert sweep.get(workload.name, system).wall_clock_s == seconds
         # The wall-clock column is telemetry, not part of the result
         # identity that the serial-vs-parallel equivalence compares.
         metrics = sweep.get(workload.name, "skywalker")
