@@ -120,11 +120,3 @@ class CostModel:
         """Hourly cost of a fixed fleet (used by the Fig. 10 comparison)."""
         return num_replicas * self.instance.hourly(commitment or self.commitment)
 
-    def cost_reduction_at_equal_throughput(
-        self, skywalker_replicas: int, region_local_replicas: int
-    ) -> float:
-        """Cost saved by matching region-local throughput with fewer replicas
-        (the paper's headline "25% cost reduction" in Fig. 10)."""
-        if region_local_replicas <= 0:
-            raise ValueError("region_local_replicas must be positive")
-        return 1.0 - skywalker_replicas / region_local_replicas

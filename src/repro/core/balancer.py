@@ -335,11 +335,6 @@ class SkyWalkerBalancer(BalancerBase):
             key=lambda replica: (self.estimated_load(replica), replica.name),
         )
 
-    # Backwards-compatible private aliases (pre-registry API).
-    _estimated_load = estimated_load
-    _severely_imbalanced = severely_imbalanced
-    _least_loaded = least_loaded
-
     # ------------------------------------------------------------------
     # routing actions
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..network import NetworkTopology
 from ..workloads.request import Request
-from ._registry import NameRegistry
+from .._registry import NameRegistry
 
 __all__ = [
     "RoutingConstraint",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Tuple
 
-from ._registry import NameRegistry
+from .._registry import NameRegistry
 
 __all__ = [
     "ReplicaProbe",

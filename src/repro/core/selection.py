@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from ..replica import ReplicaServer
 from ..workloads.request import Request
-from ._registry import NameRegistry
+from .._registry import NameRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .balancer import SkyWalkerBalancer

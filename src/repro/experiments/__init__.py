@@ -36,7 +36,6 @@ from .pushing import build_single_region_tot_workload, run_pushing_benchmark
 from .registry import (
     REGISTRY,
     BuildContext,
-    SystemEntry,
     SystemRegistry,
     SystemSpec,
     build_regional_mesh,
@@ -64,7 +63,6 @@ __all__ = [
     # registry API
     "REGISTRY",
     "SystemRegistry",
-    "SystemEntry",
     "SystemSpec",
     "BuildContext",
     "register_system",

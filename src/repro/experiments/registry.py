@@ -33,15 +33,9 @@ meshes (:func:`build_regional_mesh`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from .._registry import NameRegistry
 from ..cluster import Deployment, Frontend
 from ..core.interface import Balancer
 from ..core.policies import make_constraint as _make_named_constraint
@@ -53,7 +47,6 @@ from ..workloads.request import Request
 __all__ = [
     "SystemSpec",
     "BuildContext",
-    "SystemEntry",
     "SystemRegistry",
     "REGISTRY",
     "register_system",
@@ -191,84 +184,20 @@ def build_regional_mesh(
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SystemEntry:
-    """One registered system: its name, typed config class and builder."""
-
-    name: str
-    config_cls: type
-    builder: SystemBuilder
-    description: str = ""
-
-
-class SystemRegistry:
-    """Name -> :class:`SystemEntry` mapping with build dispatch."""
+class SystemRegistry(NameRegistry):
+    """The system registry: a case-sensitive :class:`NameRegistry` whose
+    entries pair a builder with its typed :class:`SystemSpec` subclass."""
 
     def __init__(self) -> None:
-        self._entries: Dict[str, SystemEntry] = {}
-
-    # -- registration ---------------------------------------------------
-    def register(
-        self,
-        name: str,
-        *,
-        config: type = SystemSpec,
-        description: str = "",
-        replace_existing: bool = False,
-    ) -> Callable[[SystemBuilder], SystemBuilder]:
-        """Decorator registering ``builder`` under ``name``."""
-
-        def decorator(builder: SystemBuilder) -> SystemBuilder:
-            if name in self._entries and not replace_existing:
-                raise ValueError(f"system {name!r} is already registered")
-            self._entries[name] = SystemEntry(
-                name=name, config_cls=config, builder=builder, description=description
-            )
-            return builder
-
-        return decorator
-
-    def unregister(self, name: str) -> None:
-        self._entries.pop(name, None)
-
-    # -- lookup ---------------------------------------------------------
-    def __contains__(self, name: str) -> bool:
-        self._ensure_builtins()
-        return name in self._entries
-
-    def names(self) -> Tuple[str, ...]:
-        self._ensure_builtins()
-        return tuple(self._entries)
-
-    def get(self, name: str) -> SystemEntry:
-        self._ensure_builtins()
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown system kind {name!r}; registered kinds: {tuple(self._entries)}"
-            ) from None
+        super().__init__("system kind", plural="kinds", normalize=str)
 
     def spec(self, kind: str, **overrides) -> SystemSpec:
         """A default-configured typed spec for a registered kind."""
-        entry = self.get(kind)
-        return entry.config_cls(kind=kind, **overrides)
+        return self.get(kind).spec_cls(kind=kind, **overrides)
 
-    # -- building -------------------------------------------------------
     def build(self, spec: SystemSpec, ctx: BuildContext) -> List[Balancer]:
         """Dispatch to the registered builder for ``spec.kind``."""
-        entry = self.get(spec.kind)
-        return entry.builder(spec, ctx)
-
-    # -- built-in registration ------------------------------------------
-    def _ensure_builtins(self) -> None:
-        """Import the modules that register the built-in systems.
-
-        Deferred to first use so module import order never matters; plugin
-        modules (e.g. ``repro.experiments.hybrid``) register themselves the
-        same way the built-ins do.
-        """
-        from . import hybrid, systems  # noqa: F401  (imported for side effect)
+        return self.get(spec.kind).factory(spec, ctx)
 
 
 #: The process-global registry every public entry point dispatches through.
@@ -288,7 +217,7 @@ def register_system(
     ``(spec, ctx)`` and returning the list of created balancers.
     """
     return REGISTRY.register(
-        name, config=config, description=description, replace_existing=replace_existing
+        name, spec=config, description=description, replace_existing=replace_existing
     )
 
 

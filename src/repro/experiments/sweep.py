@@ -27,10 +27,11 @@ the executor explicitly uses the ``fork`` start method wherever the
 platform offers it, so the workers inherit the parent's registries as-is.
 On spawn/forkserver platforms each worker instead runs a bootstrap
 initializer that re-imports every module that registered a factory in the
-parent (systems, pushing/selection/constraint policies, fault schedules,
-offload/admission policies), re-populating the registries there.  The one
-remaining caveat is plugins defined in ``__main__`` (a script body or
-REPL): those cannot be re-imported and need fork, or a real module.
+parent, re-populating the registries there.  The module list comes from
+:func:`repro._registry.plugin_modules` (re-exported here), which walks the
+index of every registry, so a new plug-in point needs no entry anywhere.
+The one remaining caveat is plugins defined in ``__main__`` (a script body
+or REPL): those cannot be re-imported and need fork, or a real module.
 
 Executors also expose a generic :meth:`SweepExecutor.map` for benchmark
 drivers whose cells need post-processing beyond :class:`RunMetrics`
@@ -47,6 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from .._registry import plugin_modules
 from ..faults import FaultsLike
 from ..metrics import RunMetrics
 from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
@@ -117,55 +119,6 @@ def run_sweep_task(task: SweepTask) -> RunMetrics:
     metrics.wall_clock_s = time.perf_counter() - start
     metrics.seed = task.seed
     return metrics
-
-
-def plugin_modules() -> Tuple[str, ...]:
-    """Defining modules of every factory currently registered, sorted.
-
-    This is the spawn-mode worker bootstrap's shopping list: a spawned (or
-    forkserver) worker starts from a fresh interpreter whose registries
-    hold only the built-ins, so the executor re-imports these modules there
-    and the plugins re-register themselves exactly as they did in the
-    parent.  Forked workers inherit the registries and skip all of this.
-
-    ``__main__`` registrations are skipped -- a script body cannot be
-    re-imported by name (importing it would re-run the script); plugins
-    that must survive spawn need to live in a real module.
-    """
-    from ..core.policies import _CONSTRAINTS
-    from ..core.pushing import _PUSHING_POLICIES
-    from ..core.selection import _SELECTION_POLICIES
-    from ..faults.schedule import _SCHEDULES
-    from ..faults.spec import _FAULTS
-    from ..mem.policies import admission_policy_factories, offload_policy_factories
-    from ..net.graph import _WAN_TOPOLOGIES
-    from ..net.routing import _ROUTING_POLICIES
-    from .registry import REGISTRY
-
-    factories: List[object] = []
-    for registry in (
-        _PUSHING_POLICIES,
-        _SELECTION_POLICIES,
-        _CONSTRAINTS,
-        _SCHEDULES,
-        _WAN_TOPOLOGIES,
-        _ROUTING_POLICIES,
-    ):
-        factories.extend(registry._factories.values())
-    factories.extend(offload_policy_factories())
-    factories.extend(admission_policy_factories())
-    for name in REGISTRY.names():
-        entry = REGISTRY.get(name)
-        factories.append(entry.builder)
-        factories.append(entry.config_cls)
-    for name in _FAULTS.names():
-        entry = _FAULTS.get(name)
-        factories.append(entry.applier)
-        factories.append(entry.spec_cls)
-    modules = {getattr(factory, "__module__", None) for factory in factories}
-    modules.discard(None)
-    modules.discard("__main__")
-    return tuple(sorted(modules))
 
 
 def _bootstrap_worker(modules: Tuple[str, ...]) -> None:

@@ -59,7 +59,6 @@ from .schedule import (
 from .spec import (
     BalancerFailure,
     BalancerRecovery,
-    FaultEntry,
     FaultSpec,
     LinkDegrade,
     LinkDown,
@@ -93,7 +92,6 @@ __all__ = [
     "LinkDegrade",
     "LinkDown",
     "LinkUp",
-    "FaultEntry",
     "register_fault",
     "unregister_fault",
     "registered_faults",

@@ -239,7 +239,7 @@ class FaultInjector:
             controller=self.controller,
             injector=self,
         )
-        entry.applier(event.fault, ctx, record)
+        entry.factory(event.fault, ctx, record)
 
     # ------------------------------------------------------------------
     # record resolution

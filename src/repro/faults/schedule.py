@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple, Union
 
-from ..core._registry import NameRegistry
+from .._registry import NameRegistry
 from .spec import BalancerFailure, FaultSpec
 
 __all__ = [

@@ -63,7 +63,9 @@ Built-in kinds (appliers live in :mod:`repro.faults.injector`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
+
+from .._registry import Entry, NameRegistry
 
 __all__ = [
     "FaultSpec",
@@ -78,7 +80,6 @@ __all__ = [
     "LinkDegrade",
     "LinkDown",
     "LinkUp",
-    "FaultEntry",
     "register_fault",
     "unregister_fault",
     "registered_faults",
@@ -280,73 +281,8 @@ class LinkUp(FaultSpec):
 FaultApplier = Callable[..., object]
 
 
-@dataclass(frozen=True)
-class FaultEntry:
-    """One registered fault: its name, spec class and applier."""
-
-    name: str
-    spec_cls: type
-    applier: FaultApplier
-    description: str = ""
-
-
-class FaultRegistry:
-    """Name -> :class:`FaultEntry` mapping (same shape as the system
-    registry; built-ins register on first use via a deferred import)."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, FaultEntry] = {}
-
-    @staticmethod
-    def _key(name: str) -> str:
-        return name.lower()
-
-    def register(
-        self,
-        name: str,
-        *,
-        spec: type = FaultSpec,
-        description: str = "",
-        replace_existing: bool = False,
-    ) -> Callable[[FaultApplier], FaultApplier]:
-        key = self._key(name)
-
-        def decorator(applier: FaultApplier) -> FaultApplier:
-            if key in self._entries and not replace_existing:
-                raise ValueError(f"fault {name!r} is already registered")
-            self._entries[key] = FaultEntry(
-                name=key, spec_cls=spec, applier=applier, description=description
-            )
-            return applier
-
-        return decorator
-
-    def unregister(self, name: str) -> None:
-        self._entries.pop(self._key(name), None)
-
-    def __contains__(self, name: str) -> bool:
-        self._ensure_builtins()
-        return self._key(name) in self._entries
-
-    def names(self) -> Tuple[str, ...]:
-        self._ensure_builtins()
-        return tuple(sorted(self._entries))
-
-    def get(self, name: str) -> FaultEntry:
-        self._ensure_builtins()
-        try:
-            return self._entries[self._key(name)]
-        except KeyError:
-            raise ValueError(
-                f"unknown fault {name!r}; registered faults: {self.names()}"
-            ) from None
-
-    def _ensure_builtins(self) -> None:
-        from . import injector  # noqa: F401  (imported for registration side effect)
-
-
 #: The process-global fault registry.
-_FAULTS = FaultRegistry()
+_FAULTS = NameRegistry("fault", plural="faults")
 
 
 def register_fault(
@@ -377,7 +313,7 @@ def registered_faults() -> Tuple[str, ...]:
     return _FAULTS.names()
 
 
-def resolve_fault(kind: str) -> FaultEntry:
+def resolve_fault(kind: str) -> Entry:
     """Look up the registered entry for a fault kind."""
     return _FAULTS.get(kind)
 

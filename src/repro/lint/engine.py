@@ -225,8 +225,8 @@ def rule_catalog() -> Dict[str, Dict[str, str]]:
 
 
 def _ensure_builtins() -> None:
-    """Import the modules that register the built-in rules (deferred so
-    module import order never matters, mirroring the system registry)."""
+    """Import the modules that register the built-in rules (deferred
+    because those modules import this one)."""
     from . import determinism, registry_rules  # noqa: F401  (side effect)
 
 

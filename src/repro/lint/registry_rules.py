@@ -3,8 +3,8 @@
 Sweeps ship cells to worker processes as *data*: typed frozen specs that
 carry registered names, resolved against the registries inside the worker.
 On spawn/forkserver platforms the worker bootstrap re-imports every module
-that registered a factory (:func:`repro.experiments.sweep.plugin_modules`).
-That contract only holds when:
+that registered a factory (:func:`repro._registry.plugin_modules`, which
+walks the index of every registry).  That contract only holds when:
 
 ``registry-factory-module-level``
     Registered factories are module-level ``def``/``class`` objects.  A

@@ -27,10 +27,8 @@ from .policies import (
     PinHotPrefixes,
     SegmentMeta,
     SizeCap,
-    admission_policy_factories,
     make_admission_policy,
     make_offload_policy,
-    offload_policy_factories,
     register_admission_policy,
     register_offload_policy,
     registered_admission_policies,
@@ -67,6 +65,4 @@ __all__ = [
     "unregister_admission_policy",
     "registered_admission_policies",
     "make_admission_policy",
-    "offload_policy_factories",
-    "admission_policy_factories",
 ]

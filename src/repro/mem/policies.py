@@ -1,7 +1,7 @@
 """Offload and admission policies for the tiered KV store.
 
 Two registries, following the pushing/constraint/selection/fault pattern
-(:class:`repro.core._registry.NameRegistry`): configs carry only the
+(:class:`repro._registry.NameRegistry`): configs carry only the
 (picklable) policy *name* plus scalar knobs, and the policy object is
 instantiated wherever the replica is built -- including inside sweep worker
 processes.
@@ -50,8 +50,6 @@ __all__ = [
     "unregister_admission_policy",
     "registered_admission_policies",
     "make_admission_policy",
-    "offload_policy_factories",
-    "admission_policy_factories",
 ]
 
 
@@ -161,15 +159,6 @@ def registered_admission_policies() -> Tuple[str, ...]:
 def make_admission_policy(name: str, **kwargs) -> AdmissionPolicy:
     """Instantiate a registered admission policy by name."""
     return _ADMISSION_POLICIES.make(name, **kwargs)
-
-
-def offload_policy_factories() -> Tuple[PolicyFactory, ...]:
-    """Registered factories (for the sweep workers' spawn bootstrap)."""
-    return tuple(_OFFLOAD_POLICIES._factories.values())
-
-
-def admission_policy_factories() -> Tuple[PolicyFactory, ...]:
-    return tuple(_ADMISSION_POLICIES._factories.values())
 
 
 # ----------------------------------------------------------------------

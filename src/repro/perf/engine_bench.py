@@ -174,11 +174,6 @@ def _diurnal_streams(rate_scale: float, seed: int, hours: int = 24):
     return streams
 
 
-def expected_diurnal_requests(rate_scale: float, hours: int = 24) -> int:
-    """Expected request count across the three regions over ``hours``."""
-    return sum(s.expected_requests() for s in _diurnal_streams(rate_scale, 0, hours).values())
-
-
 def _run_streamed_cell(
     rate_scale: float,
     *,

@@ -70,10 +70,6 @@ class RadixNode:
         return len(self.key)
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def is_root(self) -> bool:
         return self.parent is None
 

@@ -13,7 +13,6 @@ from .lengths import (
 from .program import Program
 from .request import Request, RequestStatus, TokenSeq
 from .streams import (
-    STREAM_FACTORIES,
     DiurnalRequestStream,
     ProgramStream,
     register_stream_factory,
@@ -46,6 +45,5 @@ __all__ = [
     "RegionalTrace",
     "ProgramStream",
     "DiurnalRequestStream",
-    "STREAM_FACTORIES",
     "register_stream_factory",
 ]

@@ -37,8 +37,9 @@ import random
 import zlib
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Iterator, List, Tuple
 
+from .._registry import NameRegistry
 from .conversation import ConversationConfig, ConversationWorkload
 from .diurnal import DiurnalPattern, _poisson
 from .lengths import LengthSampler, WorkloadLengths, WILDCHAT_LIKE
@@ -50,28 +51,20 @@ from .tree_of_thoughts import TreeOfThoughtsConfig, TreeOfThoughtsWorkload
 __all__ = [
     "ProgramStream",
     "DiurnalRequestStream",
-    "STREAM_FACTORIES",
     "register_stream_factory",
 ]
 
 #: Registry of stream factories.  Each factory is a generator function
 #: yielding ``(region, Program)`` pairs in the legacy builder's global
 #: generation order (see module docstring for why the order matters).
-STREAM_FACTORIES: Dict[str, Callable[..., Iterator[Tuple[str, Program]]]] = {}
+_STREAMS = NameRegistry("stream factory", plural="stream factories", normalize=str)
+
+StreamFactory = Callable[..., Iterator[Tuple[str, Program]]]
 
 
-def register_stream_factory(
-    name: str,
-) -> Callable[[Callable[..., Iterator[Tuple[str, Program]]]], Callable[..., Iterator[Tuple[str, Program]]]]:
-    """Class of decorators registering a program-stream factory under ``name``."""
-
-    def decorator(fn: Callable[..., Iterator[Tuple[str, Program]]]):
-        if name in STREAM_FACTORIES:
-            raise ValueError(f"stream factory {name!r} already registered")
-        STREAM_FACTORIES[name] = fn
-        return fn
-
-    return decorator
+def register_stream_factory(name: str) -> Callable[[StreamFactory], StreamFactory]:
+    """Decorator registering a program-stream factory under ``name``."""
+    return _STREAMS.register(name)
 
 
 @register_stream_factory("conversation")
@@ -135,7 +128,8 @@ class ProgramStream:
     Parameters
     ----------
     factory:
-        Name of a registered stream factory (see :data:`STREAM_FACTORIES`).
+        Name of a registered stream factory
+        (see :func:`register_stream_factory`).
     region:
         The region whose programs this stream yields; other regions'
         programs are generated (to keep the RNG sequence identical to the
@@ -154,8 +148,7 @@ class ProgramStream:
     kwargs: Tuple[Tuple[str, Any], ...] = ()
 
     def __iter__(self) -> Iterator[Program]:
-        fn = STREAM_FACTORIES[self.factory]
-        for region, program in fn(**dict(self.kwargs)):
+        for region, program in _STREAMS.make(self.factory, **dict(self.kwargs)):
             if region == self.region:
                 yield program
 

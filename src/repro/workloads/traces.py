@@ -8,9 +8,8 @@ and the number of replicas each provisioning strategy would need.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = ["RegionalTrace"]
 
@@ -39,28 +38,6 @@ class RegionalTrace:
 
     def series(self, region: str) -> List[int]:
         return list(self.hourly_counts[region])
-
-    # ------------------------------------------------------------------
-    # lazy iteration (the streaming path: nothing materialized per request)
-    # ------------------------------------------------------------------
-    def iter_hourly(self, region: str) -> Iterator[int]:
-        """Lazily yield one region's hourly counts in trace order."""
-        yield from self.hourly_counts[region]
-
-    def iter_arrival_times(self, region: str, *, seed: int = 0) -> Iterator[float]:
-        """Lazily yield monotone arrival times (seconds) for one region.
-
-        Hour ``h`` contributes ``hourly_counts[region][h]`` arrivals placed
-        uniformly at random within ``[h*3600, (h+1)*3600)`` and sorted, so
-        memory is bounded by the *busiest hour's* count rather than the
-        whole day's -- a full-day million-request trace streams in O(peak
-        hour) memory.  Deterministic for a given ``seed``.
-        """
-        rng = random.Random(seed)
-        for hour, count in enumerate(self.hourly_counts[region]):
-            start = hour * 3600.0
-            arrivals = sorted(rng.uniform(start, start + 3600.0) for _ in range(count))
-            yield from arrivals
 
     # ------------------------------------------------------------------
     def aggregate(self) -> List[int]:

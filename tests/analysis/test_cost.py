@@ -70,10 +70,6 @@ def test_commitment_level_changes_reserved_cost(skewed_trace):
 def test_fleet_cost_and_equal_throughput_reduction():
     model = CostModel(requests_per_replica_hour=100, instance=G6_XLARGE)
     assert model.fleet_cost_per_hour(12) == pytest.approx(12 * G6_XLARGE.reserved_3yr_hourly)
-    # The paper's headline: 9 SkyWalker replicas match 12 region-local ones.
-    assert model.cost_reduction_at_equal_throughput(9, 12) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        model.cost_reduction_at_equal_throughput(9, 0)
 
 
 def test_invalid_capacity_rejected():

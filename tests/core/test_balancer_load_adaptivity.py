@@ -65,10 +65,10 @@ def test_low_hit_ratio_prefers_least_loaded(balancer):
 
 def test_estimated_load_combines_probe_and_recent_dispatches(balancer):
     replicas = balancer.local_replicas()
-    assert balancer._estimated_load(replicas[0]) == 0
+    assert balancer.estimated_load(replicas[0]) == 0
     balancer.monitor.note_dispatch(replicas[0].name)
     balancer.monitor.note_dispatch(replicas[0].name)
-    assert balancer._estimated_load(replicas[0]) == 2
+    assert balancer.estimated_load(replicas[0]) == 2
 
 
 def test_severely_imbalanced_requires_both_thresholds(balancer):
@@ -77,8 +77,8 @@ def test_severely_imbalanced_requires_both_thresholds(balancer):
     for replica in replicas:
         for _ in range(6):
             balancer.monitor.note_dispatch(replica.name)
-    assert not balancer._severely_imbalanced(replicas[0], replicas)
+    assert not balancer.severely_imbalanced(replicas[0], replicas)
     # Now make one replica clearly busier than the rest.
     for _ in range(8):
         balancer.monitor.note_dispatch(replicas[0].name)
-    assert balancer._severely_imbalanced(replicas[0], replicas)
+    assert balancer.severely_imbalanced(replicas[0], replicas)

@@ -65,7 +65,7 @@ def test_register_fault_round_trip():
     try:
         assert "unit-test-fault" in registered_faults()
         entry = resolve_fault("unit-test-fault")
-        entry.applier(FaultSpec(kind="unit-test-fault"), None, None)
+        entry.factory(FaultSpec(kind="unit-test-fault"), None, None)
         assert len(calls) == 1
         with pytest.raises(ValueError, match="already registered"):
             register_fault("unit-test-fault")(lambda spec, ctx, record: None)

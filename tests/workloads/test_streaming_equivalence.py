@@ -125,3 +125,15 @@ def test_stream_specs_are_picklable(name):
         assert [_program_payload(p) for p in clone] == [
             _program_payload(p) for p in programs
         ]
+
+
+def test_unknown_stream_factory_lists_the_registered_ones():
+    """A stream naming no registered factory fails with the same kind of
+    error as every other registry, listing what is registered."""
+    stream = ProgramStream(factory="no-such-stream", region="us", num_programs=1)
+    with pytest.raises(
+        ValueError,
+        match=r"unknown stream factory 'no-such-stream'; registered stream "
+        r"factories: \(.*'conversation'.*'tree-of-thoughts'.*\)",
+    ):
+        list(stream)
