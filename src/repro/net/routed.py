@@ -8,8 +8,9 @@ the payload into the destination's inbox store.  Probes (heartbeat RTTs) are
 modelled the same way, which is what makes "probe all replicas from every
 load balancer" measurably more expensive than SkyWalker's two-layer design.
 When any edge carries finite bandwidth, cross-region messages instead
-serialise through per-edge FIFO queues as simulation processes
-(store-and-forward per hop).
+serialise through per-edge FIFO queues, store-and-forward per hop, as a
+chain of timer callbacks over a small per-message record (no simulation
+process per message).
 
 Determinism contract (the part the golden traces pin):
 
@@ -39,10 +40,11 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
-from ..sim import Environment, Resource, Store, Timeout
+from ..sim import Environment, Store, Timeout
 from .config import NetConfig
 from .graph import WanGraph, make_wan_topology
 from .routing import RoutingPolicy, make_routing_policy
@@ -54,14 +56,11 @@ __all__ = ["Network", "RouteChange", "build_routed_network"]
 
 Path = Tuple[str, ...]
 Pair = Tuple[str, str]
-#: One hop of a route: the fault-table key and its propagation latency.
-#: A same-region message crosses a single ``(region, region)`` leg whose
-#: latency is the topology's intra-region latency.
-Leg = Tuple[Pair, float]
-
-#: Sentinel payload for phantom transfers (response streams) that occupy
-#: link bandwidth but are never delivered into an inbox.
-_PHANTOM = object()
+#: One hop of a route: the fault-table key, its propagation latency and its
+#: bandwidth (0 = uncontended).  A same-region message crosses a single
+#: ``(region, region)`` leg whose latency is the topology's intra-region
+#: latency.
+Leg = Tuple[Pair, float, float]
 
 
 @dataclass(frozen=True)
@@ -193,10 +192,11 @@ class Network:
         #: Every route-table diff, in event order (sorted pair order within
         #: one re-convergence) -- the observable ``route_changed`` stream.
         self.route_events: List[RouteChange] = []
-        # One FIFO queue per finite-bandwidth edge, created lazily.
-        self._edge_queues: Dict[Pair, Resource] = {}
+        # One FIFO queue per finite-bandwidth edge, created lazily: the
+        # transit holding the edge at its head, the ones waiting behind it.
+        self._edge_queues: Dict[Pair, Deque[_Transit]] = {}
         for region in graph.region_names():
-            intra = ((region, region), topology.one_way(region, region))
+            intra = ((region, region), topology.one_way(region, region), 0.0)
             self._set_legs((region, region), (intra,))
         self._reconverge(None)
 
@@ -217,7 +217,7 @@ class Network:
 
     def _set_legs(self, pair: Pair, legs: Tuple[Leg, ...]) -> None:
         self._legs[pair] = legs
-        self._route_base[pair] = sum(latency for _, latency in legs)
+        self._route_base[pair] = sum(latency for _, latency, _ in legs)
 
     def _reconverge(self, reason: Optional[str]) -> None:
         """Recompute every region pair's route and record the diffs.
@@ -257,8 +257,10 @@ class Network:
                     self._unreachable.discard(pair)
                     self._routes[pair] = new_path
                     self._set_legs(pair, tuple(
-                        ((u, v), self.graph.latency(u, v))
-                        for u, v in zip(new_path, new_path[1:])
+                        ((link.src, link.dst), link.latency_s, link.bandwidth_bytes_per_s)
+                        for link in (
+                            self.graph.link(u, v) for u, v in zip(new_path, new_path[1:])
+                        )
                     ))
                 if reason is not None and old_path != new_path:
                     self.route_events.append(
@@ -421,7 +423,7 @@ class Network:
         """Per-edge loss draws, in path order."""
         if not self._link_loss:
             return False
-        for edge, _ in self._legs[(src, dst)]:
+        for edge, _, _ in self._legs[(src, dst)]:
             loss = min(1.0, self._link_loss.get(edge, 0.0))
             if loss > 0.0 and self._ensure_fault_rng().random() < loss:
                 return True
@@ -455,7 +457,7 @@ class Network:
         if not self._extra_latency and not self._link_extra_jitter:
             return self._route_base[(src, dst)]
         base = 0.0
-        for edge, latency in self._legs[(src, dst)]:
+        for edge, latency, _ in self._legs[(src, dst)]:
             base += self._faulted(edge, latency)
         return base
 
@@ -511,9 +513,7 @@ class Network:
             return
         if self.contention_enabled and src != dst:
             self.wire_bytes_sent += size_bytes
-            self.env.process(
-                self._transit(item, src, dst, inbox, extra_delay, size_bytes)
-            )
+            self._start_transit(item, src, dst, inbox, extra_delay, size_bytes)
             return
         delay = self.sample_one_way(src, dst) + extra_delay
         self.env.timeout(delay, (inbox, item)).callbacks.append(_put_into_inbox)
@@ -546,13 +546,7 @@ class Network:
     # ------------------------------------------------------------------
     # contended transit
     # ------------------------------------------------------------------
-    def _edge_queue(self, edge: Pair) -> Resource:
-        queue = self._edge_queues.get(edge)
-        if queue is None:
-            queue = self._edge_queues[edge] = Resource(self.env, capacity=1)
-        return queue
-
-    def _transit(
+    def _start_transit(
         self,
         item: Any,
         src: str,
@@ -560,8 +554,8 @@ class Network:
         inbox: Optional[Store],
         extra_delay: float,
         size_bytes: float,
-    ):
-        """Store-and-forward transit: per edge, acquire the shared FIFO,
+    ) -> None:
+        """Store-and-forward transit: per edge, wait for the shared FIFO,
         transmit ``size/bandwidth``, release, then propagate the hop's
         latency.  Zero-size messages still pass through the queue (they
         wait behind in-flight transmissions -- shared-FIFO semantics), and
@@ -570,23 +564,66 @@ class Network:
 
         Each hop's delay (fault surcharges and bounded jitter included) is
         drawn at forwarding time, hop by hop rather than once end-to-end,
-        because contended hops happen at different sim times."""
-        if extra_delay > 0:
-            yield self.env.timeout(extra_delay)
-        for edge, latency in self._legs[(src, dst)]:
-            bandwidth = self.graph.link(*edge).bandwidth_bytes_per_s
-            if bandwidth > 0:
-                queue = self._edge_queue(edge)
-                grant = queue.request()
-                yield grant
-                if size_bytes > 0:
-                    yield self.env.timeout(size_bytes / bandwidth)
-                # No ``finally:`` (nothing interrupts a transit): GC closing a
-                # finished run's transit would release into its dead env.
-                queue.release(grant)
-            yield self.env.timeout(self._jittered(self._faulted(edge, latency)))
-        if inbox is not None:
-            yield inbox.put(item)
+        because contended hops happen at different sim times.
+
+        Every step is a timer whose callback schedules the next one.  The
+        transit starts from a zero-delay timer rather than at once, so its
+        first draw comes after whatever else the sending event draws."""
+        transit = _Transit(item, inbox, (src, dst), extra_delay, size_bytes)
+        self.env.timeout(0.0, transit).callbacks.append(self._transit_started)
+
+    def _transit_started(self, timer: Timeout) -> None:
+        transit = timer.value
+        if transit.extra_delay > 0:
+            delay, transit.extra_delay = transit.extra_delay, 0.0
+            self.env.timeout(delay, transit).callbacks.append(self._transit_started)
+            return
+        # The path is captured here, once the payload is on the wire.
+        transit.legs = self._legs[transit.pair]
+        self._forward(timer)
+
+    def _forward(self, timer: Timeout) -> None:
+        """Send the timer's transit over its next hop, or hand it to its
+        inbox."""
+        transit = timer.value
+        if transit.hop == len(transit.legs):
+            if transit.inbox is not None:
+                transit.inbox.put_nowait(transit.item)
+            return
+        edge, _, bandwidth = transit.legs[transit.hop]
+        if bandwidth <= 0:
+            self._propagate(transit)
+            return
+        queue = self._edge_queues.get(edge)
+        if queue is None:
+            queue = self._edge_queues[edge] = deque()
+        queue.append(transit)
+        if len(queue) == 1:
+            self._transmit(transit, bandwidth)
+
+    def _transmit(self, transit: _Transit, bandwidth: float) -> None:
+        """``transit`` holds its current edge: occupy it for ``size /
+        bandwidth``.  A zero-size message still waits for a zero-delay
+        timer, so it releases the edge and draws its hop delay in an event
+        of its own, after the one that granted it the edge."""
+        size = transit.size_bytes
+        delay = size / bandwidth if size > 0 else 0.0
+        self.env.timeout(delay, transit).callbacks.append(self._transmitted)
+
+    def _transmitted(self, timer: Timeout) -> None:
+        transit = timer.value
+        edge, _, bandwidth = transit.legs[transit.hop]
+        queue = self._edge_queues[edge]
+        queue.popleft()
+        if queue:
+            self._transmit(queue[0], bandwidth)
+        self._propagate(transit)
+
+    def _propagate(self, transit: _Transit) -> None:
+        edge, latency, _ = transit.legs[transit.hop]
+        transit.hop += 1
+        delay = self._jittered(self._faulted(edge, latency))
+        self.env.timeout(delay, transit).callbacks.append(self._forward)
 
     def stream_response(self, request: Any) -> None:
         """Completion listener: occupy the reverse path with the finished
@@ -608,7 +645,31 @@ class Network:
         self.response_bytes += size
         if (src, dst) in self._unreachable:
             return
-        self.env.process(self._transit(_PHANTOM, src, dst, None, 0.0, size))
+        self._start_transit(None, src, dst, None, 0.0, size)
+
+
+class _Transit:
+    """One contended message in flight: its payload, where it is going,
+    the path it captured and the hop it has reached.  Phantom transfers
+    (response streams) occupy link bandwidth but have no inbox."""
+
+    __slots__ = ("item", "inbox", "pair", "extra_delay", "size_bytes", "legs", "hop")
+
+    def __init__(
+        self,
+        item: Any,
+        inbox: Optional[Store],
+        pair: Pair,
+        extra_delay: float,
+        size_bytes: float,
+    ) -> None:
+        self.item = item
+        self.inbox = inbox
+        self.pair = pair
+        self.extra_delay = extra_delay
+        self.size_bytes = size_bytes
+        self.legs: Tuple[Leg, ...] = ()
+        self.hop = 0
 
 
 def _put_into_inbox(timeout: Timeout) -> None:

@@ -8,7 +8,7 @@ This is a self-contained, SimPy-style kernel: generator processes yield
 from .engine import EmptySchedule, Environment
 from .events import AllOf, AnyOf, Deferred, Event, PENDING, Timeout
 from .process import Interrupt, InvalidYield, Process
-from .resources import PriorityStore, Resource, Store
+from .resources import PriorityStore, Store
 
 __all__ = [
     "Environment",
@@ -24,5 +24,4 @@ __all__ = [
     "InvalidYield",
     "Store",
     "PriorityStore",
-    "Resource",
 ]

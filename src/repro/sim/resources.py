@@ -1,23 +1,23 @@
 """Shared-resource primitives built on top of the event kernel.
 
-The SkyWalker simulation mostly needs message queues (:class:`Store`) --
-load balancers and replicas communicate by putting request/response objects
-into each other's stores -- plus a small counted :class:`Resource` used by a
-few tests and examples.
+The SkyWalker simulation needs message queues (:class:`Store`) -- load
+balancers and replicas communicate by putting request/response objects into
+each other's stores.  Shared WAN edges queue messages in the network itself
+(:mod:`repro.net.routed`), so no counted resource is needed.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Deque, List, TYPE_CHECKING
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = ["Store", "PriorityStore", "Resource"]
+__all__ = ["Store", "PriorityStore"]
 
 
 class StorePut(Event):
@@ -170,56 +170,3 @@ class PriorityStore(Store):
             event.succeed(heapq.heappop(self._heap))
             return True
         return False
-
-
-class ResourceRequest(Event):
-    """Event returned by :meth:`Resource.request`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._trigger()
-
-    def __enter__(self) -> "ResourceRequest":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.resource.release(self)
-
-
-class Resource:
-    """A counted resource with ``capacity`` concurrent users."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.env = env
-        self.capacity = capacity
-        self.users: List[ResourceRequest] = []
-        self._queue: Deque[ResourceRequest] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of requests currently holding the resource."""
-        return len(self.users)
-
-    def request(self) -> ResourceRequest:
-        """Queue a request for one unit of the resource."""
-        return ResourceRequest(self)
-
-    def release(self, request: ResourceRequest) -> None:
-        """Release a previously granted request."""
-        if request in self.users:
-            self.users.remove(request)
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            request = self._queue.popleft()
-            if request.triggered:
-                continue
-            self.users.append(request)
-            request.succeed()

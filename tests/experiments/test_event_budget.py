@@ -1,11 +1,13 @@
-"""The exact event budgets of a tiny 3-region skywalker cell and of the
-Fig. 8 wildchat x skywalker cell.
+"""The exact event budgets of a tiny 3-region skywalker cell, of the same
+cluster on a contended backbone, and of the Fig. 8 wildchat x skywalker
+cell.
 
 Events scheduled are deterministic where host timings are not, so the
 budget is pinned exactly, split by origin: the qualified name of the
 generator whose resume scheduled the event, or ``(callback)`` for events
-scheduled from timer callbacks (message deliveries, replica steps, and
-peer-probe landings sent while a balancer is parked).  A peer-probe landing
+scheduled from timer callbacks (message deliveries, contended transit
+hops, replica steps, and peer-probe landings sent while a balancer is
+parked).  A peer-probe landing
 is an event only when a parked balancer could hear it: the ones promoted
 when a balancer parks count under ``SkyWalkerBalancer._serve``, and the
 rest schedule nothing.  Work added to any layer then fails this test
@@ -21,10 +23,12 @@ from repro.experiments import (
     ClusterConfig,
     ExperimentConfig,
     build_arena_workload,
+    build_tot_workload,
     build_wildchat_workload,
     run_experiment,
 )
 from repro.experiments.macro import default_macro_cluster
+from repro.net import NetConfig
 from repro.replica import TINY_TEST_PROFILE, ContinuousBatcher
 from repro.sim import Environment
 
@@ -35,8 +39,17 @@ EXPECTED_BUDGET = {
     "SkyWalkerBalancer._serve": 45,
 }
 
+#: A contended message is five timers (start, three hops, and the transmit
+#: on the one finite-bandwidth backbone edge), all scheduled from callbacks.
+EXPECTED_CONTENDED_BUDGET = {
+    "(callback)": 8179,
+    "AvailabilityMonitor._run": 906,
+    "ClosedLoopClient._run": 148,
+    "SkyWalkerBalancer._serve": 128,
+}
 
-def test_tiny_skywalker_cell_event_budget(monkeypatch):
+
+def _count_origins(monkeypatch) -> Counter:
     origins = Counter()
     schedule = Environment.schedule
 
@@ -47,6 +60,11 @@ def test_tiny_skywalker_cell_event_budget(monkeypatch):
         return schedule(env, event, *args, **kwargs)
 
     monkeypatch.setattr(Environment, "schedule", counted_schedule)
+    return origins
+
+
+def test_tiny_skywalker_cell_event_budget(monkeypatch):
+    origins = _count_origins(monkeypatch)
     workload = build_arena_workload(scale=0.03)
     config = ExperimentConfig(
         system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
@@ -61,6 +79,32 @@ def test_tiny_skywalker_cell_event_budget(monkeypatch):
     assert result.metrics.num_completed == 28
     assert dict(origins) == EXPECTED_BUDGET
     assert result.env._eid == sum(EXPECTED_BUDGET.values()) == 2806
+
+
+def test_contended_tiny_cell_event_budget(monkeypatch):
+    """The tiny tree-of-thoughts cell on a 2 MB/s backbone: no transit is
+    a process any more."""
+    origins = _count_origins(monkeypatch)
+    config = ExperimentConfig(
+        system=REGISTRY.spec("skywalker"),
+        cluster=ClusterConfig(
+            replicas_per_region={"us": 1, "eu": 1, "asia": 1},
+            profile=TINY_TEST_PROFILE,
+            network=NetConfig(
+                topology="backbone",
+                wan_bandwidth_bytes_per_s=2e6,
+                kv_bytes_per_token=4096.0,
+            ),
+        ),
+        duration_s=10.0,
+        seed=1,
+    )
+    result = run_experiment(config, build_tot_workload(scale=0.06, seed=2))
+    assert result.metrics.num_completed == 90
+    assert result.frontend.network.wire_bytes_sent > 0
+    assert "Network._transit" not in origins
+    assert dict(origins) == EXPECTED_CONTENDED_BUDGET
+    assert result.env._eid == sum(EXPECTED_CONTENDED_BUDGET.values()) == 9361
 
 
 def test_fig08_cell_stays_under_100_events_per_completion(monkeypatch):

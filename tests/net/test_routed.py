@@ -318,10 +318,10 @@ def test_netconfig_validation():
 
 
 def test_finished_contended_run_is_freed_in_one_gc_pass():
-    """A finished run's suspended transits must not resurrect its
-    environment when the GC finalizes them: releasing an edge queue from a
-    ``finally:`` scheduled into the dead env and kept the whole stack alive
-    into the next simulation.
+    """A finished run's unfinished transits must not resurrect its
+    environment when the GC collects them: when transits were generator
+    processes, releasing an edge queue from a ``finally:`` scheduled into
+    the dead env and kept the whole stack alive into the next simulation.
 
     Live environments are counted rather than watched through a weakref:
     the collector clears weakrefs *before* it runs finalizers, so a weakref
@@ -357,8 +357,9 @@ def test_finished_contended_run_is_freed_in_one_gc_pass():
         )
         result = run_experiment(config, build_tot_workload(scale=0.06, seed=2))
         queues = result.frontend.network._edge_queues.values()
-        # Transits are still holding or waiting for an edge at the horizon.
-        assert any(queue.users and queue._queue for queue in queues)
+        # Transits are still holding (at the head) and waiting for an edge
+        # at the horizon.
+        assert any(len(queue) > 1 for queue in queues)
 
     gc.collect()
     before = live_environments()

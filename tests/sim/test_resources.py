@@ -1,8 +1,8 @@
-"""Unit tests for Store, PriorityStore and Resource."""
+"""Unit tests for Store and PriorityStore."""
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, Store
+from repro.sim import PriorityStore, Store
 
 
 def test_store_is_fifo(env):
@@ -97,48 +97,6 @@ def test_priority_store_returns_smallest_first(env):
     env.process(consumer(env, store))
     env.run()
     assert received == ["high", "mid", "low"]
-
-
-def test_resource_limits_concurrency(env):
-    resource = Resource(env, capacity=2)
-    active = []
-    max_active = []
-
-    def worker(env, resource, duration):
-        request = resource.request()
-        yield request
-        active.append(1)
-        max_active.append(len(active))
-        yield env.timeout(duration)
-        active.pop()
-        resource.release(request)
-
-    for _ in range(5):
-        env.process(worker(env, resource, 3))
-    env.run()
-    assert max(max_active) == 2
-
-
-def test_resource_context_manager_releases(env):
-    resource = Resource(env, capacity=1)
-    order = []
-
-    def worker(env, resource, label):
-        with resource.request() as request:
-            yield request
-            order.append((label, env.now))
-            yield env.timeout(2)
-
-    env.process(worker(env, resource, "first"))
-    env.process(worker(env, resource, "second"))
-    env.run()
-    assert order == [("first", 0.0), ("second", 2.0)]
-    assert resource.count == 0
-
-
-def test_resource_invalid_capacity(env):
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
 
 
 def test_store_cancel_withdraws_an_abandoned_get(env):
