@@ -30,6 +30,7 @@ import pytest
 
 from repro.experiments import (
     REGISTRY,
+    ExperimentConfig,
     SweepExecutor,
     SweepTask,
     build_arena_workload,
@@ -69,11 +70,13 @@ def _run_grid():
         )
         tasks.append(
             SweepTask(
-                system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
+                config=ExperimentConfig(
+                    system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
+                    cluster=cluster,
+                    duration_s=bench_duration(),
+                    seed=seed,
+                ),
                 workload=workload,
-                cluster=cluster,
-                duration_s=bench_duration(),
-                seed=seed,
             )
         )
     results = SweepExecutor(workers=bench_workers()).map(run_sweep_task, tasks)
@@ -88,13 +91,15 @@ def _run_push_costs():
     )
     tasks = [
         SweepTask(
-            system=REGISTRY.spec(
-                "skywalker", hash_key=workload.hash_key, pushing=pushing
+            config=ExperimentConfig(
+                system=REGISTRY.spec(
+                    "skywalker", hash_key=workload.hash_key, pushing=pushing
+                ),
+                cluster=cluster,
+                duration_s=bench_duration(),
+                seed=bench_seeds(0)[0],
             ),
             workload=workload,
-            cluster=cluster,
-            duration_s=bench_duration(),
-            seed=bench_seeds(0)[0],
         )
         for pushing in ("BP", "SP-O")
     ]

@@ -25,7 +25,7 @@ workload per seed) put a 95% CI on the headline gap.
 
 from __future__ import annotations
 
-from repro.experiments import ClusterConfig, SweepTask
+from repro.experiments import ClusterConfig, ExperimentConfig, SweepTask
 from repro.experiments.sweep import SweepExecutor
 from repro.experiments.systems import SkyWalkerConfig
 from repro.experiments.workloads import build_tot_workload
@@ -77,17 +77,19 @@ def _sweep(bandwidth: float, seeds, duration: float):
         for policy in POLICIES:
             tasks.append(
                 SweepTask(
-                    system=SkyWalkerConfig(
-                        kind="skywalker",
-                        label=policy,
-                        pushing=policy,
-                        sp_o_threshold=SP_O_THRESHOLD,
-                        hash_key="session",
+                    config=ExperimentConfig(
+                        system=SkyWalkerConfig(
+                            kind="skywalker",
+                            label=policy,
+                            pushing=policy,
+                            sp_o_threshold=SP_O_THRESHOLD,
+                            hash_key="session",
+                        ),
+                        cluster=_cluster(bandwidth),
+                        duration_s=duration,
+                        seed=seed,
                     ),
                     workload=workload,
-                    cluster=_cluster(bandwidth),
-                    duration_s=duration,
-                    seed=seed,
                 )
             )
     return SweepExecutor(workers=bench_workers()).run_cells(tasks)

@@ -8,6 +8,8 @@ checks them against the committed ``BENCH_engine.json``:
   speedup (quick bound; the committed full run backs the >=2x headline at
   millions pending), the traced-peak flatness across a doubled simulation
   window, and the day cell completing every request it issued;
+* the quick streamed cells' deterministic counters (events processed,
+  requests issued and completed) are pinned exactly;
 * absolute timings only get the loose accidental-cliff bound (same policy
   as ``test_perf_hotpaths.py``): CI runners are slower and noisier than
   the baseline host, so a tight wall-clock pin would flake.
@@ -46,6 +48,14 @@ QUICK_MIN_HOLD_SPEEDUP = 1.2
 MAX_ALLOC_FLATNESS = 1.5
 #: The committed full day cell is the million-request claim.
 MIN_DAY_REQUESTS = 1_000_000
+#: Exact counters of the fresh quick streamed cells (rate 2.0 over 1 h on
+#: 2 replicas per region; the flatness pair at rate 1.0 over 1 h and 2 h).
+#: The committed report's quick ``day_events`` (2,067,871) was measured
+#: before later changes cut the events per request, so it is no pin.
+QUICK_DAY_EVENTS = 547_270
+QUICK_DAY_REQUESTS = 18_903
+QUICK_FLAT_REQUESTS_SHORT = 9_429
+QUICK_FLAT_REQUESTS_LONG = 18_675
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +123,17 @@ def test_fresh_quick_day_cell_is_lossless(fresh_quick):
     cell = fresh_quick["benchmarks"]["streamed_diurnal_cell"]
     assert cell["day_requests_completed"] == cell["day_requests_issued"] > 0
     assert cell["day_outstanding"] == 0
+
+
+def test_fresh_quick_streamed_counters_are_pinned(fresh_quick):
+    """Events and requests are deterministic where timings are not, so the
+    quick cells' counters are pinned exactly: a change that adds or removes
+    events or requests fails here by name, not as a timing flake."""
+    cell = fresh_quick["benchmarks"]["streamed_diurnal_cell"]
+    assert cell["day_events"] == QUICK_DAY_EVENTS
+    assert cell["day_requests_issued"] == cell["day_requests_completed"] == QUICK_DAY_REQUESTS
+    assert cell["flat_requests_short"] == QUICK_FLAT_REQUESTS_SHORT
+    assert cell["flat_requests_long"] == QUICK_FLAT_REQUESTS_LONG
 
 
 def test_no_engine_timing_regressed_over_committed_quick(committed_report, fresh_quick):

@@ -74,7 +74,7 @@ config and a builder with the public registry::
         return [balancer]
 
 After registration ``"my-system"`` works everywhere a built-in kind does:
-``run_experiment``, ``run_sweep`` and the legacy shim.  The
+``run_experiment`` and ``run_sweep``.  The
 ``skywalker-hybrid`` system (``repro.experiments.hybrid``) is exactly such
 a plugin.
 

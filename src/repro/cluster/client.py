@@ -151,8 +151,6 @@ class ClosedLoopClient:
         (e.g. a :class:`~repro.workloads.streams.ProgramStream` view) is
         consumed lazily, one program at a time, so a streamed workload never
         materializes its programs up front.
-    think_time_s:
-        Optional pause between consecutive stages (user "thinking").
     """
 
     def __init__(
@@ -163,9 +161,6 @@ class ClosedLoopClient:
         frontend: Frontend,
         tracker: RequestTracker,
         programs: Iterable[Program],
-        *,
-        think_time_s: float = 0.0,
-        start_delay_s: float = 0.0,
     ) -> None:
         self.env = env
         self.name = name
@@ -176,16 +171,12 @@ class ClosedLoopClient:
             self.programs: Iterable[Program] = list(programs)
         else:
             self.programs = programs
-        self.think_time_s = think_time_s
-        self.start_delay_s = start_delay_s
         self.completed_programs = 0
         self.issued_requests = 0
         self.process = env.process(self._run())
 
     def _run(self):
         env = self.env
-        if self.start_delay_s > 0:
-            yield env.timeout(self.start_delay_s)
         for program in self.programs:
             for stage in program.stages:
                 events = []
@@ -205,8 +196,6 @@ class ClosedLoopClient:
                     )
                     if response_delay > 0:
                         yield env.timeout(response_delay)
-                if self.think_time_s > 0:
-                    yield env.timeout(self.think_time_s)
             self.completed_programs += 1
 
 

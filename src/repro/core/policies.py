@@ -112,8 +112,8 @@ def register_constraint(
 
     The factory receives the run's :class:`NetworkTopology` and returns a
     :class:`RoutingConstraint`.  After registration the name is accepted
-    everywhere a built-in one is (``SkyWalkerConfig.constraint``, the legacy
-    shim, :func:`make_constraint`)::
+    everywhere a built-in one is (``SkyWalkerConfig.constraint`` and
+    :func:`make_constraint`)::
 
         @register_constraint("us-only")
         def _us_only(topology):

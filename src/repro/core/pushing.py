@@ -117,7 +117,7 @@ def register_pushing_policy(
     This is the same extension pattern as ``@register_system``: decorate a
     class (or any factory taking keyword arguments) and the name becomes
     resolvable everywhere a built-in policy name is -- ``SkyWalkerConfig``'s
-    ``pushing`` field, the legacy shim, and :func:`make_pushing_policy`::
+    ``pushing`` field and :func:`make_pushing_policy`::
 
         @register_pushing_policy("SP-RANDOM")
         class RandomPushing(PushingPolicy):

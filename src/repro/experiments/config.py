@@ -8,7 +8,8 @@ Every end-to-end run is described by three pieces:
 * a :class:`ClusterConfig` -- how many replicas per region, which model
   profile they run, and how their KV memory is organised
   (:class:`~repro.mem.MemoryConfig`), and
-* a :class:`WorkloadSpec` -- the programs each region's clients execute.
+* a :class:`WorkloadSpec` -- the programs each region's clients execute,
+  and the timed requests its open-loop clients replay.
 
 Keeping the description declarative lets the benchmark harness sweep systems
 and workloads without duplicating wiring code.
@@ -17,19 +18,21 @@ and workloads without duplicating wiring code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..faults import FaultsLike
 from ..mem import MemoryConfig
 from ..net import NetConfig
 from ..replica import LLAMA_8B_L4, ModelProfile
 from ..workloads.program import Program
-from ..workloads.streams import ProgramStream
+from ..workloads.request import Request
+from ..workloads.streams import DiurnalRequestStream, ProgramStream
 from .registry import SystemSpec
 
 __all__ = [
     "ClusterConfig",
     "ProgramsLike",
+    "TimedRequestsLike",
     "WorkloadSpec",
     "ExperimentConfig",
     "SYSTEM_KINDS",
@@ -98,16 +101,24 @@ class ClusterConfig:
 #: re-instantiable :class:`~repro.workloads.streams.ProgramStream`.
 ProgramsLike = Union[List[Program], ProgramStream]
 
+#: A region's open-loop traffic: ``(arrival_s, Request)`` pairs with
+#: non-decreasing arrival times, as a materialized list or a lazy,
+#: re-instantiable :class:`~repro.workloads.streams.DiurnalRequestStream`.
+TimedRequestsLike = Union[List[Tuple[float, Request]], DiurnalRequestStream]
+
 
 @dataclass
 class WorkloadSpec:
-    """Programs and client concurrency per region.
+    """Programs and client concurrency per region, plus open-loop traffic.
 
     ``programs_by_region`` values may be materialized program lists (the
     legacy path, bit-identical to all historical runs) or
     :class:`~repro.workloads.streams.ProgramStream` specs, which regenerate
     their programs lazily on every iteration so a million-request day never
-    lives in memory at once.
+    lives in memory at once.  ``timed_requests_by_region`` adds open-loop
+    traffic: each region's timed requests are replayed by one
+    :class:`~repro.cluster.TraceReplayClient` at their arrival times,
+    whatever the closed-loop clients do.
     """
 
     name: str
@@ -116,14 +127,12 @@ class WorkloadSpec:
     #: Which identity field the workload's natural consistent-hashing key is
     #: ("user" for chat datasets, "session" for Tree-of-Thoughts questions).
     hash_key: str = "user"
+    timed_requests_by_region: Dict[str, TimedRequestsLike] = field(default_factory=dict)
 
     @property
-    def streamed(self) -> bool:
-        """True when any region's programs are a lazy stream."""
-        return any(
-            isinstance(programs, ProgramStream)
-            for programs in self.programs_by_region.values()
-        )
+    def client_regions(self) -> List[str]:
+        """Every region that sends traffic, closed-loop regions first."""
+        return list(dict.fromkeys([*self.clients_per_region, *self.timed_requests_by_region]))
 
     @property
     def total_programs(self) -> int:
@@ -131,7 +140,8 @@ class WorkloadSpec:
 
     @property
     def total_requests(self) -> int:
-        """Total requests across all programs.
+        """Total requests across all programs (closed-loop traffic only; the
+        timed requests of ``timed_requests_by_region`` are not counted).
 
         For streamed regions this *iterates* the stream (O(1) memory but
         full generation CPU) -- fine for reports, not for hot paths.
@@ -164,6 +174,14 @@ class WorkloadSpec:
             },
             clients_per_region=dict(self.clients_per_region),
             hash_key=self.hash_key,
+            timed_requests_by_region={
+                region: (
+                    [(arrival, request.clone_for_retry()) for arrival, request in timed]
+                    if isinstance(timed, list)
+                    else timed.fresh_copy()
+                )
+                for region, timed in self.timed_requests_by_region.items()
+            },
         )
 
 
@@ -175,6 +193,11 @@ class ExperimentConfig:
     deterministic :class:`~repro.faults.FaultSchedule` (or the name of a
     registered schedule) into the run; ``None`` -- or an empty schedule --
     leaves the simulation bit-identical to a fault-free run.
+    ``retain_completed=False`` keeps no finished request objects:
+    ``num_completed``, ``requests_per_s`` and ``output_tokens_per_s`` come
+    from the tracker's counters, and the metrics computed from request
+    objects (latency summaries, token throughput, cross-region and
+    forwarded fractions) stay empty.
     """
 
     system: SystemSpec
@@ -183,3 +206,4 @@ class ExperimentConfig:
     seed: int = 0
     network_jitter: float = 0.05
     faults: FaultsLike = None
+    retain_completed: bool = True

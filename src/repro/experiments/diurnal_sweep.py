@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence
 from ..faults import FaultsLike
 from ..metrics import LatencySummary, RunMetrics
 from ..workloads import ARENA_LIKE, ConversationConfig, ConversationWorkload, ProgramStream
-from .config import ClusterConfig, WorkloadSpec
+from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .registry import REGISTRY
 from .runner import SweepResult, metric_ratio, run_experiment
 from .sweep import SweepExecutor, SweepTask, normalise_seeds
@@ -143,9 +143,9 @@ def _run_diurnal_cell(task: SweepTask) -> RunMetrics:
     process; the per-region percentiles have to be computed here because
     only the worker sees the completed request objects.
     """
-    outcome = run_experiment(task.config(), task.workload.fresh_copy())
+    outcome = run_experiment(task.config, task.workload.fresh_copy())
     metrics = outcome.metrics
-    metrics.seed = task.seed
+    metrics.seed = task.config.seed
     # Per-region tail latency: the overloaded (US) region is the one
     # a region-local deployment must over-provision for.
     for region in _REGIONS:
@@ -185,14 +185,16 @@ def run_diurnal_sweep(
     seed_list = normalise_seeds(seed, seeds)
     tasks = [
         SweepTask(
-            system=REGISTRY.spec(kind, hash_key="user"),
-            workload=_fleet_workload(workload, total),
-            cluster=ClusterConfig(
-                replicas_per_region={region: total // len(_REGIONS) for region in _REGIONS}
+            config=ExperimentConfig(
+                system=REGISTRY.spec(kind, hash_key="user"),
+                cluster=ClusterConfig(
+                    replicas_per_region={region: total // len(_REGIONS) for region in _REGIONS}
+                ),
+                duration_s=duration_s,
+                seed=cell_seed,
+                faults=faults,
             ),
-            duration_s=duration_s,
-            seed=cell_seed,
-            faults=faults,
+            workload=_fleet_workload(workload, total),
         )
         for cell_seed in seed_list
         for workload in [build_skewed_workload(scale=scale, seed=cell_seed)]

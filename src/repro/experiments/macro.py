@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..faults import FaultsLike
-from .config import ALL_SYSTEMS, ClusterConfig
+from .config import ALL_SYSTEMS, ClusterConfig, ExperimentConfig
 from .registry import REGISTRY
 from .runner import SweepResult, metric_ratio
 from .sweep import SweepExecutor, SweepTask, check_unique_system_names, normalise_seeds
@@ -84,12 +84,14 @@ def run_macro_benchmark(
     seed_list = normalise_seeds(seed, seeds)
     tasks = [
         SweepTask(
-            system=spec,
+            config=ExperimentConfig(
+                system=spec,
+                cluster=cluster,
+                duration_s=duration_s,
+                seed=cell_seed,
+                faults=faults,
+            ),
             workload=workload,
-            cluster=cluster,
-            duration_s=duration_s,
-            seed=cell_seed,
-            faults=faults,
         )
         for cell_seed in seed_list
         for workload in [

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from ..faults import FaultsLike
 from ..metrics import RunMetrics
 from ..workloads import TreeOfThoughtsConfig, TreeOfThoughtsWorkload
-from .config import ClusterConfig, WorkloadSpec
+from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .runner import SweepResult, metric_ratio
 from .sweep import SweepExecutor, SweepTask, check_unique_system_names, normalise_seeds
 from .systems import SkyWalkerConfig
@@ -107,12 +107,14 @@ def run_pushing_benchmark(
     seed_list = normalise_seeds(seed, seeds)
     tasks = [
         SweepTask(
-            system=system,
+            config=ExperimentConfig(
+                system=system,
+                cluster=cluster,
+                duration_s=duration_s,
+                seed=cell_seed,
+                faults=faults,
+            ),
             workload=workload,
-            cluster=cluster,
-            duration_s=duration_s,
-            seed=cell_seed,
-            faults=faults,
         )
         for cell_seed in seed_list
         for workload in [

@@ -3,7 +3,8 @@
 ``run_experiment`` builds the whole stack -- network, replicas, the selected
 load-balancing system, clients -- runs the simulation for the configured
 duration and aggregates metrics.  It is the single entry point used by the
-examples, the test-suite's integration tests and every Fig. 8/9/10 bench.
+examples, the test-suite's integration tests, every Fig. 8/9/10 bench and
+the streamed diurnal day of the engine macrobench.
 
 System construction is dispatched through the pluggable system registry
 (:mod:`repro.experiments.registry`): the ``system`` field of an
@@ -17,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..cluster import ClosedLoopClient, Deployment, Frontend, ReplicaSpec, RequestTracker
+from ..cluster import (
+    ClosedLoopClient,
+    Deployment,
+    Frontend,
+    ReplicaSpec,
+    RequestTracker,
+    TraceReplayClient,
+)
 from ..core.interface import Balancer
 from ..faults import FaultInjector, FaultsLike, resolve_fault_schedule
 from ..metrics import (
@@ -33,7 +41,6 @@ from ..metrics import (
 from ..net import Network, build_routed_network
 from ..network import default_topology
 from ..sim import Environment
-from ..workloads.program import Program
 from ..workloads.request import Request
 from ..workloads.streams import ProgramStream
 from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
@@ -99,13 +106,6 @@ def build_system(
     return REGISTRY.build(system, ctx)
 
 
-def _split_round_robin(programs: Sequence[Program], parts: int) -> List[List[Program]]:
-    chunks: List[List[Program]] = [[] for _ in range(parts)]
-    for index, program in enumerate(programs):
-        chunks[index % parts].append(program)
-    return chunks
-
-
 def _split_programs(programs, parts: int):
     """Round-robin split for lists, strided lazy views for streams.
 
@@ -115,7 +115,7 @@ def _split_programs(programs, parts: int):
     """
     if isinstance(programs, ProgramStream):
         return programs.split(parts)
-    return _split_round_robin(programs, parts)
+    return [programs[index::parts] for index in range(parts)]
 
 
 def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> ExperimentResult:
@@ -147,7 +147,7 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         record_utilization=config.cluster.record_utilization,
     )
 
-    tracker = RequestTracker(env)
+    tracker = RequestTracker(env, retain_completed=config.retain_completed)
     for replica in deployment.replicas:
         replica.add_completion_listener(tracker.complete)
         if network.contention_enabled and network.model_responses:
@@ -166,7 +166,7 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         network,
         deployment,
         frontend,
-        client_regions=list(workload.clients_per_region),
+        client_regions=workload.client_regions,
         hash_key=workload.hash_key,
         push_transfer=push_transfer,
     )
@@ -193,7 +193,7 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         )
         injector.start()
 
-    clients: List[ClosedLoopClient] = []
+    clients: List[ClosedLoopClient | TraceReplayClient] = []
     for region, num_clients in workload.clients_per_region.items():
         programs = workload.programs_by_region.get(region, [])
         if not programs or num_clients <= 0:
@@ -211,6 +211,17 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
                     programs=chunk,
                 )
             )
+    for region, timed_requests in workload.timed_requests_by_region.items():
+        clients.append(
+            TraceReplayClient(
+                env,
+                name=f"{region}/replay",
+                region=region,
+                frontend=frontend,
+                tracker=tracker,
+                timed_requests=timed_requests,
+            )
+        )
 
     env.run(until=config.duration_s)
 
@@ -223,6 +234,11 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         issued=issued,
         deployment=deployment,
     )
+    if not config.retain_completed:
+        # The tracker kept counters only; the latency summaries stay empty.
+        metrics.num_completed = tracker.num_completed
+        metrics.requests_per_s = tracker.num_completed / config.duration_s
+        metrics.output_tokens_per_s = tracker.output_tokens_completed / config.duration_s
     if injector is not None:
         metrics.resilience = injector.resilience_metrics(
             tracker.completed, duration_s=config.duration_s

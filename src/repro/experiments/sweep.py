@@ -72,32 +72,15 @@ _Result = TypeVar("_Result")
 class SweepTask:
     """One (workload, system) cell of a sweep, fully described as data.
 
-    Everything here is picklable: the system is a typed spec carrying only
-    names and scalars, and the workload is plain programs/requests.  A
-    worker process needs nothing else to reproduce the cell exactly.
+    Everything here is picklable: the config's system is a typed spec
+    carrying only names and scalars, its fault schedule is data-only specs
+    or a registered schedule name (resolved inside the worker), and the
+    workload is plain programs/requests.  A worker process needs nothing
+    else to reproduce the cell exactly.
     """
 
-    system: SystemSpec
+    config: ExperimentConfig
     workload: WorkloadSpec
-    cluster: ClusterConfig
-    duration_s: float = 120.0
-    seed: int = 0
-    network_jitter: float = 0.05
-    #: Optional fault schedule for the cell -- a picklable
-    #: :class:`~repro.faults.FaultSchedule` of data-only specs, or the name
-    #: of a registered schedule factory (resolved inside the worker).
-    faults: FaultsLike = None
-
-    def config(self) -> ExperimentConfig:
-        """The :class:`ExperimentConfig` this cell runs."""
-        return ExperimentConfig(
-            system=self.system,
-            cluster=self.cluster,
-            duration_s=self.duration_s,
-            seed=self.seed,
-            network_jitter=self.network_jitter,
-            faults=self.faults,
-        )
 
 
 def run_sweep_task(task: SweepTask) -> RunMetrics:
@@ -111,13 +94,13 @@ def run_sweep_task(task: SweepTask) -> RunMetrics:
     is identical.
     """
     start = time.perf_counter()
-    metrics = run_experiment(task.config(), task.workload.fresh_copy()).metrics
+    metrics = run_experiment(task.config, task.workload.fresh_copy()).metrics
     # Recorded on the metrics object (picklable, so it survives the trip
     # back from a worker process) but excluded from to_dict(): wall-clock
     # is where-the-time-went telemetry, not part of the result identity,
     # and the seed is grouping bookkeeping for multi-seed aggregation.
     metrics.wall_clock_s = time.perf_counter() - start
-    metrics.seed = task.seed
+    metrics.seed = task.config.seed
     return metrics
 
 
@@ -261,13 +244,15 @@ class SweepExecutor:
         seed_list = normalise_seeds(seed, seeds)
         tasks = [
             SweepTask(
-                system=system,
+                config=ExperimentConfig(
+                    system=system,
+                    cluster=cluster,
+                    duration_s=duration_s,
+                    seed=cell_seed,
+                    network_jitter=network_jitter,
+                    faults=faults,
+                ),
                 workload=workload,
-                cluster=cluster,
-                duration_s=duration_s,
-                seed=cell_seed,
-                network_jitter=network_jitter,
-                faults=faults,
             )
             for workload in workloads
             for system in systems

@@ -23,5 +23,5 @@ def run_route_trace(task) -> Tuple[tuple, ...]:
     # runner's network, so a module-level import here would cycle.
     from ..experiments.runner import run_experiment
 
-    result = run_experiment(task.config(), task.workload.fresh_copy())
+    result = run_experiment(task.config, task.workload.fresh_copy())
     return tuple(event.as_tuple() for event in result.frontend.network.route_events)

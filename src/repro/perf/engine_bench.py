@@ -15,13 +15,16 @@ Three benchmarks pin the million-event sim-core work:
   timelines.  The ratio here is smaller by construction: Event allocation
   and callback dispatch are shared costs that dilute the scheduler win.
 * ``streamed_diurnal_cell`` — a full-day diurnal trace streamed through the
-  real stack (skywalker balancers, replicas, network) via
-  :class:`~repro.workloads.streams.DiurnalRequestStream` and
-  :class:`~repro.cluster.TraceReplayClient`, with
-  ``RequestTracker(retain_completed=False)``.  Reports events/sec and the
-  tracemalloc peak over a short and a doubled simulation window at the same
-  rate; the window processes ~2x the requests but the peak must stay (near)
-  flat — the O(1)-memory streaming claim.
+  real stack (skywalker balancers, replicas, network) by one
+  :func:`~repro.experiments.run_experiment` call: each region's
+  :class:`~repro.workloads.streams.DiurnalRequestStream` is a
+  ``WorkloadSpec.timed_requests_by_region`` entry that
+  :class:`~repro.cluster.TraceReplayClient` replays, with
+  ``ExperimentConfig(retain_completed=False)``.  Reports events/sec (whose
+  ``day_wall_s`` includes assembling the stack) and the tracemalloc peak
+  over a short and a doubled simulation window at the same rate; the window
+  processes ~2x the requests but the peak must stay (near) flat — the
+  O(1)-memory streaming claim.
 
 Everything is deterministic and stdlib-only.  The committed before/after
 report in ``BENCH_engine.json`` was produced by ``write_engine_report`` on
@@ -161,19 +164,6 @@ _DIURNAL_PATTERNS: Dict[str, Tuple[float, float, float]] = {
 }
 
 
-def _diurnal_streams(rate_scale: float, seed: int, hours: int = 24):
-    from repro.workloads.diurnal import DiurnalPattern
-    from repro.workloads.streams import DiurnalRequestStream
-
-    streams = {}
-    for region, (offset, base, peak) in _DIURNAL_PATTERNS.items():
-        pattern = DiurnalPattern(offset, base_rate=base, peak_rate=peak)
-        streams[region] = DiurnalRequestStream(
-            pattern=pattern, region=region, hours=hours, seed=seed, rate_scale=rate_scale
-        )
-    return streams
-
-
 def _run_streamed_cell(
     rate_scale: float,
     *,
@@ -185,6 +175,9 @@ def _run_streamed_cell(
     hbm_fraction: float = 1.0,
 ) -> Dict[str, float]:
     """One full-day streamed diurnal cell; returns counters + timings.
+
+    The cell is one :func:`~repro.experiments.run_experiment` call, so
+    ``wall_s`` covers assembling the stack as well as running it.
 
     ``traced=True`` wraps the run in tracemalloc (slower, so events/sec from
     traced runs is not comparable with untraced ones) and reports the peak
@@ -198,66 +191,46 @@ def _run_streamed_cell(
     the default sizes (2M trie tokens, ~59k KV tokens x N replicas) a short
     traced run would read that bounded warm-up as request-linear growth.
     """
-    from repro.cluster import (
-        Deployment,
-        Frontend,
-        ReplicaSpec,
-        RequestTracker,
-        TraceReplayClient,
+    from repro.experiments import (
+        REGISTRY,
+        ClusterConfig,
+        ExperimentConfig,
+        WorkloadSpec,
+        run_experiment,
     )
-    from repro.experiments.registry import REGISTRY
-    from repro.experiments.runner import build_system
     from repro.mem import MemoryConfig
-    from repro.net import Network
-    from repro.network import default_topology
-    from repro.replica import LLAMA_8B_L4
-    from repro.sim import EmptySchedule, Environment
+    from repro.workloads import DiurnalPattern, DiurnalRequestStream
 
-    # The paper's own replica profile: its ~25-100 ms continuous-batching
-    # steps keep a simulated day's decode-event count tractable (the tiny
-    # unit-test profile steps every 2 ms, which would drown the run in
-    # replica events regardless of request count).
-    env = Environment()
-    topology = default_topology()
-    network = Network(env, topology, jitter_fraction=0.05, seed=seed)
-    deployment = Deployment(
-        env,
-        [
-            ReplicaSpec(region=region, count=replicas_per_region, profile=LLAMA_8B_L4)
-            for region in _DIURNAL_PATTERNS
-        ],
-        topology=topology,
-        network=network,
-        memory=None if hbm_fraction >= 1.0 else MemoryConfig(hbm_fraction=hbm_fraction),
-    )
-    tracker = RequestTracker(env, retain_completed=False)
-    for replica in deployment.replicas:
-        replica.add_completion_listener(tracker.complete)
-    frontend = Frontend(env, network)
     overrides = {} if trie_max_tokens is None else {"trie_max_tokens": trie_max_tokens}
-    build_system(
-        REGISTRY.spec("skywalker", **overrides),
-        env,
-        network,
-        deployment,
-        frontend,
-        client_regions=list(_DIURNAL_PATTERNS),
-        hash_key="user",
+    # The cluster's default profile is the paper's own (LLAMA_8B_L4): its
+    # ~25-100 ms batching steps keep a simulated day's decode-event count
+    # tractable (the tiny unit-test profile steps every 2 ms).
+    config = ExperimentConfig(
+        system=REGISTRY.spec("skywalker", **overrides),
+        cluster=ClusterConfig(
+            replicas_per_region={region: replicas_per_region for region in _DIURNAL_PATTERNS},
+            memory=None if hbm_fraction >= 1.0 else MemoryConfig(hbm_fraction=hbm_fraction),
+        ),
+        duration_s=hours * 3600.0 + 600.0,  # the traced window plus a drain tail
+        seed=seed,
+        retain_completed=False,
     )
-    clients = [
-        TraceReplayClient(
-            env,
-            name=f"{region}/replay",
-            region=region,
-            frontend=frontend,
-            tracker=tracker,
-            timed_requests=stream,
-        )
-        for region, stream in _diurnal_streams(rate_scale, seed, hours).items()
-    ]
+    workload = WorkloadSpec(
+        name="streamed-diurnal",
+        programs_by_region={},
+        clients_per_region={},
+        timed_requests_by_region={
+            region: DiurnalRequestStream(
+                pattern=DiurnalPattern(offset, base_rate=base, peak_rate=peak),
+                region=region,
+                hours=hours,
+                seed=seed,
+                rate_scale=rate_scale,
+            )
+            for region, (offset, base, peak) in _DIURNAL_PATTERNS.items()
+        },
+    )
 
-    horizon = hours * 3600.0 + 600.0  # the traced window plus a drain tail
-    steps = 0
     if traced:
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
@@ -265,21 +238,17 @@ def _run_streamed_cell(
         tracemalloc.reset_peak()
     perf = time.perf_counter
     start = perf()
-    try:
-        while env.peek() <= horizon:
-            env.step()
-            steps += 1
-    except EmptySchedule:
-        pass
+    run = run_experiment(config, workload)
     wall_s = perf() - start
+    events = run.env.events_processed
     result: Dict[str, float] = {
         "rate_scale": rate_scale,
-        "requests_issued": float(sum(c.issued_requests for c in clients)),
-        "requests_completed": float(tracker.num_completed),
-        "events": float(steps),
+        "requests_issued": float(run.metrics.num_issued),
+        "requests_completed": float(run.metrics.num_completed),
+        "events": float(events),
         "wall_s": wall_s,
-        "events_per_s": steps / wall_s if wall_s > 0 else float("inf"),
-        "outstanding": float(tracker.outstanding),
+        "events_per_s": events / wall_s if wall_s > 0 else float("inf"),
+        "outstanding": float(run.tracker.outstanding),
     }
     if traced:
         _, peak = tracemalloc.get_traced_memory()

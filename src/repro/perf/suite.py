@@ -218,7 +218,7 @@ def _bench_radix_admission(quick: bool) -> BenchResult:
 
 
 def _bench_fig8_wildchat_cell(quick: bool) -> BenchResult:
-    from repro.experiments import REGISTRY, SweepTask, run_sweep_task
+    from repro.experiments import REGISTRY, ExperimentConfig, SweepTask, run_sweep_task
     from repro.experiments.macro import default_macro_cluster
     from repro.experiments.workloads import MACRO_WORKLOAD_BUILDERS
 
@@ -234,11 +234,13 @@ def _bench_fig8_wildchat_cell(quick: bool) -> BenchResult:
     for seed in seeds:
         workload = MACRO_WORKLOAD_BUILDERS["wildchat"](scale=scale, seed=seed)
         task = SweepTask(
-            system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
+            config=ExperimentConfig(
+                system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
+                cluster=default_macro_cluster(scale),
+                duration_s=duration,
+                seed=seed,
+            ),
             workload=workload,
-            cluster=default_macro_cluster(scale),
-            duration_s=duration,
-            seed=seed,
         )
         best = float("inf")
         for _ in range(2 if quick else 3):

@@ -188,6 +188,12 @@ class Environment:
             (at, priority, self._eid if tiebreak is None else tiebreak, event)
         )
 
+    @property
+    def events_processed(self) -> int:
+        """Events taken off the timeline so far: every scheduled event that
+        is not still queued."""
+        return self._eid - len(self._timeline)
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._timeline.peek_time()

@@ -98,7 +98,7 @@ def tree_of_thoughts_stream(
 class _StridedView:
     """Programs ``offset, offset+step, ...`` of a stream (one client's share).
 
-    Mirrors the list path's ``_split_round_robin`` semantics:
+    Mirrors the list path's round-robin split:
     ``chunks[i] == programs[i::parts]``.  Each view iterates the underlying
     stream independently, so splitting an n-client region regenerates the
     stream n times -- CPU for memory, by design.

@@ -1,5 +1,7 @@
 """Integration tests: every system kind runs end to end on a small workload."""
 
+from itertools import takewhile
+
 import pytest
 
 from repro.experiments import (
@@ -7,11 +9,13 @@ from repro.experiments import (
     REGISTRY,
     ClusterConfig,
     ExperimentConfig,
+    WorkloadSpec,
     build_arena_workload,
     build_skewed_workload,
     run_experiment,
 )
 from repro.replica import TINY_TEST_PROFILE
+from repro.workloads import DiurnalPattern, DiurnalRequestStream
 
 
 def tiny_cluster(per_region=1, **kwargs):
@@ -114,3 +118,86 @@ def test_experiment_is_reproducible_for_a_fixed_seed():
     assert first.metrics.throughput_tokens_per_s == pytest.approx(
         second.metrics.throughput_tokens_per_s
     )
+
+
+# ----------------------------------------------------------------------
+# open-loop traffic: timed request streams replayed by TraceReplayClients
+# ----------------------------------------------------------------------
+#: Fig. 2-shaped diurnal profiles: (UTC offset hours, base, peak) per hour.
+_DIURNAL_PATTERNS = {
+    "us": (-6.0, 900.0, 7600.0),
+    "eu": (0.0, 250.0, 1900.0),
+    "asia": (8.0, 800.0, 7400.0),
+}
+
+
+def _open_loop_workload(window_s=120.0):
+    """The first ``window_s`` of hour 0 of each region's diurnal stream at
+    half the profile rate: 159 requests, open loop, no closed-loop clients."""
+    timed = {}
+    for region, (offset, base, peak) in _DIURNAL_PATTERNS.items():
+        stream = DiurnalRequestStream(
+            pattern=DiurnalPattern(offset, base_rate=base, peak_rate=peak),
+            region=region,
+            hours=1,
+            seed=0,
+            rate_scale=0.5,
+        )
+        timed[region] = list(takewhile(lambda pair: pair[0] < window_s, stream))
+    return WorkloadSpec(
+        name="open-loop-diurnal",
+        programs_by_region={},
+        clients_per_region={},
+        timed_requests_by_region=timed,
+    )
+
+
+def _run_open_loop(workload, *, retain_completed):
+    config = ExperimentConfig(
+        system=REGISTRY.spec("skywalker"),
+        cluster=tiny_cluster(profile=TINY_TEST_PROFILE),
+        duration_s=300.0,
+        seed=0,
+        retain_completed=retain_completed,
+    )
+    return run_experiment(config, workload)
+
+
+#: Events the same cell processed when it was wired by hand (Network,
+#: Deployment, tracker, frontend, build_system and TraceReplayClients)
+#: and stepped until the horizon.
+OPEN_LOOP_EVENTS = 35_390
+
+
+def test_open_loop_streams_drain_losslessly_without_retaining_requests():
+    result = _run_open_loop(_open_loop_workload(), retain_completed=False)
+    metrics = result.metrics
+    assert result.tracker.outstanding == 0
+    assert metrics.num_issued == metrics.num_completed == result.tracker.num_completed == 159
+    assert result.completed == []
+    assert result.env.events_processed == OPEN_LOOP_EVENTS
+
+
+def test_non_retaining_run_counts_what_a_retaining_run_measures():
+    workload = _open_loop_workload()
+    counted = _run_open_loop(workload, retain_completed=False)
+    # The fresh copy replays pristine requests: the same run, retained.
+    kept = _run_open_loop(workload.fresh_copy(), retain_completed=True)
+    assert len(kept.completed) == kept.metrics.num_completed == 159
+    assert kept.env.events_processed == counted.env.events_processed
+    for name in ("num_issued", "num_completed", "requests_per_s", "output_tokens_per_s"):
+        assert getattr(counted.metrics, name) == getattr(kept.metrics, name), name
+
+
+def test_open_loop_region_without_replicas_gets_its_own_balancer():
+    config = ExperimentConfig(
+        system=REGISTRY.spec("skywalker"),
+        cluster=ClusterConfig(
+            replicas_per_region={"us": 0, "eu": 1, "asia": 1}, profile=TINY_TEST_PROFILE
+        ),
+        duration_s=60.0,
+        retain_completed=False,
+    )
+    result = run_experiment(config, _open_loop_workload(window_s=30.0))
+    assert sorted(balancer.region for balancer in result.balancers) == ["asia", "eu", "us"]
+    assert result.metrics.num_issued == result.metrics.num_completed > 0

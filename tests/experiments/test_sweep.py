@@ -10,6 +10,7 @@ import pytest
 from repro.experiments import (
     REGISTRY,
     ClusterConfig,
+    ExperimentConfig,
     SweepExecutor,
     SweepTask,
     build_arena_workload,
@@ -60,25 +61,23 @@ def test_sweep_task_is_picklable():
     import pickle
 
     task = SweepTask(
-        system=REGISTRY.spec("skywalker"),
+        config=ExperimentConfig(
+            system=REGISTRY.spec("skywalker"), cluster=tiny_cluster(), duration_s=5.0, seed=3
+        ),
         workload=build_arena_workload(scale=0.02),
-        cluster=tiny_cluster(),
-        duration_s=5.0,
-        seed=3,
     )
     clone = pickle.loads(pickle.dumps(task))
-    assert clone.system == task.system
+    assert clone.config == task.config
     assert clone.workload.total_requests == task.workload.total_requests
-    assert clone.seed == 3
+    assert clone.config.seed == 3
 
 
 def test_run_sweep_task_leaves_the_workload_pristine():
     task = SweepTask(
-        system=REGISTRY.spec("round-robin"),
+        config=ExperimentConfig(
+            system=REGISTRY.spec("round-robin"), cluster=tiny_cluster(), duration_s=10.0, seed=1
+        ),
         workload=build_arena_workload(scale=0.02),
-        cluster=tiny_cluster(),
-        duration_s=10.0,
-        seed=1,
     )
     metrics = run_sweep_task(task)
     assert metrics.num_completed > 0
@@ -151,10 +150,10 @@ def test_wall_clock_survives_pickling_from_workers():
 
     workload = build_arena_workload(scale=0.02)
     task = SweepTask(
-        system=REGISTRY.spec("skywalker"),
+        config=ExperimentConfig(
+            system=REGISTRY.spec("skywalker"), cluster=tiny_cluster(), duration_s=5.0
+        ),
         workload=workload,
-        cluster=tiny_cluster(),
-        duration_s=5.0,
     )
     metrics = run_sweep_task(task)
     assert metrics.wall_clock_s is not None and metrics.wall_clock_s > 0.0

@@ -12,6 +12,7 @@ import multiprocessing
 from repro.experiments import (
     REGISTRY,
     ClusterConfig,
+    ExperimentConfig,
     SweepExecutor,
     SweepTask,
     build_tot_workload,
@@ -32,16 +33,18 @@ _FAULTS = (
 
 def _task(seed):
     return SweepTask(
-        system=REGISTRY.spec("skywalker"),
-        workload=build_tot_workload(scale=0.06, seed=2),
-        cluster=ClusterConfig(
-            replicas_per_region={"us": 1, "eu": 1, "asia": 1},
-            profile=TINY_TEST_PROFILE,
-            network=_NET,
+        config=ExperimentConfig(
+            system=REGISTRY.spec("skywalker"),
+            cluster=ClusterConfig(
+                replicas_per_region={"us": 1, "eu": 1, "asia": 1},
+                profile=TINY_TEST_PROFILE,
+                network=_NET,
+            ),
+            duration_s=30.0,
+            seed=seed,
+            faults=_FAULTS,
         ),
-        duration_s=30.0,
-        seed=seed,
-        faults=_FAULTS,
+        workload=build_tot_workload(scale=0.06, seed=2),
     )
 
 
