@@ -1,23 +1,17 @@
 """Perf smoke: the sim-core engine macrobench must not regress.
 
-Re-runs the quick (CI-sized) engine benchmarks — the timeline hold model,
-the end-to-end engine step loop, and a shrunk streamed diurnal cell — and
-checks them against the committed ``BENCH_engine.json``:
+Re-runs the quick (CI-sized) engine benchmark — a shrunk streamed diurnal
+cell through the real stack — and checks it against the committed
+``BENCH_engine.json``:
 
-* machine-independent *ratios* are pinned tightly: the calendar/heap hold
-  speedup (quick bound; the committed full run backs the >=2x headline at
-  millions pending), the traced-peak flatness across a doubled simulation
-  window, and the day cell completing every request it issued;
+* machine-independent *ratios* are pinned tightly: the traced-peak
+  flatness across a doubled simulation window, and the day cell completing
+  every request it issued;
 * the quick streamed cells' deterministic counters (events processed,
   requests issued and completed) are pinned exactly;
-* absolute timings only get the loose accidental-cliff bound (same policy
-  as ``test_perf_hotpaths.py``): CI runners are slower and noisier than
-  the baseline host, so a tight wall-clock pin would flake.
-
-The decision to pin the ``>=2x`` headline at scheduler-structure level (the
-hold model) rather than end-to-end is deliberate and documented in
-PERFORMANCE.md: Event allocation and callback dispatch are shared costs
-that dilute any scheduler's win in the full engine loop.
+* the day cell's wall-clock only gets the loose accidental-cliff bound
+  (same policy as ``test_perf_hotpaths.py``): CI runners are slower and
+  noisier than the baseline host, so a tight wall-clock pin would flake.
 
 The fresh quick run is written to the git-ignored ``benchmarks/results/quick/``
 so CI uploads it as an artifact alongside the hot-path report.
@@ -37,12 +31,6 @@ REPORT_PATH = REPO_ROOT / "BENCH_engine.json"
 
 #: Accidental-cliff guard on absolute timings, not a noise detector.
 REGRESSION_FACTOR = 3.0
-#: The committed full hold run (millions pending) must back the headline.
-FULL_MIN_HOLD_SPEEDUP = 2.0
-#: Quick hold sizes (200k pending) show a smaller, noise-safe margin; the
-#: measured quick speedup is ~1.6, so 1.2 catches "calendar stopped helping"
-#: without flaking on runner jitter.
-QUICK_MIN_HOLD_SPEEDUP = 1.2
 #: Doubling the simulated window ~doubles the requests processed; the traced
 #: peak must stay near-flat (in-flight population + saturated caches only).
 MAX_ALLOC_FLATNESS = 1.5
@@ -50,8 +38,6 @@ MAX_ALLOC_FLATNESS = 1.5
 MIN_DAY_REQUESTS = 1_000_000
 #: Exact counters of the fresh quick streamed cells (rate 2.0 over 1 h on
 #: 2 replicas per region; the flatness pair at rate 1.0 over 1 h and 2 h).
-#: The committed report's quick ``day_events`` (2,067,871) was measured
-#: before later changes cut the events per request, so it is no pin.
 QUICK_DAY_EVENTS = 547_270
 QUICK_DAY_REQUESTS = 18_903
 QUICK_FLAT_REQUESTS_SHORT = 9_429
@@ -71,14 +57,6 @@ def fresh_quick(quick_results_dir):
 # ----------------------------------------------------------------------
 # committed-report claims (no timing on this machine involved)
 # ----------------------------------------------------------------------
-def test_committed_full_hold_backs_the_2x_headline(committed_report):
-    hold = committed_report["full"]["benchmarks"]["timeline_hold"]
-    assert hold["speedup"] >= FULL_MIN_HOLD_SPEEDUP, (
-        f"committed full hold-model speedup {hold['speedup']:.2f} no longer "
-        f"backs the >={FULL_MIN_HOLD_SPEEDUP}x headline"
-    )
-
-
 def test_committed_day_cell_is_a_million_requests_and_lossless(committed_report):
     cell = committed_report["full"]["benchmarks"]["streamed_diurnal_cell"]
     assert cell["day_requests_issued"] >= MIN_DAY_REQUESTS
@@ -92,24 +70,9 @@ def test_committed_flatness_ratio_is_flat(committed_report):
     assert cell["alloc_flatness_ratio"] <= MAX_ALLOC_FLATNESS
 
 
-def test_committed_engine_steps_prefer_calendar(committed_report):
-    """End-to-end the win is diluted by shared event machinery, but the
-    calendar must never be *slower* than the heap in the committed run."""
-    steps = committed_report["full"]["benchmarks"]["engine_steps"]
-    assert steps["speedup"] >= 1.0
-
-
 # ----------------------------------------------------------------------
 # fresh quick run on this machine
 # ----------------------------------------------------------------------
-def test_fresh_hold_speedup_holds(fresh_quick):
-    hold = fresh_quick["benchmarks"]["timeline_hold"]
-    assert hold["speedup"] >= QUICK_MIN_HOLD_SPEEDUP, (
-        f"quick hold-model speedup {hold['speedup']:.2f} < "
-        f"{QUICK_MIN_HOLD_SPEEDUP}: the calendar queue stopped beating the heap"
-    )
-
-
 def test_fresh_flatness_ratio_holds(fresh_quick):
     cell = fresh_quick["benchmarks"]["streamed_diurnal_cell"]
     assert cell["flat_requests_long"] >= 1.8 * cell["flat_requests_short"]
@@ -137,17 +100,11 @@ def test_fresh_quick_streamed_counters_are_pinned(fresh_quick):
 
 
 def test_no_engine_timing_regressed_over_committed_quick(committed_report, fresh_quick):
-    baseline = committed_report["quick"]["benchmarks"]
-    current = fresh_quick["benchmarks"]
-    offenders = []
-    for name, base_row in baseline.items():
-        cur_row = current.get(name)
-        assert cur_row is not None, f"benchmark {name} disappeared from the suite"
-        for key, base in base_row.items():
-            if not (key.endswith("_ns_per_op") or key.endswith("_ns_per_event")):
-                continue
-            cur = cur_row.get(key)
-            assert cur is not None, f"{name}.{key} disappeared"
-            if base > 0 and cur > REGRESSION_FACTOR * base:
-                offenders.append(f"{name}.{key}: {cur:.0f}ns vs baseline {base:.0f}ns")
-    assert not offenders, "engine regression(s) >%sx: %s" % (REGRESSION_FACTOR, offenders)
+    """The quick day cell's wall-clock (stack assembly included) stays
+    within the accidental-cliff bound of the committed quick run."""
+    base = committed_report["quick"]["benchmarks"]["streamed_diurnal_cell"]["day_wall_s"]
+    cur = fresh_quick["benchmarks"]["streamed_diurnal_cell"]["day_wall_s"]
+    assert cur <= REGRESSION_FACTOR * base, (
+        f"engine regression >{REGRESSION_FACTOR}x: quick day cell took "
+        f"{cur:.1f}s vs baseline {base:.1f}s"
+    )

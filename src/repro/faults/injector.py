@@ -353,7 +353,7 @@ class FaultInjector:
             failover_count=self.failover_count,
             stranded_requests=self.stranded_requests,
             parked_requests=self.parked_requests(),
-            failed_requests=len(self.tracker.failed) if self.tracker is not None else 0,
+            failed_requests=self.tracker.num_failed if self.tracker is not None else 0,
             dropped_messages=self.network.dropped_messages,
         )
 

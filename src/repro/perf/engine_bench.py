@@ -1,19 +1,7 @@
-"""Engine macrobenchmarks (``repro.perf.engine_bench``).
+"""Engine macrobenchmark (``repro.perf.engine_bench``).
 
-Three benchmarks pin the million-event sim-core work:
+One benchmark measures the sim core on real traffic:
 
-* ``timeline_hold``       — the classic *hold model* run directly against the
-  two timeline structures (``CalendarQueue`` vs the reference heap): keep N
-  events pending, repeatedly pop the earliest and push a successor a random
-  delay later.  This isolates scheduler cost from event machinery and is
-  where the calendar queue's amortized O(1) shows up against the heap's
-  O(log n) + cache-hostile sift path.  The committed full run (millions
-  pending) is the ``>=2x`` headline; CI re-checks a looser, noise-safe bound
-  on the quick run.
-* ``engine_steps``        — the same hold model end-to-end through
-  :class:`~repro.sim.Environment` (timeouts, callbacks, the works) for both
-  timelines.  The ratio here is smaller by construction: Event allocation
-  and callback dispatch are shared costs that dilute the scheduler win.
 * ``streamed_diurnal_cell`` — a full-day diurnal trace streamed through the
   real stack (skywalker balancers, replicas, network) by one
   :func:`~repro.experiments.run_experiment` call: each region's
@@ -26,18 +14,17 @@ Three benchmarks pin the million-event sim-core work:
   processes ~2x the requests but the peak must stay (near) flat — the
   O(1)-memory streaming claim.
 
-Everything is deterministic and stdlib-only.  The committed before/after
-report in ``BENCH_engine.json`` was produced by ``write_engine_report`` on
-one host (see PERFORMANCE.md); CI runs the quick suite against the report's
-``quick`` section via ``benchmarks/test_perf_engine.py``.
+The simulated counters are deterministic and everything is stdlib-only.
+The committed report in ``BENCH_engine.json`` was produced by
+``write_engine_report`` on one host (see PERFORMANCE.md); CI runs the quick
+suite against the report's ``quick`` section via
+``benchmarks/test_perf_engine.py``.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import platform
-import random
 import time
 import tracemalloc
 from pathlib import Path
@@ -49,106 +36,6 @@ __all__ = ["run_engine_bench", "write_engine_report", "ENGINE_SCHEMA", "ENGINE_R
 
 ENGINE_SCHEMA = "repro-perf-engine/1"
 ENGINE_REPORT_SCHEMA = "repro-perf-engine-report/1"
-
-#: Priority used for every synthetic entry (== ``repro.sim.engine.NORMAL``).
-_NORMAL = 1
-
-
-# ----------------------------------------------------------------------
-# timeline_hold: structure-level hold model
-# ----------------------------------------------------------------------
-def _hold_ns_per_op(timeline, *, pending: int, ops: int, seed: int) -> float:
-    """Run the hold model on a raw timeline and return ns per pop+push pair.
-
-    The RNG sequence is fully determined by ``seed`` so the heap and the
-    calendar see byte-identical workloads; GC is paused during the timed
-    region so collection pauses don't land on one structure's tab.
-    """
-    rng = random.Random(seed)
-    eid = 0
-    for _ in range(pending):
-        eid += 1
-        timeline.push((rng.random() * 3600.0, _NORMAL, eid, None))
-    # A small cycle of pre-drawn delays keeps RNG cost out of the timed loop.
-    delays = [0.001 + rng.random() * 2.0 for _ in range(1024)]
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        perf = time.perf_counter
-        start = perf()
-        for i in range(ops):
-            when = timeline.pop()[0]
-            eid += 1
-            timeline.push((when + delays[i & 1023], _NORMAL, eid, None))
-        elapsed = perf() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return elapsed / ops * 1e9
-
-
-def _bench_timeline_hold(quick: bool) -> BenchResult:
-    from repro.sim.calendar import CalendarQueue
-    from repro.sim.engine import _HeapTimeline
-
-    # The full size sits in the paper's regime -- millions of queued events
-    # -- where the heap's log-depth sift and cache misses dominate.  Quick
-    # keeps CI under a second per repeat while still deep enough to rank the
-    # structures correctly.
-    pending = 200_000 if quick else 4_000_000
-    ops = 100_000 if quick else 400_000
-    repeats = 2 if quick else 3
-    result: BenchResult = {"pending": float(pending)}
-    for name, factory in (("heap", _HeapTimeline), ("calendar", CalendarQueue)):
-        best = float("inf")
-        for repeat in range(repeats):
-            best = min(
-                best,
-                _hold_ns_per_op(factory(), pending=pending, ops=ops, seed=42 + repeat),
-            )
-        result[f"{name}_ns_per_op"] = best
-    result["speedup"] = result["heap_ns_per_op"] / result["calendar_ns_per_op"]
-    return result
-
-
-# ----------------------------------------------------------------------
-# engine_steps: the hold model through Environment
-# ----------------------------------------------------------------------
-def _engine_ns_per_event(timeline_name: str, *, pending: int, ops: int, seed: int) -> float:
-    from repro.sim import Environment
-
-    env = Environment(timeline=timeline_name)
-    rng = random.Random(seed)
-    for _ in range(pending):
-        env.timeout(rng.random() * 3600.0)
-    delays = [0.001 + rng.random() * 2.0 for _ in range(1024)]
-    timeout = env.timeout
-    step = env.step
-    perf = time.perf_counter
-    start = perf()
-    for i in range(ops):
-        step()
-        timeout(delays[i & 1023])
-    elapsed = perf() - start
-    return elapsed / ops * 1e9
-
-
-def _bench_engine_steps(quick: bool) -> BenchResult:
-    pending = 50_000 if quick else 1_000_000
-    ops = 50_000 if quick else 200_000
-    repeats = 2 if quick else 3
-    result: BenchResult = {"pending": float(pending)}
-    for name in ("heap", "calendar"):
-        best = float("inf")
-        for repeat in range(repeats):
-            best = min(
-                best,
-                _engine_ns_per_event(name, pending=pending, ops=ops, seed=7 + repeat),
-            )
-        result[f"{name}_ns_per_event"] = best
-        result[f"{name}_events_per_s"] = 1e9 / best
-    result["speedup"] = result["heap_ns_per_event"] / result["calendar_ns_per_event"]
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +202,6 @@ def _bench_streamed_diurnal_cell(quick: bool) -> BenchResult:
 
 
 _BENCHMARKS = {
-    "timeline_hold": _bench_timeline_hold,
-    "engine_steps": _bench_engine_steps,
     "streamed_diurnal_cell": _bench_streamed_diurnal_cell,
 }
 
@@ -355,8 +240,8 @@ def write_engine_report(
 ) -> Dict[str, object]:
     """Combine a full and a quick engine-bench run into the committed report.
 
-    ``full`` is the headline run (millions pending / the million-request
-    day); ``quick`` is the CI-sized run CI uses as its regression baseline.
+    ``full`` is the headline run (the million-request day); ``quick`` is
+    the CI-sized run CI uses as its regression baseline.
     """
     payload = {
         "schema": ENGINE_REPORT_SCHEMA,

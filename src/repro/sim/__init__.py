@@ -8,7 +8,7 @@ This is a self-contained, SimPy-style kernel: generator processes yield
 from .engine import EmptySchedule, Environment
 from .events import AllOf, AnyOf, Deferred, Event, PENDING, Timeout
 from .process import Interrupt, InvalidYield, Process
-from .resources import PriorityStore, Store
+from .resources import Store
 
 __all__ = [
     "Environment",
@@ -23,5 +23,4 @@ __all__ = [
     "Interrupt",
     "InvalidYield",
     "Store",
-    "PriorityStore",
 ]

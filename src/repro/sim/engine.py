@@ -5,15 +5,14 @@ are floats in **seconds** throughout this project; the unit matters because
 the replica model profiles and network latency matrices are calibrated in
 seconds as well.
 
-The timeline is pluggable.  The default is the :class:`~repro.sim.calendar.
-CalendarQueue` — amortized O(1) enqueue/dequeue, which is what keeps a
-million-event day tractable.  The original ``heapq`` timeline is retained as
-a private reference implementation (``Environment(timeline="heap")``): the
-differential harness in ``tests/sim/test_engine_equivalence.py`` replays
-randomized schedules through both and asserts identical pop order and final
-state.  Both timelines order events by ``(time, priority, eid)`` where
-``eid`` is a strictly increasing insertion counter, so the order is a unique
-deterministic sequence — ties at the same timestamp pop in insertion order.
+The timeline is a plain ``heapq`` list of ``(time, priority, eid, event)``
+entries, where ``eid`` is a strictly increasing insertion counter, so the
+order is a unique deterministic sequence -- ties at the same timestamp pop
+in insertion order.  Every golden trace in this repository was recorded
+against that order.  The timeline stays short on real traffic (tens of
+pending events: peer-probe landings are deferred timers, and a replica
+schedules one event per batch change), so the heap's O(log n) is a handful
+of comparisons.
 
 A *deferred* timer (:meth:`Environment.defer`) is one that may never need to
 be an event.  It takes the place in that order an ordinary timer created at
@@ -29,9 +28,8 @@ changing them, so its callbacks see exactly the state of its firing time.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional
 
-from .calendar import CalendarQueue
 from .events import AllOf, AnyOf, Deferred, Event, Timeout
 from .process import Process
 
@@ -55,42 +53,6 @@ class EmptySchedule(Exception):
     """Raised by :meth:`Environment.step` when no events remain."""
 
 
-class _HeapTimeline:
-    """The original global-heap timeline, kept as the reference oracle.
-
-    O(log n) push/pop via ``heapq``.  Semantically authoritative: the
-    calendar timeline must pop entries in exactly this order (the harness
-    in ``tests/sim/test_engine_equivalence.py`` enforces it).
-    """
-
-    __slots__ = ("_queue",)
-
-    def __init__(self) -> None:
-        self._queue: List[Tuple[float, int, int, Event]] = []
-
-    def push(self, entry: Tuple[float, int, int, Event]) -> None:
-        heapq.heappush(self._queue, entry)
-
-    def pop(self) -> Tuple[float, int, int, Event]:
-        return heapq.heappop(self._queue)
-
-    def peek_time(self) -> float:
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
-
-
-#: Registry of timeline implementations selectable by name.
-_TIMELINES = {
-    "calendar": CalendarQueue,
-    "heap": _HeapTimeline,
-}
-
-
 class Environment:
     """A discrete-event simulation environment.
 
@@ -98,27 +60,13 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulation clock, in seconds.
-    timeline:
-        Scheduler implementation: ``"calendar"`` (default, amortized O(1))
-        or ``"heap"`` (the reference ``heapq`` timeline).  Both produce
-        bit-identical simulations; ``"heap"`` exists for the differential
-        equivalence harness and as a fallback oracle.
     """
 
-    def __init__(self, initial_time: float = 0.0, timeline: str = "calendar") -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        try:
-            factory = _TIMELINES[timeline]
-        except KeyError:
-            raise ValueError(
-                f"unknown timeline {timeline!r}; expected one of "
-                f"{sorted(_TIMELINES)}"
-            ) from None
-        if factory is CalendarQueue:
-            self._timeline = CalendarQueue(origin=self._now)
-        else:
-            self._timeline = factory()
-        self._timeline_name = timeline
+        #: Scheduled events: a ``heapq`` list of ``(time, priority, eid,
+        #: event)`` entries.
+        self._timeline: List[tuple] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: The timeline entry being processed, or the point the clock was
@@ -138,11 +86,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def timeline_name(self) -> str:
-        """Name of the timeline implementation backing this environment."""
-        return self._timeline_name
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -184,8 +127,9 @@ class Environment:
         elif at < self._now:
             raise ValueError(f"at={at!r} lies before now={self._now!r}")
         self._eid += 1
-        self._timeline.push(
-            (at, priority, self._eid if tiebreak is None else tiebreak, event)
+        heapq.heappush(
+            self._timeline,
+            (at, priority, self._eid if tiebreak is None else tiebreak, event),
         )
 
     @property
@@ -196,7 +140,7 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._timeline.peek_time()
+        return self._timeline[0][0] if self._timeline else _INF
 
     # ------------------------------------------------------------------
     # deferred timers
@@ -298,7 +242,7 @@ class Environment:
             If the timeline is empty.
         """
         try:
-            entry = self._timeline.pop()
+            entry = heapq.heappop(self._timeline)
         except IndexError:
             raise EmptySchedule("no more events scheduled") from None
         self._entry = entry
@@ -350,7 +294,7 @@ class Environment:
         while timeline:
             if stop_event is not None and stop_event.processed:
                 return stop_event.value
-            if timeline.peek_time() > stop_time:
+            if timeline[0][0] > stop_time:
                 self._stop_at(stop_time)
                 return None
             self.step()
@@ -371,7 +315,4 @@ class Environment:
         self._entry = (when, _INF)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<Environment now={self._now} queued={len(self._timeline)} "
-            f"timeline={self._timeline_name}>"
-        )
+        return f"<Environment now={self._now} queued={len(self._timeline)}>"

@@ -8,16 +8,15 @@ each other's stores.  Shared WAN edges queue messages in the network itself
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, List, TYPE_CHECKING
+from typing import Any, Deque, TYPE_CHECKING
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = ["Store", "PriorityStore"]
+__all__ = ["Store"]
 
 
 class StorePut(Event):
@@ -76,7 +75,7 @@ class Store:
         """
         if self.capacity != float("inf"):
             raise ValueError("put_nowait needs an unbounded store")
-        self._add(item)
+        self.items.append(item)
         self._trigger()
 
     def get(self) -> StoreGet:
@@ -105,12 +104,9 @@ class Store:
         return False
 
     # ------------------------------------------------------------------
-    def _add(self, item: Any) -> None:
-        self.items.append(item)
-
     def _do_put(self, event: StorePut) -> bool:
         if len(self) < self.capacity:
-            self._add(event.item)
+            self.items.append(event.item)
             event.succeed()
             return True
         return False
@@ -146,27 +142,3 @@ class Store:
                     progress = True
                 else:
                     break
-
-
-class PriorityStore(Store):
-    """A store that yields the smallest item first.
-
-    Items must be orderable; a common pattern is ``(priority, seq, payload)``
-    tuples.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def _add(self, item: Any) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self._heap:
-            event.succeed(heapq.heappop(self._heap))
-            return True
-        return False

@@ -50,7 +50,6 @@ from repro.net import NetConfig
 from repro.network import Network, default_topology
 from repro.replica import TINY_TEST_PROFILE, ReplicaServer
 from repro.sim import Deferred, Environment
-from repro.sim.calendar import CalendarQueue
 from repro.workloads.request import Request
 
 from .eager_monitor import EagerMonitor
@@ -183,15 +182,17 @@ def _observe(monkeypatch, monitor_cls):
         return records
 
     monkeypatch.setattr(AvailabilityMonitor, "balancer_probes", property(recorded))
-    pop = CalendarQueue.pop
+    step = Environment.step
 
-    def recorded_pop(queue):
-        entry = pop(queue)
-        if not _is_landing(entry[3]):
-            pops.append((entry[0], entry[1]))
-        return entry
+    def recorded_step(env):
+        # The head of the heap is the entry ``step`` processes next; an
+        # eager landing is told by its callbacks, which ``step`` clears.
+        timeline = env._timeline
+        if timeline and not _is_landing(timeline[0][3]):
+            pops.append(timeline[0][:2])
+        step(env)
 
-    monkeypatch.setattr(CalendarQueue, "pop", recorded_pop)
+    monkeypatch.setattr(Environment, "step", recorded_step)
     return reads, writes, pops
 
 

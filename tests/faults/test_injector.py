@@ -29,7 +29,8 @@ def tiny_cluster(profile=TINY_TEST_PROFILE):
 
 
 def run_faulted(kind, schedule, *, duration=40.0, scale=0.03, seed=1,
-                workload_builder=build_arena_workload, cluster=None):
+                workload_builder=build_arena_workload, cluster=None,
+                retain_completed=True):
     workload = workload_builder(scale=scale)
     config = ExperimentConfig(
         system=REGISTRY.spec(kind, hash_key=workload.hash_key),
@@ -37,6 +38,7 @@ def run_faulted(kind, schedule, *, duration=40.0, scale=0.03, seed=1,
         duration_s=duration,
         seed=seed,
         faults=schedule,
+        retain_completed=retain_completed,
     )
     return run_experiment(config, workload)
 
@@ -59,6 +61,11 @@ def test_replica_crash_aborts_and_recovers():
     assert us_replica.healthy
     assert result.metrics.num_completed > 0
     assert resilience.outage_windows == [pytest.approx((5.0, 10.0))]
+    # A run that keeps counters only still counts its failures.
+    lean = run_faulted("skywalker", schedule, retain_completed=False)
+    failed = lean.metrics.resilience.failed_requests
+    assert failed == lean.tracker.num_failed > 0
+    assert failed == resilience.failed_requests
 
 
 def test_explicit_replica_recover_closes_the_window():

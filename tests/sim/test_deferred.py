@@ -1,11 +1,12 @@
-"""Deferred timers: exact places among events, on both timelines.
+"""Deferred timers: exact places among events.
 
 A deferred timer (``Environment.defer``) reserves the place an ordinary
 ``Timeout`` created at the same moment would take -- a fractional
 tie-break between the insertion counter's value and the next integer -- and
 either fires from ``settle()`` once the clock passes that place or is
 promoted onto the timeline.  These tests drive seeded scripts with
-same-instant bursts through the heap and calendar timelines and check:
+same-instant bursts twice -- once with every deferred timer an ordinary
+``Timeout`` (the eager reference) and once lazily -- and check:
 
 * promoted deferred timers pop exactly where ordinary timeouts would have;
 * settled ones run in that same order, never before their place;
@@ -45,12 +46,12 @@ def _script(seed: int):
     return ops
 
 
-def _run(ops, timeline: str, lazy: bool, promote: bool):
+def _run(ops, lazy: bool, promote: bool):
     """Run a script; returns (fired labels with their clock, env, schedule
     calls).  ``lazy=False`` makes every deferred timer an ordinary
     ``Timeout`` (the reference); ``promote=False`` never promotes, so the
     deferred timers fire from ``settle()`` calls made at every op."""
-    env = Environment(timeline=timeline)
+    env = Environment()
     fired = []
     calls = [0]
     schedule = env.schedule
@@ -104,32 +105,30 @@ def _run(ops, timeline: str, lazy: bool, promote: bool):
 @pytest.mark.parametrize("seed", range(N_SCRIPTS))
 def test_promoted_timers_pop_where_timeouts_would(seed):
     ops = _script(seed)
-    expected, _, _ = _run(ops, "heap", lazy=False, promote=True)
-    for timeline in ("heap", "calendar"):
-        fired, env, calls = _run(ops, timeline, lazy=True, promote=True)
-        assert fired == expected
-        assert env._eid == calls
-        assert not env._timeline
+    expected, _, _ = _run(ops, lazy=False, promote=True)
+    fired, env, calls = _run(ops, lazy=True, promote=True)
+    assert fired == expected
+    assert env._eid == calls
+    assert not env._timeline
 
 
 @pytest.mark.parametrize("seed", range(N_SCRIPTS))
 def test_settled_timers_fire_in_timeout_order(seed):
     ops = _script(seed)
-    expected, _, _ = _run(ops, "heap", lazy=False, promote=False)
+    expected, _, _ = _run(ops, lazy=False, promote=False)
     deferred = {index for index, op in enumerate(ops) if op[0] == "defer"}
-    for timeline in ("heap", "calendar"):
-        fired, env, calls = _run(ops, timeline, lazy=True, promote=False)
-        assert sorted(fired) == sorted(expected)
-        # Deferred timers fire in the reference order, each only after
-        # everything the reference ran before it.
-        assert [f for f in fired if f[0] in deferred] == [
-            f for f in expected if f[0] in deferred
-        ]
-        for position, item in enumerate(fired):
-            if item[0] in deferred:
-                before = expected[: expected.index(item)]
-                assert set(before) <= set(fired[:position])
-        assert env._eid == calls
+    fired, env, calls = _run(ops, lazy=True, promote=False)
+    assert sorted(fired) == sorted(expected)
+    # Deferred timers fire in the reference order, each only after
+    # everything the reference ran before it.
+    assert [f for f in fired if f[0] in deferred] == [
+        f for f in expected if f[0] in deferred
+    ]
+    for position, item in enumerate(fired):
+        if item[0] in deferred:
+            before = expected[: expected.index(item)]
+            assert set(before) <= set(fired[:position])
+    assert env._eid == calls
 
 
 def test_settle_waits_for_the_place_not_just_the_instant():

@@ -1,19 +1,14 @@
 """Regression pins for the engine's scheduling contracts.
 
-Two contracts got tightened with the calendar-queue timeline and must never
-regress silently:
+Two contracts must never regress silently:
 
 * **Negative delays are a ``ValueError``**, everywhere — ``schedule()``,
   ``timeout()``, and inside process code (including interrupt handlers).
-  The calendar queue *cannot* represent a pre-``origin`` time, so silently
-  accepting a negative delay on the heap timeline would make the two
-  timelines diverge; rejecting it up front keeps them interchangeable.
+  The clock may never run backwards, and silently clamping a negative
+  delay would hide the workload bug that produced it.
 * **``run(until=event)``** returns the event's value once the event is
   *processed*, returns immediately for an already-processed event, and
   raises ``RuntimeError`` if the timeline drains with the event untriggered.
-
-Everything runs under both timelines: the contract is part of the engine
-API, not of one scheduler.
 """
 
 from __future__ import annotations
@@ -23,12 +18,11 @@ import pytest
 from repro.sim import EmptySchedule, Environment
 from repro.sim.process import Interrupt
 
-TIMELINES = ["calendar", "heap"]
 
-
-@pytest.fixture(params=TIMELINES)
+# ``heap`` names the one timeline: the binary heap ``Environment`` holds.
+@pytest.fixture(params=["heap"])
 def env(request):
-    return Environment(timeline=request.param)
+    return Environment()
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,23 @@
-"""Differential engine-equivalence harness: calendar queue vs heap oracle.
+"""Seeded engine scripts: the timeline's order and its bookkeeping.
 
-The calendar-queue timeline must be *indistinguishable* from the original
-``heapq`` timeline — same pop order, same clock, same final state — because
-every golden trace in this repo was recorded against the heap.  Two seeded
-fuzzers pin that:
+The timeline pops ``(time, priority, eid)`` entries in order, where ``eid``
+is a strictly increasing insertion counter, so the processing order is one
+deterministic sequence -- ties at the same instant run in insertion order.
+Every golden trace in this repo was recorded against that order.  Two kinds
+of checks pin it:
 
-* a **structure-level** fuzzer drives the two raw timelines with the same
-  randomized push/pop schedules (mixed delays, priorities, same-timestamp
-  bursts, ``inf`` entries) and asserts the popped sequences are identical,
-  entry for entry, and
 * an **engine-level** fuzzer builds randomized simulations (processes with
   mixed delays, absolute-time inserts, same-time bursts, ``AllOf``/``AnyOf``
   conditions, events succeeded by helpers, urgent-priority interrupts that
-  cancel waits) from a pre-drawn script, runs the identical script under
-  ``Environment(timeline="heap")`` and ``Environment(timeline="calendar")``
-  and asserts the full execution traces and final states match.
+  cancel waits) from a pre-drawn script (``N_ENGINE_SCHEDULES`` of them)
+  and checks properties of each run: the observed clock is monotone, every
+  worker reaches ``done``, a rerun reproduces the trace exactly, and after
+  ``run()`` the timeline is empty with every scheduled event processed;
+* **directed** delay lists (same-instant cohorts, far-future outliers,
+  ``inf``, extreme spreads) are processed in ``(time, insertion)`` order.
 
-Together the two fuzzers replay well over a thousand randomized schedules
-(``N_STRUCTURE_SCHEDULES`` + ``N_ENGINE_SCHEDULES`` below).  The engine runs
-double as property checks: the observed clock must be monotone and every
-event pushed must be popped exactly once (event-count conservation) — these
-assert unconditionally, and CI's ``REPRO_STRICT_INVARIANTS=1`` tier runs
-them like every other test.
+These assert unconditionally, and CI's ``REPRO_STRICT_INVARIANTS=1`` tier
+runs them like every other test.
 """
 
 from __future__ import annotations
@@ -31,82 +27,13 @@ import random
 import pytest
 
 from repro.sim import Environment
-from repro.sim.calendar import CalendarQueue
-from repro.sim.engine import _HeapTimeline
 from repro.sim.process import Interrupt
 
-N_STRUCTURE_SCHEDULES = 800
 N_ENGINE_SCHEDULES = 256
 
 
 # ----------------------------------------------------------------------
-# structure level: raw timeline pop-order identity
-# ----------------------------------------------------------------------
-def _structure_schedule(seed: int):
-    """One randomized push/pop schedule, pre-drawn so both timelines see
-    byte-identical operations."""
-    rng = random.Random(seed)
-    ops = []
-    for _ in range(rng.randrange(40, 300)):
-        if rng.random() < 0.6:
-            roll = rng.random()
-            if roll < 0.30:
-                delay = rng.choice([0.0, 0.0, 0.125, 1.0])  # same-time bursts
-            elif roll < 0.90:
-                delay = rng.uniform(0.0, 50.0)
-            elif roll < 0.97:
-                delay = rng.uniform(0.0, 50_000.0)  # far-future outliers
-            else:
-                delay = float("inf")
-            ops.append(("push", delay, rng.randrange(3)))
-        else:
-            ops.append(("pop",))
-    return ops
-
-
-def _drive_structure(timeline, ops):
-    """Apply a schedule to one timeline; returns (popped, pushes)."""
-    popped = []
-    now = 0.0
-    eid = 0
-    pushes = 0
-    for op in ops:
-        if op[0] == "push":
-            eid += 1
-            pushes += 1
-            timeline.push((now + op[1], op[2], eid, f"payload-{eid}"))
-        elif timeline:
-            entry = timeline.pop()
-            popped.append(entry)
-            if entry[0] != float("inf"):
-                now = entry[0]
-    while timeline:
-        popped.append(timeline.pop())
-    return popped, pushes
-
-
-@pytest.mark.parametrize("chunk", range(8))
-def test_structure_fuzzer_pop_order_identity(chunk):
-    """Calendar pops every schedule in exactly the heap's order."""
-    per_chunk = N_STRUCTURE_SCHEDULES // 8
-    for index in range(per_chunk):
-        seed = 10_000 + chunk * per_chunk + index
-        ops = _structure_schedule(seed)
-        heap_popped, heap_pushes = _drive_structure(_HeapTimeline(), ops)
-        cal_popped, cal_pushes = _drive_structure(CalendarQueue(), ops)
-        assert cal_popped == heap_popped, f"divergence at schedule seed {seed}"
-        # Conservation: every push pops exactly once, on both structures.
-        assert heap_pushes == len(heap_popped) == cal_pushes == len(cal_popped)
-        # Monotone pop times.  ``inf`` entries are excluded: one can pop
-        # while it is momentarily the only entry, after which later pushes
-        # add finite times again (the driver's clock does not advance on
-        # ``inf``), so only the finite subsequence is monotone.
-        times = [entry[0] for entry in cal_popped if entry[0] != float("inf")]
-        assert times == sorted(times), f"non-monotone pops at seed {seed}"
-
-
-# ----------------------------------------------------------------------
-# engine level: full-simulation differential fuzzer
+# engine level: randomized simulations
 # ----------------------------------------------------------------------
 def _engine_script(seed: int):
     """Pre-draw a whole randomized simulation (workers + interrupts)."""
@@ -142,10 +69,10 @@ def _engine_script(seed: int):
     return workers, interrupts
 
 
-def _run_engine_script(script, timeline: str):
-    """Execute one pre-drawn script; returns (trace, final_now, eids)."""
+def _run_engine_script(script):
+    """Execute one pre-drawn script; returns (trace, env)."""
     workers_steps, interrupts = script
-    env = Environment(timeline=timeline)
+    env = Environment()
     trace = []
 
     def helper(env, event, delay):
@@ -191,35 +118,32 @@ def _run_engine_script(script, timeline: str):
         env.process(interrupter(env, procs[wid], wid, delay))
 
     env.run()
-    return trace, env.now, env._eid
+    return trace, env
 
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_engine_fuzzer_trace_and_final_state_identity(chunk):
-    """Identical scripts produce identical traces under both timelines."""
+    """Each script's run is monotone, complete, reproducible and drained."""
     per_chunk = N_ENGINE_SCHEDULES // 4
     for index in range(per_chunk):
         seed = 77_000 + chunk * per_chunk + index
         script = _engine_script(seed)
-        heap_trace, heap_now, heap_eids = _run_engine_script(script, "heap")
-        cal_trace, cal_now, cal_eids = _run_engine_script(script, "calendar")
-        assert cal_trace == heap_trace, f"trace divergence at script seed {seed}"
-        assert cal_now == heap_now, f"final clock differs at script seed {seed}"
-        # Event-count conservation: both engines scheduled the same number
-        # of events and drained them all (run() returned with empty queues).
-        assert cal_eids == heap_eids, f"event counts differ at script seed {seed}"
-        # Clock monotonicity property: observed times never run backwards.
-        observed = [entry[0] for entry in heap_trace]
+        trace, env = _run_engine_script(script)
+        # Clock monotonicity: observed times never run backwards.
+        observed = [entry[0] for entry in trace]
         assert observed == sorted(observed), f"clock ran backwards at seed {seed}"
-
-
-def test_fuzzer_covers_the_advertised_schedule_count():
-    """The module's headline claim: >= 1000 randomized schedules replayed."""
-    assert N_STRUCTURE_SCHEDULES + N_ENGINE_SCHEDULES >= 1000
+        done = {entry[1] for entry in trace if entry[2] == "done"}
+        assert done == set(range(len(script[0]))), f"a worker never finished at seed {seed}"
+        # Determinism: the same script replays the same trace and clock.
+        rerun, rerun_env = _run_engine_script(script)
+        assert rerun == trace and rerun_env.now == env.now, f"rerun differs at seed {seed}"
+        # Event-count conservation: run() drained everything it scheduled.
+        assert not env._timeline, f"events left queued at seed {seed}"
+        assert env.events_processed == env._eid, f"events lost at seed {seed}"
 
 
 # ----------------------------------------------------------------------
-# directed differential cases (the classic heap-vs-calendar traps)
+# directed schedules
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "delays",
@@ -232,40 +156,42 @@ def test_fuzzer_covers_the_advertised_schedule_count():
     ],
 )
 def test_directed_schedules_pop_identically(delays):
-    heap, cal = _HeapTimeline(), CalendarQueue()
-    for eid, delay in enumerate(delays, start=1):
-        heap.push((delay, 1, eid, None))
-        cal.push((delay, 1, eid, None))
-    heap_order = [heap.pop() for _ in range(len(delays))]
-    cal_order = [cal.pop() for _ in range(len(delays))]
-    assert cal_order == heap_order
+    """Entries are processed in (time, insertion) order, ``inf`` last."""
+    env = Environment()
+    processed = []
+    for index, delay in enumerate(delays):
+        env.timeout(delay).callbacks.append(
+            lambda event, index=index: processed.append((env.now, index))
+        )
+    env.run()
+    expected = sorted((delay, index) for index, delay in enumerate(delays))
+    assert processed == expected
+    assert env.events_processed == env._eid == len(delays)
 
 
 def test_interrupted_wait_is_identical_across_timelines():
     """An interrupt cancels a wait whose timeout still fires later; the
-    double-scheduled event must be a no-op on both timelines."""
+    double-scheduled event is a no-op."""
+    env = Environment()
+    log = []
 
-    def run(timeline):
-        env = Environment(timeline=timeline)
-        log = []
+    def sleeper(env):
+        try:
+            yield env.timeout(10.0)
+            log.append(("slept", env.now))
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        yield env.timeout(0.5)
+        log.append(("after", env.now))
 
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-                log.append(("slept", env.now))
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield env.timeout(0.5)
-            log.append(("after", env.now))
+    proc = env.process(sleeper(env))
 
-        proc = env.process(sleeper(env))
+    def killer(env):
+        yield env.timeout(3.0)
+        proc.interrupt("bored")
 
-        def killer(env):
-            yield env.timeout(3.0)
-            proc.interrupt("bored")
-
-        env.process(killer(env))
-        env.run()
-        return log, env.now
-
-    assert run("heap") == run("calendar")
+    env.process(killer(env))
+    env.run()
+    assert log == [("interrupted", 3.0), ("after", 3.5)]
+    # The cancelled 10 s timeout still drained the clock to its instant.
+    assert env.now == 10.0

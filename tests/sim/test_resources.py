@@ -1,8 +1,8 @@
-"""Unit tests for Store and PriorityStore."""
+"""Unit tests for Store."""
 
 import pytest
 
-from repro.sim import PriorityStore, Store
+from repro.sim import Store
 
 
 def test_store_is_fifo(env):
@@ -76,27 +76,6 @@ def test_store_len_reflects_items(env):
     store.put("y")
     env.run()
     assert len(store) == 2
-
-
-def test_priority_store_returns_smallest_first(env):
-    store = PriorityStore(env)
-    received = []
-
-    def producer(env, store):
-        for item in [(3, "low"), (1, "high"), (2, "mid")]:
-            yield store.put(item)
-
-    def consumer(env, store):
-        # Start after every item has been enqueued so ordering is observable.
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item[1])
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert received == ["high", "mid", "low"]
 
 
 def test_store_cancel_withdraws_an_abandoned_get(env):
