@@ -99,9 +99,6 @@ class Deployment:
                 return replica
         raise KeyError(f"no replica named {name!r}")
 
-    def instance_for(self, replica_name: str) -> InstancePricing:
-        return self._instance_of[replica_name]
-
     # ------------------------------------------------------------------
     def hourly_cost(self, commitment: str = "reserved_3yr") -> float:
         """Total fleet cost per hour under a commitment level."""
@@ -116,14 +113,6 @@ class Deployment:
         if total_prompt == 0:
             return 0.0
         return total_cached / total_prompt
-
-    def total_processed_tokens(self) -> int:
-        """Prefilled plus generated tokens across the fleet (throughput numerator)."""
-        return sum(
-            r.batcher.total_prompt_tokens - r.batcher.total_cached_tokens
-            + r.batcher.total_generated_tokens
-            for r in self.replicas
-        )
 
     def outstanding_by_replica(self) -> Dict[str, int]:
         return {r.name: r.num_outstanding for r in self.replicas}

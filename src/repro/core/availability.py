@@ -105,7 +105,8 @@ class AvailabilityMonitor:
         self.load_version = 0
 
         self._change_event: Event = env.event()
-        self._process = None
+        self._started = False
+        self._cycle_start = 0.0
 
     # ------------------------------------------------------------------
     # registration
@@ -169,31 +170,44 @@ class AvailabilityMonitor:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._process is None:
-            self._process = self.env.process(self._run())
+        if not self._started:
+            self._started = True
+            self.env.call_later(0.0, self._cycle)
 
-    def _run(self):
+    # A cycle is three fire-and-forget calls: the cycle start, the peer
+    # probes' send and the end of the local round trip.  The first two are
+    # tick members, so the monitors whose cycles start on the same instant
+    # share one timeline entry for all of them.
+    def _cycle(self) -> None:
         env = self.env
-        while True:
-            cycle_start = env.now
-            # Probe remote balancers in parallel: a zero-delay timer sends
-            # every peer probe, and each updates its entry when its own
-            # round trip completes.
-            if self._remote_balancers:
-                timer = env.timeout(0, list(self._remote_balancers.values()))
-                timer.callbacks.append(self._send_balancer_probes)
-            # Probe local replicas: one intra-region round trip covers them
-            # all (they are probed concurrently in the real system).
-            if self._local_replicas:
-                yield self.network.probe_delay(self.region, self.region)
-                self._record_replica_probes()
-            # Wake any waiter at least once per cycle, even if the probe set
-            # is empty, so the balancer's retry loop can never stall forever.
-            self._notify_change()
-            elapsed = env.now - cycle_start
-            yield env.timeout(max(0.0, self.probe_interval_s - elapsed))
+        self._cycle_start = env.now
+        # Probe remote balancers in parallel: a zero-delay call sends every
+        # peer probe, and each updates its entry when its own round trip
+        # completes.
+        if self._remote_balancers:
+            env.call_later(
+                0.0, self._send_balancer_probes, list(self._remote_balancers.values())
+            )
+        # Probe local replicas: one intra-region round trip covers them all
+        # (they are probed concurrently in the real system).
+        if self._local_replicas:
+            rtt = self.network.probe_delay(self.region, self.region)
+            rtt.callbacks.append(self._local_probe_landed)
+        else:
+            self._end_cycle()
 
-    def _send_balancer_probes(self, timer: Event) -> None:
+    def _local_probe_landed(self, rtt: Event) -> None:
+        self._record_replica_probes()
+        self._end_cycle()
+
+    def _end_cycle(self) -> None:
+        # Wake any waiter at least once per cycle, even if the probe set is
+        # empty, so the balancer's retry loop can never stall forever.
+        self._notify_change()
+        elapsed = self.env.now - self._cycle_start
+        self.env.call_later(max(0.0, self.probe_interval_s - elapsed), self._cycle)
+
+    def _send_balancer_probes(self, balancers: List["SkyWalkerBalancer"]) -> None:
         env = self.env
         # Only a parked waiter can hear a landing: while one is, landings
         # are events from the start.
@@ -201,7 +215,7 @@ class AvailabilityMonitor:
         in_flight = [landing for landing in self._in_flight if landing.callbacks is not None]
         probe_rtt = self.network.probe_rtt
         landed = self._balancer_probe_landed
-        for balancer in timer.value:
+        for balancer in balancers:
             landing = env.defer(probe_rtt(self.region, balancer.region), balancer)
             landing.callbacks.append(landed)
             if parked:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Generic, Hashable, Iterable, List, Optional, Sequence, Set, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, List, Optional, Set, TypeVar
 
 __all__ = ["ConsistentHashRing"]
 
@@ -104,12 +104,3 @@ class ConsistentHashRing(Generic[T]):
             if allowed is None or target in allowed:
                 return target
         return None
-
-    def key_distribution(self, keys: Sequence[str]) -> Dict[T, int]:
-        """How many of ``keys`` map to each target (useful for balance tests)."""
-        counts: Dict[T, int] = {target: 0 for target in self._targets}
-        for key in keys:
-            target = self.lookup(key)
-            if target is not None:
-                counts[target] += 1
-        return counts

@@ -127,10 +127,6 @@ class PageAllocator:
         return self._slack_tokens
 
     @property
-    def used_bytes(self) -> int:
-        return self._used_tokens * self.bytes_per_token
-
-    @property
     def page_occupancy(self) -> float:
         """Fraction of pages in use (the figure-12 occupancy metric)."""
         if self.num_pages == 0:

@@ -34,10 +34,6 @@ class GeoDNS:
         self._endpoints[endpoint] = region
         self._healthy[endpoint] = True
 
-    def deregister(self, endpoint: str) -> None:
-        self._endpoints.pop(endpoint, None)
-        self._healthy.pop(endpoint, None)
-
     def set_health(self, endpoint: str, healthy: bool) -> None:
         if endpoint not in self._endpoints:
             raise KeyError(f"unknown endpoint {endpoint!r}")
@@ -45,9 +41,6 @@ class GeoDNS:
 
     def endpoints(self) -> List[str]:
         return list(self._endpoints)
-
-    def healthy_endpoints(self) -> List[str]:
-        return [name for name, ok in self._healthy.items() if ok]
 
     def endpoint_region(self, endpoint: str) -> str:
         return self._endpoints[endpoint]

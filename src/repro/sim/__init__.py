@@ -6,6 +6,7 @@ This is a self-contained, SimPy-style kernel: generator processes yield
 """
 
 from .engine import EmptySchedule, Environment
+from .origins import count_origins
 from .events import AllOf, AnyOf, Deferred, Event, PENDING, Timeout
 from .process import Interrupt, InvalidYield, Process
 from .resources import Store
@@ -23,4 +24,5 @@ __all__ = [
     "Interrupt",
     "InvalidYield",
     "Store",
+    "count_origins",
 ]

@@ -23,12 +23,21 @@ sorts before the event being processed, and :meth:`Environment.promote` puts
 one on the timeline at its reserved place when something must be woken by
 it.  Whoever owns a deferred timer's inputs calls ``settle()`` before
 changing them, so its callbacks see exactly the state of its firing time.
+
+A *tick* (:meth:`Environment.call_later`) is one timeline entry for every
+fire-and-forget callback due on the same float instant.  Its first member
+takes the entry's counter value; each later member reserves, from the same
+allocator as a deferred timer, the place a timer created at that moment
+would have taken.  The tick runs its members in that order, stepping back
+onto the timeline before a member whenever some other entry sorts in
+between, so the callbacks run exactly where one timer each would have run
+them.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from .events import AllOf, AnyOf, Deferred, Event, Timeout
 from .process import Process
@@ -78,6 +87,8 @@ class Environment:
         self._settling = False
         self._tie_eid = -1
         self._ties = 0
+        #: Ticks not yet run to the end, by instant.
+        self._ticks: Dict[float, _Tick] = {}
 
     # ------------------------------------------------------------------
     # clock and scheduling
@@ -145,6 +156,20 @@ class Environment:
     # ------------------------------------------------------------------
     # deferred timers
     # ------------------------------------------------------------------
+    def _reserve_key(self) -> float:
+        """A fractional tie-break after every event scheduled so far and
+        before every event scheduled from now on, increasing in call order:
+        the place an ordinary timer created now would take, without taking
+        a counter value."""
+        eid = self._eid
+        if eid != self._tie_eid:
+            self._tie_eid = eid
+            self._ties = 0
+        self._ties += 1
+        if self._ties >= _TIES_PER_EID:
+            raise RuntimeError("too many reserved places between two scheduled events")
+        return eid + self._ties * _TIE_STEP
+
     def defer(self, delay: float, value: Any = None) -> Deferred:
         """A timer firing ``delay`` seconds from now that is not scheduled.
 
@@ -156,14 +181,7 @@ class Environment:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r} would run the clock backwards")
-        eid = self._eid
-        if eid != self._tie_eid:
-            self._tie_eid = eid
-            self._ties = 0
-        self._ties += 1
-        if self._ties >= _TIES_PER_EID:
-            raise RuntimeError("too many deferred timers between two scheduled events")
-        timer = Deferred(self, self._now + delay, eid + self._ties * _TIE_STEP, value)
+        timer = Deferred(self, self._now + delay, self._reserve_key(), value)
         heapq.heappush(self._deferred, (timer.at, NORMAL, timer.key, timer))
         return timer
 
@@ -198,6 +216,32 @@ class Environment:
                     callback(timer)
         finally:
             self._settling = False
+
+    # ------------------------------------------------------------------
+    # ticks
+    # ------------------------------------------------------------------
+    def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Call ``callback(*args)`` ``delay`` seconds from now.
+
+        The call runs exactly where a ``Timeout`` created now would have run
+        a callback of its own: at ``now + delay`` -- the instant
+        :meth:`schedule` would compute -- after every event scheduled so
+        far and before every event scheduled from now on.  Calls due on
+        the same instant share one timeline entry, a tick: the first takes
+        a counter value, later ones (including calls made by a running
+        member for its own instant) reserve their places as
+        :meth:`defer` does and take none.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r} would run the clock backwards")
+        at = self._now + delay
+        tick = self._ticks.get(at)
+        if tick is None:
+            tick = self._ticks[at] = _Tick(self, at)
+            self.schedule(tick, at=at)
+            tick.members.append((self._eid, callback, args))
+        else:
+            tick.members.append((self._reserve_key(), callback, args))
 
     # ------------------------------------------------------------------
     # factories
@@ -316,3 +360,58 @@ class Environment:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Environment now={self._now} queued={len(self._timeline)}>"
+
+
+class _Tick(Event):
+    """The timeline entry of every :meth:`Environment.call_later` call due
+    on one instant.
+
+    ``members`` holds ``(key, callback, args)`` in key order (the order the
+    calls were made); ``index`` is the member to run when the tick is next
+    popped.
+    """
+
+    __slots__ = ("at", "members", "index")
+
+    def __init__(self, env: Environment, at: float) -> None:
+        super().__init__(env)
+        self._ok = True
+        self._value = None
+        self.callbacks.append(self._run)
+        self.at = at
+        self.members: List[tuple] = []
+        self.index = 0
+
+    def _run(self, _tick: "_Tick") -> None:
+        env = self.env
+        timeline = env._timeline
+        members = self.members
+        at = self.at
+        while True:
+            _, callback, args = members[self.index]
+            try:
+                callback(*args)
+            except BaseException:
+                # The run is over; later calls for this instant get a
+                # tick of their own.
+                del env._ticks[at]
+                raise
+            index = self.index + 1
+            if index == len(members):
+                del env._ticks[at]
+                return
+            self.index = index
+            entry = (at, NORMAL, members[index][0])
+            if timeline and timeline[0] < entry:
+                # Something sorts before the next member: let it run first.
+                self.callbacks = [self._run]
+                heapq.heappush(timeline, entry + (self,))
+                return
+            env._entry = entry
+
+    def running(self) -> Callable[..., None]:
+        """The member callback being run."""
+        return self.members[self.index][1]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"<Tick at={self.at} members={len(self.members)}>"

@@ -53,15 +53,9 @@ def test_hourly_cost_scales_with_fleet_size(env, deployment):
 
 def test_aggregate_cache_hit_rate_is_zero_before_any_traffic(deployment):
     assert deployment.aggregate_cache_hit_rate() == 0.0
-    assert deployment.total_processed_tokens() == 0
 
 
 def test_outstanding_by_replica_reports_every_replica(deployment):
     outstanding = deployment.outstanding_by_replica()
     assert len(outstanding) == 6
     assert all(value == 0 for value in outstanding.values())
-
-
-def test_instance_for_each_replica(deployment):
-    for replica in deployment.replicas:
-        assert deployment.instance_for(replica.name) is G6_XLARGE

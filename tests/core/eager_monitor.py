@@ -18,8 +18,8 @@ from repro.core.availability import LoadBalancerProbe
 class EagerMonitor(AvailabilityMonitor):
     """An :class:`AvailabilityMonitor` scheduling one event per landing."""
 
-    def _send_balancer_probes(self, timer) -> None:
-        for balancer in timer.value:
+    def _send_balancer_probes(self, balancers) -> None:
+        for balancer in balancers:
             rtt = self.network.probe_delay(self.region, balancer.region)
             rtt.callbacks.append(partial(self._landed_now, balancer))
 

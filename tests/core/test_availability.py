@@ -9,7 +9,7 @@ from repro.core import AvailabilityMonitor, SelectivePushingPending, SkyWalkerBa
 from repro.faults import FaultInjector, FaultSchedule, RegionPartition
 from repro.network import Network, default_topology
 from repro.replica import TINY_TEST_PROFILE, ReplicaServer
-from repro.sim import Environment
+from repro.sim import Environment, count_origins
 
 from ..conftest import make_request
 
@@ -186,11 +186,11 @@ def test_probe_counters_reflect_probe_traffic(env, network, make_tiny_replica):
 # ----------------------------------------------------------------------
 # event budget and pinned probe semantics
 # ----------------------------------------------------------------------
-def test_idle_cycle_schedules_three_events(env, make_tiny_replica):
-    """One cycle with local replicas and 2 peers: the peer-probe timer, the
-    local round trip and the interval timeout.  The peer round trips land
-    without an event while no waiter is parked, and notifications nobody
-    waits for schedule nothing."""
+def test_idle_cycle_schedules_two_events(env, make_tiny_replica):
+    """One cycle with local replicas and 2 peers: the cycle's tick, which
+    the zero-delay peer-probe send joins, and the local round trip.  The
+    peer round trips land without an event while no waiter is parked, and
+    notifications nobody waits for schedule nothing."""
     network = Network(env, default_topology(), jitter_fraction=0.05, seed=3)
     monitor = AvailabilityMonitor(env, network, "us", probe_interval_s=0.1)
     monitor.add_local_replica(make_tiny_replica("us"))
@@ -201,7 +201,34 @@ def test_idle_cycle_schedules_three_events(env, make_tiny_replica):
     env.run(until=1.05)
     scheduled = env._eid
     env.run(until=2.05)
-    assert env._eid - scheduled == 3 * 10
+    assert env._eid - scheduled == 2 * 10
+
+
+def test_aligned_cycles_of_three_monitors_share_one_tick(env, make_tiny_replica):
+    """Three monitors whose cycles start on the same instants: their cycle
+    starts and peer-probe sends are one tick per instant, and each local
+    round trip is an event of its own."""
+    network = Network(env, default_topology(), jitter_fraction=0.05, seed=3)
+    regions = ("us", "eu", "asia")
+    monitors = []
+    for region in regions:
+        monitor = AvailabilityMonitor(env, network, region, probe_interval_s=0.1)
+        monitor.add_local_replica(make_tiny_replica(region))
+        for peer in regions:
+            if peer != region:
+                monitor.add_remote_balancer(StubPeer(f"lb-{peer}", peer))
+        monitor.start()
+        monitors.append(monitor)
+    env.run(until=1.05)
+    with count_origins() as origins:
+        env.run(until=2.05)
+    # The tick of each instant is made by the first monitor whose round
+    # trip lands; the other two join it.
+    assert dict(origins) == {
+        "AvailabilityMonitor._cycle": 3 * 10,
+        "AvailabilityMonitor._local_probe_landed": 10,
+    }
+    assert network.probe_count == 3 * 21 * 3
 
 
 PROBE_LANDINGS = Path(__file__).parent / "data" / "probe_landings.json"

@@ -1,5 +1,7 @@
 """Unit tests for the consistent-hash ring."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import ConsistentHashRing
@@ -65,7 +67,7 @@ def test_add_target_registers_membership():
 def test_key_distribution_is_roughly_balanced():
     ring = ConsistentHashRing([f"replica-{i}" for i in range(4)], virtual_nodes=256)
     keys = [f"user-{i}" for i in range(4000)]
-    counts = ring.key_distribution(keys)
+    counts = Counter(ring.lookup(key) for key in keys)
     assert sum(counts.values()) == 4000
     assert min(counts.values()) > 0.4 * (4000 / 4)
     assert max(counts.values()) < 2.0 * (4000 / 4)

@@ -3,17 +3,17 @@ cluster on a contended backbone, and of the Fig. 8 wildchat x skywalker
 cell.
 
 Events scheduled are deterministic where host timings are not, so the
-budget is pinned exactly, split by origin: the qualified name of the
-generator whose resume scheduled the event, or ``(callback)`` for events
-scheduled from timer callbacks (message deliveries, contended transit
-hops, replica steps, and peer-probe landings sent while a balancer is
-parked).  A peer-probe landing
-is an event only when a parked balancer could hear it: the ones promoted
-when a balancer parks count under ``SkyWalkerBalancer._serve``, and the
-rest schedule nothing.  Work added to any layer then fails this test
-as a named diff instead of surfacing as a timing flake.  When a change
-moves the budget on purpose, update the numbers here and say why in
-CHANGES.md.
+budget is pinned exactly, split by origin (``repro.sim.count_origins``):
+the qualified name of the generator whose resume scheduled the event, or
+of the callback being run -- a tick's member, such as
+``AvailabilityMonitor._cycle`` -- or ``(outside a step)`` for what the
+stack schedules before the run.  A peer-probe landing is an event only
+when a parked balancer could hear it: the ones promoted when a balancer
+parks count under ``SkyWalkerBalancer._serve``, those sent while one is
+parked under ``AvailabilityMonitor._send_balancer_probes``, and the rest
+schedule nothing.  Work added to any layer then fails this test as a named
+diff instead of surfacing as a timing flake.  When a change moves the
+budget on purpose, update the numbers here and say why in CHANGES.md.
 """
 
 from collections import Counter
@@ -30,41 +30,51 @@ from repro.experiments import (
 from repro.experiments.macro import default_macro_cluster
 from repro.net import NetConfig
 from repro.replica import TINY_TEST_PROFILE, ContinuousBatcher
-from repro.sim import Environment
+from repro.sim import count_origins
 
+#: The monitors' cycles are ticks: a cycle start and its peer-probe send
+#: share one entry with the other monitors' on the same instant, so
+#: ``_cycle`` schedules only the local round trip and
+#: ``_local_probe_landed`` the next cycle's tick when no other monitor's
+#: cycle already made it.
 EXPECTED_BUDGET = {
-    "(callback)": 1790,
-    "AvailabilityMonitor._run": 909,
+    "(outside a step)": 10,
+    "AvailabilityMonitor._cycle": 303,
+    "AvailabilityMonitor._local_probe_landed": 103,
+    "AvailabilityMonitor._balancer_probe_landed": 6,
+    "AvailabilityMonitor._send_balancer_probes": 6,
     "ClosedLoopClient._run": 62,
+    "ConditionEvent._check": 28,
+    "ReplicaServer._on_arrival": 13,
+    "ReplicaServer._on_decoded": 1616,
+    "ReplicaServer._on_prefilled": 45,
     "SkyWalkerBalancer._serve": 45,
+    "_put_into_inbox": 64,
 }
 
 #: A contended message is five timers (start, three hops, and the transmit
-#: on the one finite-bandwidth backbone edge), all scheduled from callbacks.
+#: on the one finite-bandwidth backbone edge), scheduled by the delivering
+#: callback and then by ``Network._transit_started``, ``_forward`` and
+#: ``_transmitted``.  Most of the cell is prefill steps of the long
+#: tree-of-thoughts prompts, each scheduled by the step before it.
 EXPECTED_CONTENDED_BUDGET = {
-    "(callback)": 8179,
-    "AvailabilityMonitor._run": 906,
+    "(outside a step)": 8,
+    "AvailabilityMonitor._cycle": 303,
+    "AvailabilityMonitor._local_probe_landed": 100,
     "ClosedLoopClient._run": 148,
+    "ConditionEvent._check": 28,
+    "Network._forward": 41,
+    "Network._transit_started": 18,
+    "Network._transmitted": 24,
+    "ReplicaServer._on_arrival": 23,
+    "ReplicaServer._on_decoded": 361,
+    "ReplicaServer._on_prefilled": 7525,
     "SkyWalkerBalancer._serve": 128,
+    "_put_into_inbox": 149,
 }
 
 
-def _count_origins(monkeypatch) -> Counter:
-    origins = Counter()
-    schedule = Environment.schedule
-
-    def counted_schedule(env, event, *args, **kwargs):
-        process = env.active_process
-        origin = "(callback)" if process is None else process._generator.__qualname__
-        origins[origin] += 1
-        return schedule(env, event, *args, **kwargs)
-
-    monkeypatch.setattr(Environment, "schedule", counted_schedule)
-    return origins
-
-
-def test_tiny_skywalker_cell_event_budget(monkeypatch):
-    origins = _count_origins(monkeypatch)
+def test_tiny_skywalker_cell_event_budget():
     workload = build_arena_workload(scale=0.03)
     config = ExperimentConfig(
         system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
@@ -75,16 +85,16 @@ def test_tiny_skywalker_cell_event_budget(monkeypatch):
         duration_s=10.0,
         seed=1,
     )
-    result = run_experiment(config, workload)
+    with count_origins() as origins:
+        result = run_experiment(config, workload)
     assert result.metrics.num_completed == 28
     assert dict(origins) == EXPECTED_BUDGET
-    assert result.env._eid == sum(EXPECTED_BUDGET.values()) == 2806
+    assert result.env._eid == sum(EXPECTED_BUDGET.values()) == 2301
 
 
-def test_contended_tiny_cell_event_budget(monkeypatch):
+def test_contended_tiny_cell_event_budget():
     """The tiny tree-of-thoughts cell on a 2 MB/s backbone: no transit is
     a process any more."""
-    origins = _count_origins(monkeypatch)
     config = ExperimentConfig(
         system=REGISTRY.spec("skywalker"),
         cluster=ClusterConfig(
@@ -99,12 +109,13 @@ def test_contended_tiny_cell_event_budget(monkeypatch):
         duration_s=10.0,
         seed=1,
     )
-    result = run_experiment(config, build_tot_workload(scale=0.06, seed=2))
+    with count_origins() as origins:
+        result = run_experiment(config, build_tot_workload(scale=0.06, seed=2))
     assert result.metrics.num_completed == 90
     assert result.frontend.network.wire_bytes_sent > 0
     assert "Network._transit" not in origins
     assert dict(origins) == EXPECTED_CONTENDED_BUDGET
-    assert result.env._eid == sum(EXPECTED_CONTENDED_BUDGET.values()) == 9361
+    assert result.env._eid == sum(EXPECTED_CONTENDED_BUDGET.values()) == 8856
 
 
 def test_fig08_cell_stays_under_100_events_per_completion(monkeypatch):
@@ -127,6 +138,6 @@ def test_fig08_cell_stays_under_100_events_per_completion(monkeypatch):
     )
     result = run_experiment(config, build_wildchat_workload(scale=0.5, seed=0))
     completed = result.metrics.num_completed
-    assert (result.env._eid, completed) == (13_257, 227)
+    assert (result.env._eid, completed) == (7_252, 227)
     assert result.env._eid / completed < 100
     assert catch_ups["advance_decode"] == 265

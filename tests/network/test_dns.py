@@ -50,12 +50,6 @@ def test_set_health_of_unknown_endpoint_raises(dns):
         dns.set_health("nope", True)
 
 
-def test_deregister_removes_endpoint(dns):
-    dns.deregister("lb-us")
-    assert "lb-us" not in dns.endpoints()
-    assert dns.resolve("us") != "lb-us"
-
-
 def test_resolution_counter_increments(dns):
     before = dns.resolutions
     dns.resolve("us")
@@ -65,4 +59,3 @@ def test_resolution_counter_increments(dns):
 
 def test_endpoint_region_lookup(dns):
     assert dns.endpoint_region("lb-eu") == "eu"
-    assert set(dns.healthy_endpoints()) == {"lb-us", "lb-eu", "lb-asia"}
