@@ -8,7 +8,8 @@ cell through the real stack — and checks it against the committed
   flatness across a doubled simulation window, and the day cell completing
   every request it issued;
 * the quick streamed cells' deterministic counters (events processed,
-  requests issued and completed) are pinned exactly;
+  requests issued and completed, the day's throughput and cross-region
+  share) are pinned exactly;
 * the day cell's wall-clock only gets the loose accidental-cliff bound
   (same policy as ``test_perf_hotpaths.py``): CI runners are slower and
   noisier than the baseline host, so a tight wall-clock pin would flake.
@@ -44,6 +45,12 @@ QUICK_DAY_EVENTS = 337_265
 QUICK_DAY_REQUESTS = 18_903
 QUICK_FLAT_REQUESTS_SHORT = 9_429
 QUICK_FLAT_REQUESTS_LONG = 18_675
+#: The quick day's service throughput and cross-region share, from the
+#: run's own ``RunMetrics``: 9,855,059 served tokens over the 4,200 s run
+#: (1 h plus the drain tail), and 3,093 of its requests served outside
+#: their origin region.
+QUICK_DAY_THROUGHPUT_TOKENS_PER_S = 9_855_059 / 4_200
+QUICK_DAY_CROSS_REGION_FRACTION = 3_093 / QUICK_DAY_REQUESTS
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +98,18 @@ def test_fresh_quick_day_cell_is_lossless(fresh_quick):
 
 
 def test_fresh_quick_streamed_counters_are_pinned(fresh_quick):
-    """Events and requests are deterministic where timings are not, so the
-    quick cells' counters are pinned exactly: a change that adds or removes
-    events or requests fails here by name, not as a timing flake."""
+    """Events, requests and served tokens are deterministic where timings
+    are not, so the quick cells' counters are pinned exactly: a change that
+    adds or removes events or requests fails here by name, not as a timing
+    flake, and a streamed run that stops counting tokens or cross-region
+    placements fails here too."""
     cell = fresh_quick["benchmarks"]["streamed_diurnal_cell"]
     assert cell["day_events"] == QUICK_DAY_EVENTS
     assert cell["day_requests_issued"] == cell["day_requests_completed"] == QUICK_DAY_REQUESTS
     assert cell["flat_requests_short"] == QUICK_FLAT_REQUESTS_SHORT
     assert cell["flat_requests_long"] == QUICK_FLAT_REQUESTS_LONG
+    assert cell["day_throughput_tokens_per_s"] == QUICK_DAY_THROUGHPUT_TOKENS_PER_S
+    assert cell["day_cross_region_fraction"] == QUICK_DAY_CROSS_REGION_FRACTION
 
 
 def test_no_engine_timing_regressed_over_committed_quick(committed_report, fresh_quick):

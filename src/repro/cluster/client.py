@@ -43,8 +43,9 @@ class RequestTracker:
 
     Every request gets a simulation event; replica completion listeners call
     :meth:`complete` which triggers the event so the issuing client can move
-    on to its next stage.  The tracker also keeps the global list of finished
-    requests that the metrics layer consumes.
+    on to its next stage.  :meth:`complete` also folds each finished request
+    into the run totals the metrics layer reports, and the tracker keeps the
+    list of finished requests that latency summaries are built from.
     """
 
     def __init__(self, env: Environment, *, retain_completed: bool = True) -> None:
@@ -58,7 +59,16 @@ class RequestTracker:
         self.retain_completed = retain_completed
         self.num_completed = 0
         self.num_failed = 0
-        self.output_tokens_completed = 0
+        #: Prompt plus generated tokens of completed requests.
+        self.served_tokens = 0
+        #: Generated tokens of completed requests.
+        self.output_tokens = 0
+        #: Completed requests served outside their origin region.
+        self.num_cross_region = 0
+        #: Completed requests forwarded LB-to-LB at least once.
+        self.num_forwarded = 0
+        #: Completed requests per replica name, in first-completion order.
+        self.per_replica_completed: Dict[str, int] = {}
 
     def register(self, request: Request) -> Event:
         event = self.env.event()
@@ -67,7 +77,15 @@ class RequestTracker:
 
     def complete(self, request: Request) -> None:
         self.num_completed += 1
-        self.output_tokens_completed += request.output_len
+        self.served_tokens += request.total_tokens
+        self.output_tokens += request.generated_tokens
+        if request.serving_region is not None and request.serving_region != request.region:
+            self.num_cross_region += 1
+        if request.forward_hops > 0:
+            self.num_forwarded += 1
+        replica = request.replica_name
+        if replica:
+            self.per_replica_completed[replica] = self.per_replica_completed.get(replica, 0) + 1
         if self.retain_completed:
             self.completed.append(request)
         event = self._events.pop(request.request_id, None)

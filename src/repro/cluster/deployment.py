@@ -93,12 +93,6 @@ class Deployment:
         """Replicas deployed in ``region`` (empty list if none)."""
         return list(self._by_region.get(region, ()))
 
-    def replica_by_name(self, name: str) -> ReplicaServer:
-        for replica in self.replicas:
-            if replica.name == name:
-                return replica
-        raise KeyError(f"no replica named {name!r}")
-
     # ------------------------------------------------------------------
     def hourly_cost(self, commitment: str = "reserved_3yr") -> float:
         """Total fleet cost per hour under a commitment level."""
@@ -113,9 +107,6 @@ class Deployment:
         if total_prompt == 0:
             return 0.0
         return total_cached / total_prompt
-
-    def outstanding_by_replica(self) -> Dict[str, int]:
-        return {r.name: r.num_outstanding for r in self.replicas}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         per_region = {region: len(reps) for region, reps in self._by_region.items()}

@@ -163,9 +163,6 @@ class AvailabilityMonitor:
     def local_replicas(self) -> List[ReplicaServer]:
         return list(self._local_replicas.values())
 
-    def remote_balancers(self) -> List["SkyWalkerBalancer"]:
-        return list(self._remote_balancers.values())
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

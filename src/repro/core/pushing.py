@@ -63,10 +63,6 @@ class ReplicaProbe(NamedTuple):
     memory_utilization: float
     probe_time: float
 
-    @property
-    def has_pending(self) -> bool:
-        return self.num_pending > 0
-
 
 class PushingPolicy:
     """Decides whether a replica may receive more work right now."""

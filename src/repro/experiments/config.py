@@ -193,11 +193,10 @@ class ExperimentConfig:
     deterministic :class:`~repro.faults.FaultSchedule` (or the name of a
     registered schedule) into the run; ``None`` -- or an empty schedule --
     leaves the simulation bit-identical to a fault-free run.
-    ``retain_completed=False`` keeps no finished request objects:
-    ``num_completed``, ``requests_per_s`` and ``output_tokens_per_s`` come
-    from the tracker's counters, and the metrics computed from request
-    objects (latency summaries, token throughput, cross-region and
-    forwarded fractions) stay empty.
+    ``retain_completed=False`` keeps no finished request objects: every
+    run total still comes from the tracker's counters, and only the
+    latency summaries (``ttft``, ``e2e_latency``, ``queueing_delay``),
+    which are built from the request list, stay empty.
     """
 
     system: SystemSpec

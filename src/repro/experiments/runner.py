@@ -230,19 +230,12 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         system=config.system.name,
         workload=workload.name,
         duration_s=config.duration_s,
-        completed=tracker.completed,
+        tracker=tracker,
         issued=issued,
         deployment=deployment,
     )
-    if not config.retain_completed:
-        # The tracker kept counters only; the latency summaries stay empty.
-        metrics.num_completed = tracker.num_completed
-        metrics.requests_per_s = tracker.num_completed / config.duration_s
-        metrics.output_tokens_per_s = tracker.output_tokens_completed / config.duration_s
     if injector is not None:
-        metrics.resilience = injector.resilience_metrics(
-            tracker.completed, duration_s=config.duration_s
-        )
+        metrics.resilience = injector.resilience_metrics(duration_s=config.duration_s)
     if memory is not None and memory.telemetry_enabled:
         metrics.memory = collect_memory_metrics(deployment, balancers)
     return ExperimentResult(

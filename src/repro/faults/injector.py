@@ -338,14 +338,18 @@ class FaultInjector:
             total += len(getattr(balancer, "stranded", ()))
         return total
 
-    def resilience_metrics(
-        self, completed: Sequence[Request], *, duration_s: float
-    ) -> "ResilienceMetrics":
-        """Aggregate this run's fault story into a metrics record."""
+    def resilience_metrics(self, *, duration_s: float) -> "ResilienceMetrics":
+        """Aggregate this run's fault story into a metrics record.
+
+        The fields derived from completed requests are ``None`` (not
+        measured) unless the tracker retained them."""
         from ..metrics.resilience import collect_resilience_metrics
 
+        tracker = self.tracker
         return collect_resilience_metrics(
-            completed=completed,
+            completed=(
+                tracker.completed if tracker is not None and tracker.retain_completed else None
+            ),
             duration_s=duration_s,
             outage_windows=self.outage_windows(duration_s),
             degraded_windows=self.degraded_windows(duration_s),
@@ -353,7 +357,7 @@ class FaultInjector:
             failover_count=self.failover_count,
             stranded_requests=self.stranded_requests,
             parked_requests=self.parked_requests(),
-            failed_requests=self.tracker.num_failed if self.tracker is not None else 0,
+            failed_requests=tracker.num_failed if tracker is not None else 0,
             dropped_messages=self.network.dropped_messages,
         )
 

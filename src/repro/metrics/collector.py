@@ -1,19 +1,20 @@
 """End-of-run metric aggregation.
 
 :func:`collect_run_metrics` turns the raw artefacts of a simulation run --
-the completed requests plus the deployment's counters -- into the numbers
-the paper's evaluation reports: service throughput (tokens/s), TTFT and
-end-to-end latency distributions, prefix-cache hit rate, load-imbalance
-variance and cross-region traffic fractions.
+the request tracker's run totals and retained requests plus the
+deployment's counters -- into the numbers the paper's evaluation reports:
+service throughput (tokens/s), TTFT and end-to-end latency distributions,
+prefix-cache hit rate, load-imbalance variance and cross-region traffic
+fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from ..cluster.client import RequestTracker
 from ..cluster.deployment import Deployment
-from ..workloads.request import Request
 from .memory import MemoryMetrics
 from .resilience import ResilienceMetrics
 from .summary import LatencySummary
@@ -116,12 +117,20 @@ class RunMetrics:
         return payload
 
     def format_row(self) -> str:
-        """One human-readable results row (used by the bench harness)."""
+        """One human-readable results row (used by the bench harness).
+
+        A latency summary with no samples (a non-retaining run) prints
+        ``-`` rather than a zero it never measured."""
+
+        def seconds(summary: LatencySummary, value: float, fmt: str) -> str:
+            return f"{'-':>7}" if summary.count == 0 else f"{value:{fmt}}s"
+
         return (
             f"{self.system:<16} {self.workload:<12} "
             f"tput={self.throughput_tokens_per_s:8.1f} tok/s  "
-            f"ttft p50={self.ttft.p50:6.3f}s p90={self.ttft.p90:6.3f}s  "
-            f"e2e p50={self.e2e_latency.p50:6.2f}s  "
+            f"ttft p50={seconds(self.ttft, self.ttft.p50, '6.3f')} "
+            f"p90={seconds(self.ttft, self.ttft.p90, '6.3f')}  "
+            f"e2e p50={seconds(self.e2e_latency, self.e2e_latency.p50, '6.2f')}  "
             f"hit={self.cache_hit_rate * 100:5.1f}%  "
             f"completed={self.num_completed}"
         )
@@ -139,30 +148,23 @@ def collect_run_metrics(
     system: str,
     workload: str,
     duration_s: float,
-    completed: Sequence[Request],
+    tracker: RequestTracker,
     issued: int,
     deployment: Deployment,
 ) -> RunMetrics:
-    """Aggregate a finished run into a :class:`RunMetrics` record."""
+    """Aggregate a finished run into a :class:`RunMetrics` record.
+
+    Run totals come from the counters ``tracker`` folded as requests
+    completed; the latency summaries come from its retained requests, so a
+    non-retaining run leaves them empty.
+    """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
 
-    served_tokens = sum(r.prompt_len + r.generated_tokens for r in completed)
-    output_tokens = sum(r.generated_tokens for r in completed)
-
+    completed = tracker.completed
     ttfts = [r.ttft for r in completed if r.ttft is not None]
     e2es = [r.e2e_latency for r in completed if r.e2e_latency is not None]
     queueing = [r.queueing_delay for r in completed if r.queueing_delay is not None]
-
-    cross_region = [
-        r for r in completed if r.serving_region is not None and r.serving_region != r.region
-    ]
-    forwarded = [r for r in completed if r.forward_hops > 0]
-
-    per_replica: Dict[str, int] = {}
-    for request in completed:
-        if request.replica_name:
-            per_replica[request.replica_name] = per_replica.get(request.replica_name, 0) + 1
 
     peak_memory_imbalance: Optional[float] = None
     peaks = [
@@ -173,21 +175,25 @@ def collect_run_metrics(
     if len(peaks) >= 2:
         peak_memory_imbalance = _imbalance_ratio(peaks)
 
+    num_completed = tracker.num_completed
+    per_replica = dict(tracker.per_replica_completed)
     return RunMetrics(
         system=system,
         workload=workload,
         duration_s=duration_s,
-        num_completed=len(completed),
+        num_completed=num_completed,
         num_issued=issued,
-        throughput_tokens_per_s=served_tokens / duration_s,
-        output_tokens_per_s=output_tokens / duration_s,
-        requests_per_s=len(completed) / duration_s,
+        throughput_tokens_per_s=tracker.served_tokens / duration_s,
+        output_tokens_per_s=tracker.output_tokens / duration_s,
+        requests_per_s=num_completed / duration_s,
         ttft=LatencySummary.from_values(ttfts),
         e2e_latency=LatencySummary.from_values(e2es),
         queueing_delay=LatencySummary.from_values(queueing),
         cache_hit_rate=deployment.aggregate_cache_hit_rate(),
-        cross_region_fraction=len(cross_region) / len(completed) if completed else 0.0,
-        forwarded_fraction=len(forwarded) / len(completed) if completed else 0.0,
+        cross_region_fraction=(
+            tracker.num_cross_region / num_completed if num_completed else 0.0
+        ),
+        forwarded_fraction=tracker.num_forwarded / num_completed if num_completed else 0.0,
         replica_load_imbalance=_imbalance_ratio(list(per_replica.values())),
         peak_memory_imbalance=peak_memory_imbalance,
         per_replica_completed=per_replica,

@@ -32,7 +32,9 @@ class ResilienceMetrics:
 
     ``None`` values mean "not applicable" (no outage window, or an empty
     phase) rather than zero, so report code can distinguish "perfect
-    recovery" from "nothing ever failed".
+    recovery" from "nothing ever failed".  On a run that retained no
+    completed requests, every field derived from them (the goodputs, the
+    phase counts and the p90 TTFTs) is ``None`` too: not measured.
     """
 
     #: Fault events injected (including recovery-type events).
@@ -57,9 +59,9 @@ class ResilienceMetrics:
     #: span -- the "goodput during outage" of the §4.2 experiment.
     goodput_during_outage_tokens_per_s: Optional[float] = None
     #: Completed requests by send-time phase.
-    completed_before: int = 0
-    completed_during: int = 0
-    completed_after: int = 0
+    completed_before: Optional[int] = 0
+    completed_during: Optional[int] = 0
+    completed_after: Optional[int] = 0
     #: Client-perceived p90 TTFT by send-time phase.
     ttft_p90_before_s: Optional[float] = None
     ttft_p90_during_s: Optional[float] = None
@@ -70,7 +72,7 @@ class ResilienceMetrics:
     #: latency rather than downtime.
     degraded_windows: List[Tuple[float, float]] = field(default_factory=list)
     #: Completed requests sent while some degrade was active.
-    completed_degraded: int = 0
+    completed_degraded: Optional[int] = 0
     #: Served tokens per second of requests finishing inside degraded
     #: windows (degraded-mode goodput).
     goodput_while_degraded_tokens_per_s: Optional[float] = None
@@ -143,7 +145,7 @@ def _clip_windows(
 
 def collect_resilience_metrics(
     *,
-    completed: Sequence[Request],
+    completed: Optional[Sequence[Request]],
     duration_s: float,
     outage_windows: Sequence[Tuple[float, float]],
     num_fault_events: int,
@@ -163,6 +165,8 @@ def collect_resilience_metrics(
     end.  ``degraded_windows`` are gray (slow-but-alive) periods: requests
     *sent* inside any of them feed the degraded-mode goodput and p90 TTFT,
     independently of the hard-outage phase classification.
+    ``completed=None`` means the run retained no requests: the fields
+    derived from them are left ``None``.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
@@ -186,6 +190,11 @@ def collect_resilience_metrics(
     if recovery_times:
         metrics.mean_time_to_recovery_s = sum(recovery_times) / len(recovery_times)
         metrics.max_time_to_recovery_s = max(recovery_times)
+
+    if completed is None:
+        metrics.completed_before = metrics.completed_during = None
+        metrics.completed_after = metrics.completed_degraded = None
+        return metrics
 
     if gray:
         degraded_ttfts: List[float] = []

@@ -42,9 +42,6 @@ class GeoDNS:
     def endpoints(self) -> List[str]:
         return list(self._endpoints)
 
-    def endpoint_region(self, endpoint: str) -> str:
-        return self._endpoints[endpoint]
-
     # ------------------------------------------------------------------
     def _nearest(self, client_region: str, endpoints: Iterable[str]) -> Optional[str]:
         """The candidate endpoint with the lowest one-way client latency."""

@@ -9,10 +9,11 @@ One benchmark measures the sim core on real traffic:
   ``WorkloadSpec.timed_requests_by_region`` entry that
   :class:`~repro.cluster.TraceReplayClient` replays, with
   ``ExperimentConfig(retain_completed=False)``.  Reports events/sec (whose
-  ``day_wall_s`` includes assembling the stack) and the tracemalloc peak
-  over a short and a doubled simulation window at the same rate; the window
-  processes ~2x the requests but the peak must stay (near) flat — the
-  O(1)-memory streaming claim.
+  ``day_wall_s`` includes assembling the stack), the day's service
+  throughput and cross-region share, and the tracemalloc peak over a short
+  and a doubled simulation window at the same rate; the window processes
+  ~2x the requests but the peak must stay (near) flat — the O(1)-memory
+  streaming claim.
 
 The simulated counters are deterministic and everything is stdlib-only.
 The committed report in ``BENCH_engine.json`` was produced by
@@ -136,6 +137,8 @@ def _run_streamed_cell(
         "wall_s": wall_s,
         "events_per_s": events / wall_s if wall_s > 0 else float("inf"),
         "outstanding": float(run.tracker.outstanding),
+        "throughput_tokens_per_s": run.metrics.throughput_tokens_per_s,
+        "cross_region_fraction": run.metrics.cross_region_fraction,
     }
     if traced:
         _, peak = tracemalloc.get_traced_memory()

@@ -147,10 +147,6 @@ class ModelProfile:
             + (context_tokens / 1000.0) * self.decode_per_kilotoken_s
         )
 
-    def tokens_to_bytes(self, tokens: int) -> int:
-        """KV memory, in bytes, needed to hold ``tokens`` tokens."""
-        return tokens * self.kv_bytes_per_token
-
 
 #: Llama-3.1-8B-Instruct on one NVIDIA L4 (24 GiB), the paper's setup.
 #: The 256-token admission reserve mirrors how serving engines hold back a

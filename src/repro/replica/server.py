@@ -128,7 +128,6 @@ class ReplicaServer:
         # serving, just slower.  ``_degrade_until is None`` means "until an
         # explicit restore"; the epoch counter guards against a stale timed
         # restore clobbering a newer degrade.
-        self._degrade_level: Optional[str] = None
         self._degrade_scale: float = 1.0
         self._degrade_until: Optional[float] = None
         self._degrade_epoch: int = 0
@@ -244,11 +243,6 @@ class ReplicaServer:
     # gray failures (slow-but-alive)
     # ------------------------------------------------------------------
     @property
-    def performance_level(self) -> Optional[str]:
-        """Name of the active degrade level, ``None`` when nominal."""
-        return self._degrade_level
-
-    @property
     def performance_scale(self) -> float:
         """Current compute-rate multiplier (1.0 = nominal)."""
         return self._degrade_scale
@@ -264,7 +258,6 @@ class ReplicaServer:
         is remembered and applied when (if) the crash recovery keeps it.
         """
         scale = resolve_performance_scale(level)
-        self._degrade_level = level if isinstance(level, str) else None
         self._degrade_scale = scale
         self._degrade_until = until
         self._degrade_epoch += 1
@@ -283,7 +276,6 @@ class ReplicaServer:
         self._clear_degrade()
 
     def _clear_degrade(self) -> None:
-        self._degrade_level = None
         self._degrade_scale = 1.0
         self._degrade_until = None
         self._cut()

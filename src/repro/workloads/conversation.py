@@ -125,9 +125,6 @@ class ConversationWorkload:
                 )
 
     # ------------------------------------------------------------------
-    def users_in(self, region: str) -> List[UserProfile]:
-        return [user for user in self.users if user.region == region]
-
     def generate_conversation(self, user: UserProfile, conversation_index: int) -> Program:
         """One multi-turn conversation program for ``user``."""
         config = self.config

@@ -63,9 +63,6 @@ class Program:
     def total_prompt_tokens(self) -> int:
         return sum(r.prompt_len for r in self.all_requests())
 
-    def total_output_tokens(self) -> int:
-        return sum(r.output_len for r in self.all_requests())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<Program {self.program_id} kind={self.kind} user={self.user_id} "

@@ -203,13 +203,6 @@ class DiurnalRequestStream:
     #: Spread users so consistent-hashing systems see realistic key counts.
     users: int = 1000
 
-    def expected_requests(self) -> int:
-        """Sum of the pattern's (scaled) hourly rates -- the expected number
-        of requests per day, without sampling anything."""
-        return int(
-            sum(self.pattern.rate_at(hour) * self.rate_scale for hour in range(self.hours))
-        )
-
     def __iter__(self) -> Iterator[Tuple[float, Request]]:
         region_salt = zlib.crc32(self.region.encode("utf-8")) % 99991
         rng = random.Random(self.seed + region_salt)

@@ -33,6 +33,39 @@ def test_tracker_completes_registered_requests(env):
     assert tracker.outstanding == 0
 
 
+def test_tracker_counts_run_totals_as_requests_complete(env):
+    def served(region, serving_region, replica, hops=0, prompt_len=10, generated=3):
+        request = make_request(prompt_len=prompt_len, output_len=generated, region=region)
+        request.generated_tokens = generated
+        request.serving_region = serving_region
+        request.replica_name = replica
+        request.forward_hops = hops
+        return request
+
+    # A request that never reached a replica keeps no serving region or name.
+    requests = [
+        served("us", "us", "us/replica-0"),
+        served("eu", "us", "us/replica-0", hops=1, prompt_len=20, generated=5),
+        served("asia", None, None, prompt_len=7, generated=0),
+        served("asia", "eu", "eu/replica-0", hops=2),
+        served("eu", "eu", "eu/replica-0", hops=1),
+    ]
+    for retain in (True, False):
+        tracker = RequestTracker(env, retain_completed=retain)
+        for request in requests:
+            tracker.complete(request)
+        assert tracker.num_completed == 5
+        assert tracker.served_tokens == 13 + 25 + 7 + 13 + 13
+        assert tracker.output_tokens == 3 + 5 + 0 + 3 + 3
+        assert tracker.num_cross_region == 2
+        assert tracker.num_forwarded == 3
+        assert list(tracker.per_replica_completed.items()) == [
+            ("us/replica-0", 2),
+            ("eu/replica-0", 2),
+        ]
+        assert tracker.completed == (requests if retain else [])
+
+
 def test_tracker_fail_also_releases_waiters(env):
     tracker = RequestTracker(env)
     request = make_request()

@@ -33,13 +33,6 @@ def test_replica_names_are_unique_and_region_scoped(deployment):
         assert replica.region == "eu"
 
 
-def test_replica_lookup_by_name(deployment):
-    name = deployment.replicas[0].name
-    assert deployment.replica_by_name(name) is deployment.replicas[0]
-    with pytest.raises(KeyError):
-        deployment.replica_by_name("does-not-exist")
-
-
 def test_unknown_region_in_spec_is_rejected(env):
     with pytest.raises(KeyError):
         Deployment(env, [ReplicaSpec(region="mars", count=1, profile=TINY_TEST_PROFILE)])
@@ -53,9 +46,3 @@ def test_hourly_cost_scales_with_fleet_size(env, deployment):
 
 def test_aggregate_cache_hit_rate_is_zero_before_any_traffic(deployment):
     assert deployment.aggregate_cache_hit_rate() == 0.0
-
-
-def test_outstanding_by_replica_reports_every_replica(deployment):
-    outstanding = deployment.outstanding_by_replica()
-    assert len(outstanding) == 6
-    assert all(value == 0 for value in outstanding.values())

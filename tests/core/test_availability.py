@@ -345,6 +345,6 @@ def test_probe_in_flight_to_a_removed_peer_lands_on_nothing(env, network, make_t
     env.run(until=0.5)
     assert eu.name not in us.monitor.balancer_probes
     assert eu.name not in us.monitor._forwarded_since_probe
-    assert [peer.name for peer in us.monitor.remote_balancers()] == ["sw@asia"]
+    assert list(us.monitor._remote_balancers) == ["sw@asia"]
     # The remaining peer is still probed.
     assert us.monitor.balancer_probes["sw@asia"].probe_time > 0.1

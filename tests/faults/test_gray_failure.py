@@ -62,7 +62,7 @@ def test_degraded_replica_stays_healthy_and_reports_load(env):
     replica = ReplicaServer(env, "us/replica-0", "us", TINY_TEST_PROFILE)
     replica.set_performance_level("thermal-throttle")
     assert replica.healthy
-    assert replica.performance_level == "thermal-throttle"
+    assert replica.performance_scale == PERFORMANCE_LEVELS["thermal-throttle"]
     assert replica.num_pending == 0  # probe surface keeps working
     assert replica.has_capacity  # still admits work
 
@@ -108,7 +108,7 @@ def test_crash_recovery_keeps_degrade_only_while_scheduled(env):
         replica.recover()
         # The window expired while down: the replacement runs at full rate.
         assert replica.batcher.performance_scale == 1.0
-        assert replica.performance_level is None
+        assert replica.performance_scale == 1.0
 
     env.process(scenario())
     env.run(until=20.0)

@@ -61,11 +61,29 @@ def test_replica_crash_aborts_and_recovers():
     assert us_replica.healthy
     assert result.metrics.num_completed > 0
     assert resilience.outage_windows == [pytest.approx((5.0, 10.0))]
-    # A run that keeps counters only still counts its failures.
+    assert resilience.completed_during > 0
+    assert resilience.goodput_during_outage_tokens_per_s > 0
+    # A run that keeps counters only still counts its failures, and reports
+    # what it needs the request list for as not measured, not as zero.
     lean = run_faulted("skywalker", schedule, retain_completed=False)
-    failed = lean.metrics.resilience.failed_requests
+    lean_resilience = lean.metrics.resilience
+    failed = lean_resilience.failed_requests
     assert failed == lean.tracker.num_failed > 0
     assert failed == resilience.failed_requests
+    assert lean_resilience.outage_windows == resilience.outage_windows
+    for name in (
+        "goodput_during_outage_tokens_per_s",
+        "goodput_while_degraded_tokens_per_s",
+        "completed_before",
+        "completed_during",
+        "completed_after",
+        "completed_degraded",
+        "ttft_p90_before_s",
+        "ttft_p90_during_s",
+        "ttft_p90_after_s",
+        "ttft_p90_degraded_s",
+    ):
+        assert getattr(lean_resilience, name) is None, name
 
 
 def test_explicit_replica_recover_closes_the_window():

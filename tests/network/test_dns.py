@@ -55,7 +55,3 @@ def test_resolution_counter_increments(dns):
     dns.resolve("us")
     dns.resolve("eu")
     assert dns.resolutions == before + 2
-
-
-def test_endpoint_region_lookup(dns):
-    assert dns.endpoint_region("lb-eu") == "eu"

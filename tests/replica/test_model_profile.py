@@ -53,10 +53,6 @@ def test_a100_is_faster_and_larger_than_l4():
     assert LLAMA_8B_A100.kv_capacity_tokens > LLAMA_8B_L4.kv_capacity_tokens
 
 
-def test_tokens_to_bytes_roundtrip():
-    assert LLAMA_8B_L4.tokens_to_bytes(10) == 10 * LLAMA_8B_L4.kv_bytes_per_token
-
-
 def test_profile_with_oversized_weights_is_rejected():
     profile = ModelProfile(
         name="broken",
