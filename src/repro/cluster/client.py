@@ -164,11 +164,7 @@ class ClosedLoopClient:
     programs:
         Programs to run back to back.  Requests within a stage are issued
         concurrently; the next stage starts only after every response of the
-        current stage has been received by the client.  Materialized
-        sequences (lists/tuples) are copied as before; any other iterable
-        (e.g. a :class:`~repro.workloads.streams.ProgramStream` view) is
-        consumed lazily, one program at a time, so a streamed workload never
-        materializes its programs up front.
+        current stage has been received by the client.
     """
 
     def __init__(
@@ -185,10 +181,7 @@ class ClosedLoopClient:
         self.region = region
         self.frontend = frontend
         self.tracker = tracker
-        if isinstance(programs, (list, tuple)):
-            self.programs: Iterable[Program] = list(programs)
-        else:
-            self.programs = programs
+        self.programs: List[Program] = list(programs)
         self.completed_programs = 0
         self.issued_requests = 0
         self.process = env.process(self._run())

@@ -144,12 +144,8 @@ class PrefixTree(Generic[T]):
     def total_tokens(self) -> int:
         return self._total_tokens
 
-    @property
-    def node_count(self) -> int:
-        """Number of non-root nodes currently in the tree."""
-        return self._node_count
-
     def __len__(self) -> int:
+        """Number of non-root nodes currently in the tree."""
         return self._node_count
 
     def clear(self) -> None:

@@ -26,12 +26,11 @@ from ..net import NetConfig
 from ..replica import LLAMA_8B_L4, ModelProfile
 from ..workloads.program import Program
 from ..workloads.request import Request
-from ..workloads.streams import DiurnalRequestStream, ProgramStream
+from ..workloads.streams import DiurnalRequestStream
 from .registry import SystemSpec
 
 __all__ = [
     "ClusterConfig",
-    "ProgramsLike",
     "TimedRequestsLike",
     "WorkloadSpec",
     "ExperimentConfig",
@@ -97,10 +96,6 @@ class ClusterConfig:
         return sum(self.replicas_per_region.values())
 
 
-#: A region's programs: a materialized list (the legacy path) or a lazy,
-#: re-instantiable :class:`~repro.workloads.streams.ProgramStream`.
-ProgramsLike = Union[List[Program], ProgramStream]
-
 #: A region's open-loop traffic: ``(arrival_s, Request)`` pairs with
 #: non-decreasing arrival times, as a materialized list or a lazy,
 #: re-instantiable :class:`~repro.workloads.streams.DiurnalRequestStream`.
@@ -111,18 +106,15 @@ TimedRequestsLike = Union[List[Tuple[float, Request]], DiurnalRequestStream]
 class WorkloadSpec:
     """Programs and client concurrency per region, plus open-loop traffic.
 
-    ``programs_by_region`` values may be materialized program lists (the
-    legacy path, bit-identical to all historical runs) or
-    :class:`~repro.workloads.streams.ProgramStream` specs, which regenerate
-    their programs lazily on every iteration so a million-request day never
-    lives in memory at once.  ``timed_requests_by_region`` adds open-loop
+    ``programs_by_region`` holds each region's closed-loop programs, dealt
+    round-robin to its clients.  ``timed_requests_by_region`` adds open-loop
     traffic: each region's timed requests are replayed by one
     :class:`~repro.cluster.TraceReplayClient` at their arrival times,
     whatever the closed-loop clients do.
     """
 
     name: str
-    programs_by_region: Dict[str, ProgramsLike]
+    programs_by_region: Dict[str, List[Program]]
     clients_per_region: Dict[str, int]
     #: Which identity field the workload's natural consistent-hashing key is
     #: ("user" for chat datasets, "session" for Tree-of-Thoughts questions).
@@ -141,11 +133,7 @@ class WorkloadSpec:
     @property
     def total_requests(self) -> int:
         """Total requests across all programs (closed-loop traffic only; the
-        timed requests of ``timed_requests_by_region`` are not counted).
-
-        For streamed regions this *iterates* the stream (O(1) memory but
-        full generation CPU) -- fine for reports, not for hot paths.
-        """
+        timed requests of ``timed_requests_by_region`` are not counted)."""
         return sum(
             program.num_requests
             for programs in self.programs_by_region.values()
@@ -158,18 +146,14 @@ class WorkloadSpec:
         Requests are mutable (timestamps, routing state), so a workload that
         has been through ``run_experiment`` cannot be reused directly; this
         is what lets ``run_sweep`` build a workload once and replay it
-        across every system variant.  Materialized lists are deep-cloned;
-        streams are re-instantiable descriptions (every iteration builds
-        pristine requests), so they are reused as-is.
+        across every system variant.  Program and request lists are
+        deep-cloned; a :class:`~repro.workloads.streams.DiurnalRequestStream`
+        builds pristine requests on every iteration, so it is reused as-is.
         """
         return WorkloadSpec(
             name=self.name,
             programs_by_region={
-                region: (
-                    programs.fresh_copy()
-                    if isinstance(programs, ProgramStream)
-                    else [program.clone() for program in programs]
-                )
+                region: [program.clone() for program in programs]
                 for region, programs in self.programs_by_region.items()
             },
             clients_per_region=dict(self.clients_per_region),

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence
 
 from ..faults import FaultsLike
 from ..metrics import LatencySummary, RunMetrics
-from ..workloads import ARENA_LIKE, ConversationConfig, ConversationWorkload, ProgramStream
+from ..workloads import ARENA_LIKE, ConversationConfig, ConversationWorkload
 from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .registry import REGISTRY
 from .runner import SweepResult, metric_ratio, run_experiment
@@ -89,17 +89,12 @@ def slo_cost_reduction(result: SweepResult, ttft_p90_slo_s: float,
 
 
 def build_skewed_workload(scale: float = 1.0, *, seed: int = 5,
-                          conversations_per_client: int = 3,
-                          stream: bool = False) -> WorkloadSpec:
+                          conversations_per_client: int = 3) -> WorkloadSpec:
     """US-peak-hours workload: 120 US clients, 40 each in Europe and Asia.
 
     Conversations follow the ChatBot-Arena length profile (shorter prompts
     than WildChat) so that the US region's overload is dominated by demand
     rather than by individual giant prompts.
-
-    ``stream=True`` swaps the materialized program lists for lazy
-    :class:`~repro.workloads.streams.ProgramStream` specs (identical
-    programs, O(1) memory) -- the path the million-request macrobench uses.
     """
     clients = {
         "us": max(1, int(round(120 * scale))),
@@ -119,15 +114,7 @@ def build_skewed_workload(scale: float = 1.0, *, seed: int = 5,
             # false across invocations.
             seed=seed + zlib.crc32(region.encode("utf-8")) % 997,
         )
-        if stream:
-            programs_by_region[region] = ProgramStream(
-                factory="conversation",
-                region=region,
-                num_programs=count * conversations_per_client,
-                kwargs=(("config", config),),
-            )
-        else:
-            programs_by_region[region] = ConversationWorkload(config).generate_programs()
+        programs_by_region[region] = ConversationWorkload(config).generate_programs()
     return WorkloadSpec(
         name="regionally-skewed",
         programs_by_region=programs_by_region,

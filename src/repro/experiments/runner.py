@@ -42,7 +42,6 @@ from ..net import Network, build_routed_network
 from ..network import default_topology
 from ..sim import Environment
 from ..workloads.request import Request
-from ..workloads.streams import ProgramStream
 from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .registry import REGISTRY, BuildContext, SystemSpec
 
@@ -104,18 +103,6 @@ def build_system(
         push_transfer=push_transfer,
     )
     return REGISTRY.build(system, ctx)
-
-
-def _split_programs(programs, parts: int):
-    """Round-robin split for lists, strided lazy views for streams.
-
-    Both assign program ``i`` to client ``i % parts``; the stream path just
-    never materializes the sequence (each client's view regenerates it and
-    skips the other clients' entries).
-    """
-    if isinstance(programs, ProgramStream):
-        return programs.split(parts)
-    return [programs[index::parts] for index in range(parts)]
 
 
 def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> ExperimentResult:
@@ -198,7 +185,8 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         programs = workload.programs_by_region.get(region, [])
         if not programs or num_clients <= 0:
             continue
-        for index, chunk in enumerate(_split_programs(programs, num_clients)):
+        for index in range(num_clients):
+            chunk = programs[index::num_clients]
             if not chunk:
                 continue
             clients.append(

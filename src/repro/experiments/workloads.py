@@ -4,31 +4,21 @@ Each builder returns a :class:`WorkloadSpec` matching one of the paper's
 macro-benchmark configurations, with a ``scale`` parameter that shrinks the
 client counts proportionally so the same scenario can run as a quick unit
 test (scale ~0.05), a benchmark (~0.2) or a full-fidelity experiment (1.0).
-
-Every builder also accepts ``stream=True``, swapping the materialized
-program lists for lazy :class:`~repro.workloads.streams.ProgramStream`
-specs that regenerate identical programs on every iteration -- same seeds,
-same RNG order, byte-identical request payloads (pinned by
-``tests/workloads/test_streaming_equivalence.py``) -- in O(1) memory.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
-from typing import Dict, List
 
 from ..workloads import (
     ARENA_LIKE,
     WILDCHAT_LIKE,
     ConversationConfig,
     ConversationWorkload,
-    Program,
-    ProgramStream,
     TreeOfThoughtsConfig,
     TreeOfThoughtsWorkload,
 )
-from .config import ProgramsLike, WorkloadSpec
+from .config import WorkloadSpec
 
 __all__ = [
     "build_arena_workload",
@@ -45,19 +35,8 @@ def _scaled(count: int, scale: float, minimum: int = 1) -> int:
     return max(minimum, int(round(count * scale)))
 
 
-def _conversation_stream(config: ConversationConfig, region: str) -> ProgramStream:
-    """Lazy stream of one region's conversations from ``config``."""
-    return ProgramStream(
-        factory="conversation",
-        region=region,
-        num_programs=config.users_per_region * config.conversations_per_user,
-        kwargs=(("config", config),),
-    )
-
-
 def build_arena_workload(scale: float = 1.0, *, seed: int = 0,
-                         conversations_per_client: int = 2,
-                         stream: bool = False) -> WorkloadSpec:
+                         conversations_per_client: int = 2) -> WorkloadSpec:
     """ChatBot-Arena-like: equal client counts, 80 conversations per region."""
     clients = _scaled(80, scale)
     config = ConversationConfig(
@@ -70,30 +49,23 @@ def build_arena_workload(scale: float = 1.0, *, seed: int = 0,
         template_adoption=0.5,
         seed=seed,
     )
-    if stream:
-        programs_by_region: Dict[str, ProgramsLike] = {
-            region: _conversation_stream(config, region) for region in _REGIONS
-        }
-    else:
-        programs_by_region = ConversationWorkload(config).programs_by_region()
     return WorkloadSpec(
         name="chatbot-arena",
-        programs_by_region=programs_by_region,
+        programs_by_region=ConversationWorkload(config).programs_by_region(),
         clients_per_region={region: clients for region in _REGIONS},
         hash_key="user",
     )
 
 
 def build_wildchat_workload(scale: float = 1.0, *, seed: int = 1,
-                            conversations_per_client: int = 2,
-                            stream: bool = False) -> WorkloadSpec:
+                            conversations_per_client: int = 2) -> WorkloadSpec:
     """WildChat-like: 40 US clients, 30 in Europe and Asia, region-local users."""
     clients = {
         "us": _scaled(40, scale),
         "eu": _scaled(30, scale),
         "asia": _scaled(30, scale),
     }
-    programs_by_region: Dict[str, ProgramsLike] = {}
+    programs_by_region = {}
     for region, num_clients in clients.items():
         config = ConversationConfig(
             regions=(region,),
@@ -105,10 +77,7 @@ def build_wildchat_workload(scale: float = 1.0, *, seed: int = 1,
             template_adoption=0.3,
             seed=seed + zlib.crc32(region.encode("utf-8")) % 1000,
         )
-        if stream:
-            programs_by_region[region] = _conversation_stream(config, region)
-        else:
-            programs_by_region[region] = ConversationWorkload(config).generate_programs()
+        programs_by_region[region] = ConversationWorkload(config).generate_programs()
     return WorkloadSpec(
         name="wildchat",
         programs_by_region=programs_by_region,
@@ -118,8 +87,7 @@ def build_wildchat_workload(scale: float = 1.0, *, seed: int = 1,
 
 
 def build_tot_workload(scale: float = 1.0, *, seed: int = 2,
-                       trees_per_client: int = 4,
-                       stream: bool = False) -> WorkloadSpec:
+                       trees_per_client: int = 4) -> WorkloadSpec:
     """Tree-of-Thoughts (2-branch, depth 4): 40 US clients, 20 EU, 20 Asia."""
     clients = {
         "us": _scaled(40, scale),
@@ -127,27 +95,11 @@ def build_tot_workload(scale: float = 1.0, *, seed: int = 2,
         "asia": _scaled(20, scale),
     }
     config = TreeOfThoughtsConfig(branching_factor=2, depth=4, seed=seed)
-    if stream:
-        # Legacy order: one shared RNG generates us, then eu, then asia --
-        # the counts tuple lets each region's stream replay that order.
-        counts = tuple(
-            (region, count * trees_per_client) for region, count in clients.items()
-        )
-        programs_by_region: Dict[str, ProgramsLike] = {
-            region: ProgramStream(
-                factory="tree-of-thoughts",
-                region=region,
-                num_programs=count * trees_per_client,
-                kwargs=(("config", config), ("counts", counts)),
-            )
-            for region, count in clients.items()
-        }
-    else:
-        generator = TreeOfThoughtsWorkload(config)
-        programs_by_region = {
-            region: generator.generate_programs(count * trees_per_client, region)
-            for region, count in clients.items()
-        }
+    generator = TreeOfThoughtsWorkload(config)
+    programs_by_region = {
+        region: generator.generate_programs(count * trees_per_client, region)
+        for region, count in clients.items()
+    }
     return WorkloadSpec(
         name="tree-of-thoughts",
         programs_by_region=programs_by_region,
@@ -157,8 +109,7 @@ def build_tot_workload(scale: float = 1.0, *, seed: int = 2,
 
 
 def build_mixed_tree_workload(scale: float = 1.0, *, seed: int = 3,
-                              trees_per_client: int = 4,
-                              stream: bool = False) -> WorkloadSpec:
+                              trees_per_client: int = 4) -> WorkloadSpec:
     """Mixed Tree: the US runs two clients with large 4-branch trees while
     Europe and Asia keep running 2-branch trees with 20 clients each."""
     big_clients = max(1, int(round(2 * max(scale, 0.5))))
@@ -167,37 +118,13 @@ def build_mixed_tree_workload(scale: float = 1.0, *, seed: int = 3,
     small_config = TreeOfThoughtsConfig(branching_factor=2, depth=4, seed=seed + 1)
     big_count = big_clients * trees_per_client
     small_count = small_clients * trees_per_client
-    if stream:
-        # The big (US) trees come from their own workload instance; the eu
-        # and asia trees share the small instance's RNG in that order.
-        small_counts = (("eu", small_count), ("asia", small_count))
-        programs_by_region: Dict[str, ProgramsLike] = {
-            "us": ProgramStream(
-                factory="tree-of-thoughts",
-                region="us",
-                num_programs=big_count,
-                kwargs=(
-                    ("config", big_config),
-                    ("counts", (("us", big_count),)),
-                    ("user_prefix", "tot4-user"),
-                ),
-            ),
-        }
-        for region in ("eu", "asia"):
-            programs_by_region[region] = ProgramStream(
-                factory="tree-of-thoughts",
-                region=region,
-                num_programs=small_count,
-                kwargs=(("config", small_config), ("counts", small_counts)),
-            )
-    else:
-        big = TreeOfThoughtsWorkload(big_config)
-        small = TreeOfThoughtsWorkload(small_config)
-        programs_by_region = {
-            "us": big.generate_programs(big_count, "us", user_prefix="tot4-user"),
-            "eu": small.generate_programs(small_count, "eu"),
-            "asia": small.generate_programs(small_count, "asia"),
-        }
+    big = TreeOfThoughtsWorkload(big_config)
+    small = TreeOfThoughtsWorkload(small_config)
+    programs_by_region = {
+        "us": big.generate_programs(big_count, "us", user_prefix="tot4-user"),
+        "eu": small.generate_programs(small_count, "eu"),
+        "asia": small.generate_programs(small_count, "asia"),
+    }
     return WorkloadSpec(
         name="mixed-tree",
         programs_by_region=programs_by_region,

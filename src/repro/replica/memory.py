@@ -121,14 +121,6 @@ class KVMemoryManager:
         return len(self._grants)
 
     # ------------------------------------------------------------------
-    def can_admit(self, prompt_tokens: Sequence[int]) -> bool:
-        """Would a request with this prompt fit right now (after eviction)?"""
-        cached = 0
-        if self.enable_prefix_cache:
-            cached = self.cache.match_prefix(prompt_tokens, record=False).matched_tokens
-        needed = (len(prompt_tokens) - cached) + self.profile.admission_output_reserve
-        return needed <= self.free_tokens + self.cache.evictable_tokens()
-
     def admit(self, request_id: int, prompt_tokens: Sequence[int], now: float) -> Optional[AdmissionGrant]:
         """Try to admit a request; returns a grant or ``None`` if it does not fit."""
         if request_id in self._grants:

@@ -12,11 +12,7 @@ from .lengths import (
 )
 from .program import Program
 from .request import Request, RequestStatus, TokenSeq
-from .streams import (
-    DiurnalRequestStream,
-    ProgramStream,
-    register_stream_factory,
-)
+from .streams import DiurnalRequestStream
 from .tokens import TokenFactory
 from .traces import RegionalTrace
 from .tree_of_thoughts import TreeOfThoughtsConfig, TreeOfThoughtsWorkload
@@ -43,7 +39,5 @@ __all__ = [
     "COUNTRY_PROFILES",
     "generate_daily_trace",
     "RegionalTrace",
-    "ProgramStream",
     "DiurnalRequestStream",
-    "register_stream_factory",
 ]

@@ -147,13 +147,6 @@ class Request:
         return self.schedule_time - self.lb_arrival_time
 
     @property
-    def cache_hit_ratio(self) -> float:
-        """Fraction of prompt tokens served from the replica's prefix cache."""
-        if self.prompt_len == 0:
-            return 0.0
-        return self.cached_prefix_tokens / self.prompt_len
-
-    @property
     def finished(self) -> bool:
         return self.status == RequestStatus.FINISHED
 

@@ -130,12 +130,12 @@ def test_node_count_tracks_structure():
     tree = PrefixTree()
     assert len(tree) == 0
     tree.insert(seq(1, 2, 3, 4), "a")
-    assert tree.node_count == 1
+    assert len(tree) == 1
     tree.insert(seq(1, 2, 9), "b")  # splits (1,2,3,4) and adds a sibling
-    assert tree.node_count == 3
+    assert len(tree) == 3
     tree.remove_target("b")
     tree.remove_target("a")
-    assert tree.node_count == len(tree) == 0
+    assert len(tree) == 0
     tree.check_invariants()
 
 

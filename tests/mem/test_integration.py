@@ -12,7 +12,6 @@ Three things are on the line here:
   config says tiering is observable, and never perturbs legacy payloads.
 """
 
-import dataclasses
 import multiprocessing
 import random
 
@@ -192,63 +191,55 @@ def test_tiered_sweep_parallel_is_bit_identical_to_serial():
     assert sample["memory"]["demoted_tokens"] > 0
 
 
-def _plugin_stream_module() -> str:
-    """Import :mod:`.stream_plugin` and return its name.
+def _plugin_constraint_module() -> str:
+    """Import :mod:`.constraint_plugin` and return its name.
 
     Imported here, not at the top of this module: a spawned worker that
-    re-imports only this module must not pick up the stream factory as a
-    side effect, or the bootstrap test below would pass without the
-    bootstrap harvesting stream factories.
+    re-imports only this module must not pick up the constraint as a side
+    effect, or the bootstrap test below would pass without the bootstrap
+    harvesting routing constraints.
     """
-    from . import stream_plugin
+    from . import constraint_plugin
 
-    return stream_plugin.__name__
+    return constraint_plugin.__name__
 
 
 def test_plugin_modules_cover_runtime_registrations():
-    stream_module = _plugin_stream_module()
+    constraint_module = _plugin_constraint_module()
     modules = plugin_modules()
     assert __name__ in modules  # mem-test-demote registered above
-    # A module whose only registration is a stream factory.
-    assert stream_module in modules
+    # A module whose only registration is a routing constraint.
+    assert constraint_module in modules
     assert any("repro.mem" in module for module in modules)
     assert any("repro.faults" in module for module in modules)
     assert "__main__" not in modules
 
 
-def _plugin_stream_workload():
-    """A streamed arena workload whose programs come from the
-    ``mem-test-conversation`` factory of :mod:`.stream_plugin`."""
-    _plugin_stream_module()
-    workload = build_arena_workload(scale=0.03, seed=7, stream=True)
-    workload.name = "plugin-stream"
-    workload.programs_by_region = {
-        region: dataclasses.replace(stream, factory="mem-test-conversation")
-        for region, stream in workload.programs_by_region.items()
-    }
-    return workload
-
-
 def test_forced_spawn_workers_bootstrap_plugin_registrations():
     # Under spawn, workers start with a clean interpreter: the custom
-    # "mem-test-demote" policy and "mem-test-conversation" stream factory
-    # only resolve because the pool initializer re-imports their modules
-    # before any task runs.
+    # "mem-test-demote" policy and "mem-test-no-asia" constraint only
+    # resolve because the pool initializer re-imports their modules before
+    # any task runs.
+    _plugin_constraint_module()
     memory = MemoryConfig(
         page_size=16,
         hbm_fraction=0.5,
         host_capacity_tokens=4096,
         offload="mem-test-demote",
     )
-    workloads = [build_arena_workload(scale=0.03, seed=7), _plugin_stream_workload()]
+    workloads = [build_arena_workload(scale=0.03, seed=7)]
     kwargs = dict(cluster=tiny_cluster(memory), duration_s=20.0, seed=1)
-    systems = [REGISTRY.spec("skywalker"), REGISTRY.spec("round-robin")]
+    systems = [
+        REGISTRY.spec("skywalker"),
+        REGISTRY.spec("round-robin"),
+        REGISTRY.spec("skywalker", label="plugin-constraint", constraint="mem-test-no-asia"),
+    ]
     serial = SweepExecutor(workers=1).run(systems, workloads, **kwargs)
     spawned = SweepExecutor(
         workers=2, mp_context=multiprocessing.get_context("spawn")
     ).run(systems, workloads, **kwargs)
     assert _payloads(spawned) == _payloads(serial)
-    assert "plugin-stream" in serial.workloads()
+    assert "plugin-constraint" in serial.systems("chatbot-arena")
 
 
 # ----------------------------------------------------------------------

