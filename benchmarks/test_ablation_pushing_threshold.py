@@ -25,7 +25,7 @@ def test_ablation_sp_o_threshold_sensitivity(benchmark, record_result):
                 clients=clients,
                 duration_s=bench_duration(),
                 sp_o_threshold=threshold,
-                seed=9,
+                seeds=[9],
             )
             results[f"SP-O@{threshold}"] = outcome.get("tot-single-region", "SP-O")
         spp = run_pushing_benchmark(
@@ -33,7 +33,7 @@ def test_ablation_sp_o_threshold_sensitivity(benchmark, record_result):
             replicas=4,
             clients=clients,
             duration_s=bench_duration(),
-            seed=9,
+            seeds=[9],
         )
         results["SP-P"] = spp.get("tot-single-region", "SP-P")
         return results
@@ -86,7 +86,7 @@ def test_ablation_probe_interval(benchmark, record_result):
             [workload],
             cluster=ClusterConfig(replicas_per_region={"us": 2, "eu": 2, "asia": 2}),
             duration_s=bench_duration(),
-            seed=3,
+            seeds=[3],
             workers=min(bench_workers(), 3),
         )
         return {

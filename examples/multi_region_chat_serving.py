@@ -44,7 +44,7 @@ def main() -> None:
         [workload],
         cluster=cluster,
         duration_s=args.duration,
-        seed=1,
+        seeds=[1],
         workers=args.workers,
     )
 

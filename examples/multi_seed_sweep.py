@@ -24,8 +24,7 @@ def main() -> None:
     workload = build_arena_workload(scale=0.1, seed=0)
 
     # 2. The sweep: two systems x three seeds.  seeds=[...] is the only
-    #    change from a single-seed sweep; seeds=[0] would be bit-identical
-    #    to the historical seed=0 run.
+    #    change from a single-seed sweep (the default is seeds=(0,)).
     sweep = run_sweep(
         [REGISTRY.spec("skywalker"), REGISTRY.spec("least-load")],
         [workload],
@@ -57,7 +56,7 @@ def main() -> None:
         f"stdev {tput.stdev:,.0f}, n={tput.n})"
     )
     # The full aggregate also serialises to JSON for committed artifacts:
-    # sweep.to_json() -> {"schema": "repro-sweep-report/1", "cells": [...]}.
+    # sweep.report().to_json() -> {"schema": "repro-sweep-report/1", "cells": [...]}.
 
 
 if __name__ == "__main__":

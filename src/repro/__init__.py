@@ -21,10 +21,11 @@ Sweep several systems over one generated workload (the workload is built
 once and replayed with fresh request state per variant).  ``workers`` runs
 each (workload, system, seed) cell in its own worker process -- results are
 bit-identical to the serial loop for the same seeds, so parallelism only
-buys wall-clock.  ``seeds=[...]`` repeats every cell across seeds and adds
-a statistical layer on top: per-seed runs in ``SweepResult.seed_runs`` and
-mean / stdev / 95% CI (Student-t, stdlib-only) via
-``SweepResult.aggregate`` / ``SweepResult.report``::
+buys wall-clock.  ``seeds=[...]`` (default ``(0,)``) repeats every cell
+across seeds and adds a statistical layer on top: per-seed runs in
+``SweepResult.seed_runs`` (``SweepResult.runs`` is the base-seed view, the
+first seed of each cell) and mean / stdev / 95% CI (Student-t,
+stdlib-only) via ``SweepResult.aggregate`` / ``SweepResult.report``::
 
     from repro.experiments import REGISTRY, run_sweep
 
@@ -35,18 +36,17 @@ mean / stdev / 95% CI (Student-t, stdlib-only) via
         seeds=[0, 1, 2],
         workers=4,
     )
-    print(sweep.format_report())          # per-seed rows + aggregate table
+    print(sweep.report().format_table())  # mean±95% CI per cell
     print(sweep.aggregate(workload.name, "skywalker").stat("ttft_p50"))
 
-``seeds=[s]`` is bit-identical to the legacy single-seed ``seed=s`` path,
-and ``run_macro_benchmark`` / ``run_pushing_benchmark`` /
+``run_macro_benchmark`` / ``run_pushing_benchmark`` /
 ``run_diurnal_sweep`` accept the same ``seeds=[...]`` (rebuilding their
 workloads per seed so each trial sees fresh traffic) and return a
 ``SweepResult`` too; each figure's questions are functions over it in the
 driver module, e.g. ``repro.experiments.macro.speedup_over_baselines``
 (Fig. 8), ``pushing.throughput_gain`` (Fig. 9) and
 ``diurnal_sweep.slo_cost_reduction`` (Fig. 10).  Per-cell host wall-clock
-(``SweepResult.wall_clock``) is telemetry only and deliberately
+(``sweep.get(...).wall_clock_s``) is telemetry only and deliberately
 **excluded from ``RunMetrics.to_dict()``**, which is the payload every
 bit-identity check (serial vs parallel, golden traces) compares.
 

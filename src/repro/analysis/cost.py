@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..cluster.pricing import G6_XLARGE, InstancePricing
 from ..workloads.traces import RegionalTrace
@@ -114,9 +114,4 @@ class CostModel:
             region_local_replicas=region_local,
             aggregated_replicas=aggregated,
         )
-
-    # ------------------------------------------------------------------
-    def fleet_cost_per_hour(self, num_replicas: int, commitment: Optional[str] = None) -> float:
-        """Hourly cost of a fixed fleet (used by the Fig. 10 comparison)."""
-        return num_replicas * self.instance.hourly(commitment or self.commitment)
 

@@ -17,7 +17,7 @@ including inside sweep worker processes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from ..network import NetworkTopology
 from ..workloads.request import Request
@@ -45,11 +45,6 @@ class RoutingConstraint:
 
     def allows(self, request: Request, src_region: str, dst_region: str) -> bool:
         raise NotImplementedError
-
-    def filter_regions(
-        self, request: Request, src_region: str, candidates: Iterable[str]
-    ) -> List[str]:
-        return [dst for dst in candidates if self.allows(request, src_region, dst)]
 
 
 class AllowAll(RoutingConstraint):

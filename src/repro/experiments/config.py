@@ -127,10 +127,6 @@ class WorkloadSpec:
         return list(dict.fromkeys([*self.clients_per_region, *self.timed_requests_by_region]))
 
     @property
-    def total_programs(self) -> int:
-        return sum(len(programs) for programs in self.programs_by_region.values())
-
-    @property
     def total_requests(self) -> int:
         """Total requests across all programs (closed-loop traffic only; the
         timed requests of ``timed_requests_by_region`` are not counted)."""

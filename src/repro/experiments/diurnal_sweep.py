@@ -132,7 +132,6 @@ def _run_diurnal_cell(task: SweepTask) -> RunMetrics:
     """
     outcome = run_experiment(task.config, task.workload.fresh_copy())
     metrics = outcome.metrics
-    metrics.seed = task.config.seed
     # Per-region tail latency: the overloaded (US) region is the one
     # a region-local deployment must over-provision for.
     for region in _REGIONS:
@@ -149,8 +148,7 @@ def run_diurnal_sweep(
     replica_counts: Sequence[int] = (3, 6, 9, 12, 15, 18),
     scale: float = 0.2,
     duration_s: float = 120.0,
-    seed: int = 5,
-    seeds: Optional[Sequence[int]] = None,
+    seeds: Sequence[int] = (5,),
     workers: int = 1,
     faults: FaultsLike = None,
 ) -> SweepResult:
@@ -159,7 +157,7 @@ def run_diurnal_sweep(
     The result has one workload row per fleet size (see
     :func:`fleet_runs`) and the two systems as columns.  ``seeds=[...]``
     repeats the whole sweep with a freshly built skewed workload per seed
-    (``seeds=[s]`` is bit-identical to ``seed=s``); the per-seed runs feed
+    (``seeds[0]`` is the base seed); the per-seed runs feed
     :meth:`SweepResult.aggregate`.  ``workers`` > 1 distributes the (kind,
     replica count, seed) cells over that many worker processes; results
     are identical to the serial sweep for the same seeds.  ``faults``
@@ -169,7 +167,7 @@ def run_diurnal_sweep(
     for total in replica_counts:
         if total % len(_REGIONS) != 0:
             raise ValueError("replica counts must be divisible by the number of regions")
-    seed_list = normalise_seeds(seed, seeds)
+    seed_list = normalise_seeds(seeds)
     tasks = [
         SweepTask(
             config=ExperimentConfig(

@@ -71,7 +71,7 @@ class HitRateComparison:
 def build_scenario(name: str, *, seed: int = 0) -> HitRateScenario:
     """Create one of the three Fig. 6 request streams."""
     rng = random.Random(seed)
-    tokens = TokenFactory(seed=seed)
+    tokens = TokenFactory()
     batches: List[List[Request]] = []
 
     if name == "cross-user-sharing":

@@ -61,8 +61,7 @@ def run_macro_benchmark(
     scale: float = 0.2,
     duration_s: float = 120.0,
     cluster: Optional[ClusterConfig] = None,
-    seed: int = 0,
-    seeds: Optional[Sequence[int]] = None,
+    seeds: Sequence[int] = (0,),
     workers: int = 1,
     faults: FaultsLike = None,
 ) -> SweepResult:
@@ -70,18 +69,18 @@ def run_macro_benchmark(
 
     Per seed, each workload is generated once (with that seed) and replayed
     across every system -- fresh request state per run, identical traffic
-    within the seed.  ``seeds=[...]`` fans every (workload, system, seed)
-    cell through the sweep executor; ``seeds=[s]`` is bit-identical to the
-    single-seed ``seed=s`` run.  ``workers`` > 1 distributes the cells over
-    that many processes; metrics are identical to the serial run for the
-    same seeds.  ``faults`` applies one deterministic fault schedule to
-    every cell, turning the macro grid into a resilience comparison (the
-    Fig. 11 failover benchmark runs exactly this).
+    within the seed.  Every (workload, system, seed) cell fans out through
+    the sweep executor, and ``seeds[0]`` gives each cell's base-seed run.
+    ``workers`` > 1 distributes the cells over that many processes;
+    metrics are identical to the serial run for the same seeds.
+    ``faults`` applies one deterministic fault schedule to every cell,
+    turning the macro grid into a resilience comparison (the Fig. 11
+    failover benchmark runs exactly this).
     """
     cluster = cluster or default_macro_cluster(scale)
     specs = [REGISTRY.spec(kind) for kind in systems]
     check_unique_system_names(specs)
-    seed_list = normalise_seeds(seed, seeds)
+    seed_list = normalise_seeds(seeds)
     tasks = [
         SweepTask(
             config=ExperimentConfig(

@@ -17,7 +17,7 @@ gives each policy's mean/95%-CI statistics.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..faults import FaultsLike
 from ..metrics import RunMetrics
@@ -78,19 +78,18 @@ def run_pushing_benchmark(
     duration_s: float = 120.0,
     sp_o_threshold: int = 24,
     region: str = "us",
-    seed: int = 7,
-    seeds: Optional[Sequence[int]] = None,
+    seeds: Sequence[int] = (7,),
     workers: int = 1,
     faults: FaultsLike = None,
 ) -> SweepResult:
     """Run the BP / SP-O / SP-P comparison in one region.
 
     ``policies`` may name any registered pushing policy, not just the
-    paper's three.  ``seeds=[...]`` repeats the ablation across seeds (a
-    fresh ToT workload per seed); ``seeds=[s]`` is bit-identical to
-    ``seed=s``.  ``workers`` > 1 runs the (policy, seed) cells in parallel
-    worker processes (identical metrics, less wall-clock).  ``faults``
-    applies one deterministic fault schedule to every cell.
+    paper's three.  ``seeds`` repeats the ablation across seeds (a fresh
+    ToT workload per seed; ``seeds[0]`` is the base seed).  ``workers`` > 1
+    runs the (policy, seed) cells in parallel worker processes (identical
+    metrics, less wall-clock).  ``faults`` applies one deterministic fault
+    schedule to every cell.
     """
     systems = [
         SkyWalkerConfig(
@@ -104,7 +103,7 @@ def run_pushing_benchmark(
     ]
     cluster = ClusterConfig(replicas_per_region={region: replicas})
     check_unique_system_names(systems)
-    seed_list = normalise_seeds(seed, seeds)
+    seed_list = normalise_seeds(seeds)
     tasks = [
         SweepTask(
             config=ExperimentConfig(

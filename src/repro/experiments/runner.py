@@ -222,6 +222,7 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         issued=issued,
         deployment=deployment,
     )
+    metrics.seed = config.seed
     if injector is not None:
         metrics.resilience = injector.resilience_metrics(duration_s=config.duration_s)
     if memory is not None and memory.telemetry_enabled:
@@ -239,58 +240,66 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
 
 @dataclass
 class SweepResult:
-    """Metrics for every (workload, system) pair of a sweep.
+    """Metrics for every (workload, system, seed) cell of a sweep.
 
-    Single-seed sweeps look exactly as they always have: one
-    :class:`RunMetrics` per cell in :attr:`runs`.  Multi-seed sweeps
-    (``seeds=[...]``) additionally keep every per-seed run in
-    :attr:`seed_runs`; :attr:`runs` then holds the *base seed* (the first
-    entry of the seeds list) so every legacy accessor keeps returning a
-    deterministic, bit-identical-to-single-seed view.  The statistical
-    layer on top -- mean, stdev, 95% CI per metric -- comes from
-    :meth:`aggregate` / :meth:`report`.  The Fig. 8/9/10 drivers return
-    one too; each figure's own questions are functions in its driver
-    module.
+    Every run lives in :attr:`seed_runs`; :attr:`runs` is the read-only
+    base-seed view (the first seed added per cell, which the drivers make
+    the first entry of their seeds list).  The statistical layer on top --
+    mean, stdev, 95% CI per metric -- comes from :meth:`aggregate` /
+    :meth:`report`.  The Fig. 8/9/10 drivers return one too; each
+    figure's own questions are functions in its driver module.
     """
 
-    runs: Dict[str, Dict[str, RunMetrics]] = field(default_factory=dict)
-    #: Per-seed runs: ``seed_runs[workload][system][seed]``.  Populated by
-    #: the sweep executor (which stamps ``RunMetrics.seed``); direct
-    #: :meth:`add` calls with un-stamped metrics only feed :attr:`runs`.
+    #: Per-seed runs: ``seed_runs[workload][system][seed]``.
     seed_runs: Dict[str, Dict[str, Dict[int, RunMetrics]]] = field(default_factory=dict)
 
     def add(self, metrics: RunMetrics) -> None:
+        """Store one run under its recorded seed (``run_experiment`` stamps it)."""
         if metrics.seed is None:
-            # Legacy path (metrics not produced by the sweep executor):
-            # exactly the historical overwrite semantics, no seed tracking.
-            self.runs.setdefault(metrics.workload, {})[metrics.system] = metrics
-            return
-        # Seed-stamped path: the first run added for a cell is its base
-        # seed (the executor orders each cell's tasks seeds-first).
+            raise ValueError(
+                f"run {metrics.system!r} on {metrics.workload!r} records no seed; "
+                "only run_experiment's metrics can be added"
+            )
         self.seed_runs.setdefault(metrics.workload, {}).setdefault(metrics.system, {})[
             metrics.seed
         ] = metrics
-        self.runs.setdefault(metrics.workload, {}).setdefault(metrics.system, metrics)
+
+    @property
+    def runs(self) -> Dict[str, Dict[str, RunMetrics]]:
+        """Base-seed view: ``runs[workload][system]`` in sweep order."""
+        return {
+            workload: {system: next(iter(per_seed.values())) for system, per_seed in row.items()}
+            for workload, row in self.seed_runs.items()
+        }
 
     def workloads(self) -> List[str]:
-        return list(self.runs)
+        return list(self.seed_runs)
 
     def systems(self, workload: str) -> List[str]:
-        return list(self.runs[workload])
+        return list(self.seed_runs[workload])
 
-    def get(self, workload: str, system: str, seed: Optional[int] = None) -> RunMetrics:
-        """One cell's metrics: the base-seed run, or a specific seed's.  An
-        unknown workload or system raises a ValueError naming the known ones."""
-        if workload not in self.runs:
+    def _cell(self, workload: str, system: str) -> Dict[int, RunMetrics]:
+        if workload not in self.seed_runs:
             raise ValueError(f"unknown workload {workload!r}; known: {self.workloads()}")
-        row = self.runs[workload]
+        row = self.seed_runs[workload]
         if system not in row:
             raise ValueError(
                 f"unknown system {system!r} on workload {workload!r}; known: {list(row)}"
             )
+        return row[system]
+
+    def get(self, workload: str, system: str, seed: Optional[int] = None) -> RunMetrics:
+        """One cell's metrics: the base-seed run, or a specific seed's.  An
+        unknown workload, system or seed raises a ValueError naming the
+        known ones."""
+        per_seed = self._cell(workload, system)
         if seed is None:
-            return row[system]
-        return self.seed_runs[workload][system][seed]
+            return next(iter(per_seed.values()))
+        if seed not in per_seed:
+            raise ValueError(
+                f"unknown seed {seed!r} for {system!r} on {workload!r}; known: {list(per_seed)}"
+            )
+        return per_seed[seed]
 
     def runs_for(self, workload: str, system: str) -> Dict[int, RunMetrics]:
         """All per-seed runs of one cell, keyed by seed (insertion order ==
@@ -306,26 +315,12 @@ class SweepResult:
                     ordered.setdefault(seed, None)
         return list(ordered)
 
-    def wall_clock(
-        self, workload: str, system: str, seed: Optional[int] = None
-    ) -> Optional[float]:
-        """Host seconds one cell took (base seed, or a specific seed's run),
-        or ``None`` if it predates recording."""
-        return self.get(workload, system, seed).wall_clock_s
-
     # -- statistics ----------------------------------------------------
     def aggregate(self, workload: str, system: str) -> AggregateMetrics:
-        """Mean/stdev/95%-CI aggregation of one cell across its seeds.
-
-        Falls back to a degenerate single-run aggregate (n=1, no interval)
-        for cells without per-seed runs, so report code need not special-
-        case single-seed sweeps.
-        """
-        base = self.get(workload, system)
-        per_seed = self.runs_for(workload, system)
-        if per_seed:
-            return AggregateMetrics.from_runs(list(per_seed.values()), seeds=list(per_seed))
-        return AggregateMetrics.from_runs([base], seeds=())
+        """Mean/stdev/95%-CI aggregation of one cell across its seeds (a
+        single-seed cell gives n=1 and no interval)."""
+        per_seed = self._cell(workload, system)
+        return AggregateMetrics.from_runs(list(per_seed.values()), seeds=list(per_seed))
 
     def report(self) -> SweepReport:
         """Text-table / JSON report of every cell's aggregate statistics."""
@@ -344,74 +339,16 @@ class SweepResult:
     ) -> Statistic:
         """Per-seed paired difference ``metric(a) - metric(b)`` of two
         systems on one workload (positive ``ci_low`` means ``system_a``
-        beats ``system_b`` at the 95% level).  Requires a multi-seed sweep:
-        pairing needs the same seeds on both sides."""
-        runs_a = self.seed_runs.get(workload, {}).get(system_a)
-        runs_b = self.seed_runs.get(workload, {}).get(system_b)
+        beats ``system_b`` at the 95% level).  Pairing needs the same
+        seeds on both sides."""
+        runs_a = self.runs_for(workload, system_a)
+        runs_b = self.runs_for(workload, system_b)
         if not runs_a or not runs_b:
             raise ValueError(
-                "paired differences need per-seed runs for both systems; "
-                f"run the sweep with seeds=[...] (got {system_a!r}: "
-                f"{sorted(runs_a or ())}, {system_b!r}: {sorted(runs_b or ())})"
+                "paired differences need per-seed runs for both systems "
+                f"(got {system_a!r}: {sorted(runs_a)}, {system_b!r}: {sorted(runs_b)})"
             )
         return paired_difference(runs_a, runs_b, metric)
-
-    def to_json(self, indent: int = 2) -> str:
-        """JSON document of the aggregate statistics (see :class:`SweepReport`)."""
-        return self.report().to_json(indent=indent)
-
-    # -- rendering (see repro.experiments.plotting) --------------------
-    def plot_table(self, metric: str = "throughput_tokens_per_s") -> str:
-        """Workload x system text grid of one (dotted-path) metric."""
-        from .plotting import render_table
-
-        return render_table(self, metric)
-
-    def plot_bars(
-        self,
-        metric: str = "throughput_tokens_per_s",
-        *,
-        workload: Optional[str] = None,
-        width: int = 40,
-    ) -> str:
-        """ASCII bar chart of one metric (all workloads, or one)."""
-        from .plotting import render_bars
-
-        return render_bars(self, metric, workload=workload, width=width)
-
-    def plot_csv(self, metrics: Optional[Sequence[str]] = None) -> str:
-        """CSV rows of every cell (one row per seed in multi-seed sweeps)."""
-        from .plotting import DEFAULT_CSV_METRICS, render_csv
-
-        return render_csv(self, metrics if metrics is not None else DEFAULT_CSV_METRICS)
-
-    def plot_figure(
-        self, metric: str = "throughput_tokens_per_s", *, path: Optional[str] = None
-    ):
-        """Matplotlib grouped-bar figure (raises if matplotlib is absent)."""
-        from .plotting import render_figure
-
-        return render_figure(self, metric, path=path)
-
-    def format_report(self) -> str:
-        """Per-run rows (base seed first), plus an aggregate table when the
-        sweep ran more than one seed."""
-        lines: List[str] = []
-        multi_seed = len(self.seeds()) > 1
-        for workload, row in self.runs.items():
-            lines.append(f"== {workload} ==")
-            for metrics in row.values():
-                line = "  " + metrics.format_row()
-                seconds = self.wall_clock(workload, metrics.system)
-                if seconds is not None:
-                    line += f"  wall={seconds:6.2f}s"
-                lines.append(line)
-        if multi_seed:
-            lines.append(f"== aggregate over seeds {self.seeds()} (mean±95% CI) ==")
-            for workload in self.workloads():
-                for system in self.systems(workload):
-                    lines.append("  " + self.aggregate(workload, system).format_row())
-        return "\n".join(lines)
 
 
 def metric_ratio(
@@ -439,8 +376,7 @@ def run_sweep(
     *,
     cluster: Optional[ClusterConfig] = None,
     duration_s: float = 120.0,
-    seed: int = 0,
-    seeds: Optional[Sequence[int]] = None,
+    seeds: Sequence[int] = (0,),
     network_jitter: float = 0.05,
     workers: int = 1,
     faults: FaultsLike = None,
@@ -452,15 +388,14 @@ def run_sweep(
     identical traffic without paying workload generation per run (and
     without sharing mutable request state).
 
-    ``seeds=[a, b, c]`` repeats every (workload, system) cell under each
-    seed: per-seed runs land in :attr:`SweepResult.seed_runs` and
-    :meth:`SweepResult.aggregate` reports mean/stdev/95% CI per metric.
+    ``seeds=[a, b, c]`` runs every (workload, system) cell under each
+    seed: per-seed runs land in :attr:`SweepResult.seed_runs`, the first
+    seed is each cell's base-seed run, and :meth:`SweepResult.aggregate`
+    reports mean/stdev/95% CI per metric.
     Because the workloads are pre-built, the per-seed variation is the
     simulation/network randomness; drivers that also want per-seed
     *traffic* (the macro and pushing benchmarks) rebuild their workloads
     per seed and go through :meth:`SweepExecutor.run_cells`.
-    ``seeds=None`` (default) is the historical single-seed path, and
-    ``seeds=[s]`` is bit-identical to ``seed=s``.
 
     ``workers`` > 1 runs the (workload, system, seed) cells in that many
     worker processes via :class:`~repro.experiments.sweep.SweepExecutor`;
@@ -486,7 +421,6 @@ def run_sweep(
         workloads,
         cluster=cluster,
         duration_s=duration_s,
-        seed=seed,
         seeds=seeds,
         network_jitter=network_jitter,
         faults=faults,

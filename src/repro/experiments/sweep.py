@@ -97,10 +97,8 @@ def run_sweep_task(task: SweepTask) -> RunMetrics:
     metrics = run_experiment(task.config, task.workload.fresh_copy()).metrics
     # Recorded on the metrics object (picklable, so it survives the trip
     # back from a worker process) but excluded from to_dict(): wall-clock
-    # is where-the-time-went telemetry, not part of the result identity,
-    # and the seed is grouping bookkeeping for multi-seed aggregation.
+    # is where-the-time-went telemetry, not part of the result identity.
     metrics.wall_clock_s = time.perf_counter() - start
-    metrics.seed = task.config.seed
     return metrics
 
 
@@ -127,20 +125,14 @@ def check_unique_system_names(systems: Sequence[SystemSpec]) -> None:
         )
 
 
-def normalise_seeds(seed: int, seeds: Optional[Sequence[int]]) -> List[int]:
-    """Resolve the (legacy ``seed``, new ``seeds=[...]``) parameter pair.
-
-    ``seeds=None`` means the historical single-seed behaviour: one cell per
-    (workload, system), simulated with ``seed``.  An explicit list fans
-    every cell out across its entries; it must be non-empty and free of
-    duplicates (a repeated seed would silently collapse to one sample and
-    understate the confidence interval).
-    """
-    if seeds is None:
-        return [seed]
+def normalise_seeds(seeds: Sequence[int]) -> List[int]:
+    """Validate a sweep's seeds list: every cell fans out across its
+    entries, so it must be non-empty and free of duplicates (a repeated
+    seed would silently collapse to one sample and understate the
+    confidence interval)."""
     seed_list = list(seeds)
     if not seed_list:
-        raise ValueError("seeds must be a non-empty sequence (or None for the single-seed path)")
+        raise ValueError("seeds must be a non-empty sequence")
     if len(set(seed_list)) != len(seed_list):
         raise ValueError(f"seeds contains duplicates: {seed_list}; each seed is one independent trial")
     return seed_list
@@ -214,7 +206,7 @@ class SweepExecutor:
         The figure-level drivers use this when their cells cannot come from
         the plain (systems x workloads x seeds) cross product -- e.g. the
         macro benchmark rebuilds its workloads per seed.  Task order
-        matters for the legacy single-run view: the *first* task of each
+        matters for the base-seed view: the *first* task of each
         (workload, system) cell becomes its base-seed run, so per-cell
         seed order should match across calls that are compared.
         """
@@ -231,8 +223,7 @@ class SweepExecutor:
         *,
         cluster: Optional[ClusterConfig] = None,
         duration_s: float = 120.0,
-        seed: int = 0,
-        seeds: Optional[Sequence[int]] = None,
+        seeds: Sequence[int] = (0,),
         network_jitter: float = 0.05,
         faults: FaultsLike = None,
     ) -> SweepResult:
@@ -241,7 +232,7 @@ class SweepExecutor:
         the parameters."""
         check_unique_system_names(systems)
         cluster = cluster or ClusterConfig()
-        seed_list = normalise_seeds(seed, seeds)
+        seed_list = normalise_seeds(seeds)
         tasks = [
             SweepTask(
                 config=ExperimentConfig(

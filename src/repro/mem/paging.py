@@ -143,9 +143,6 @@ class PageAllocator:
             return 0
         return -(-tokens // self.page_size)
 
-    def can_alloc(self, tokens: int) -> bool:
-        return self.pages_needed(tokens) <= self.free_pages
-
     def alloc(self, tokens: int) -> PageBlock:
         """Allocate whole pages for ``tokens`` token slots.
 

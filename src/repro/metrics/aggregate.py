@@ -227,8 +227,8 @@ class AggregateMetrics:
         """Aggregate one cell's per-seed runs.
 
         Every run must describe the same (workload, system) cell.  ``seeds``
-        defaults to the ``seed`` recorded on each run by the sweep executor
-        (empty when any run predates seed recording).
+        defaults to the ``seed`` recorded on each run by ``run_experiment``
+        (empty when any run records none).
         """
         if not runs:
             raise ValueError("cannot aggregate an empty run list")

@@ -66,12 +66,10 @@ class RunMetrics:
     #: the payload the serial-vs-parallel bit-identity checks compare.
     wall_clock_s: Optional[float] = None
 
-    #: The seed this run was simulated with (set by the sweep executor so
-    #: multi-seed sweeps can group per-seed runs for aggregation).  Also
-    #: excluded from :meth:`to_dict`: the single-seed payload must stay
-    #: bit-identical to runs that predate seed recording, and the
-    #: seeds=[s] ≡ seed=s equivalence compares runs whose only difference
-    #: would otherwise be this bookkeeping field.
+    #: The seed this run was simulated with (stamped by ``run_experiment``;
+    #: a sweep groups its per-seed runs by it).  Also excluded from
+    #: :meth:`to_dict`: it is bookkeeping, and the committed payloads
+    #: (golden traces, recorded fixtures) predate seed recording.
     seed: Optional[int] = None
 
     #: Fault-run outcome (outage goodput, time to recovery, per-phase tail

@@ -77,7 +77,6 @@ class WanGraph:
 
     def __init__(self, regions: NetworkTopology) -> None:
         self.regions = regions
-        self._routers: Dict[str, None] = {}
         self._links: Dict[Tuple[str, str], WanLink] = {}
         self._adjacency: Dict[str, List[str]] = {name: [] for name in regions.region_names()}
 
@@ -86,7 +85,6 @@ class WanGraph:
         """Add a WAN router node (a pure forwarding hop, not a region)."""
         if name in self._adjacency:
             raise ValueError(f"node {name!r} is already in the graph")
-        self._routers[name] = None
         self._adjacency[name] = []
 
     def add_edge(
@@ -127,9 +125,6 @@ class WanGraph:
         """Every node name, regions first, in insertion order."""
         return list(self._adjacency)
 
-    def router_names(self) -> List[str]:
-        return list(self._routers)
-
     def region_names(self) -> List[str]:
         return self.regions.region_names()
 
@@ -165,7 +160,8 @@ class WanGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<WanGraph regions={len(self.region_names())} "
-            f"routers={len(self._routers)} edges={len(self._links)}>"
+            f"routers={len(self._adjacency) - len(self.region_names())} "
+            f"edges={len(self._links)}>"
         )
 
 

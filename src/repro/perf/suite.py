@@ -226,8 +226,8 @@ def _bench_fig8_wildchat_cell(quick: bool) -> BenchResult:
     duration = 40.0 if quick else 120.0
     # Each seed is one independently generated (wildchat, skywalker) sweep
     # cell, timed via the sweep executor's own per-cell wall-clock channel
-    # (RunMetrics.wall_clock_s, i.e. what SweepResult.wall_clock reports),
-    # so the perf report and a real multi-seed sweep measure the same thing.
+    # (RunMetrics.wall_clock_s, as on every run of a SweepResult), so the
+    # perf report and a real multi-seed sweep measure the same thing.
     seeds = (0,) if quick else (0, 1)
     result: BenchResult = {}
     completed = 0

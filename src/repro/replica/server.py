@@ -131,7 +131,6 @@ class ReplicaServer:
         self._degrade_scale: float = 1.0
         self._degrade_until: Optional[float] = None
         self._degrade_epoch: int = 0
-        self._on_first_token: List[RequestCallback] = []
         self._on_complete: List[RequestCallback] = []
         self._on_health: List[Callable[["ReplicaServer"], None]] = []
         # The one event the replica waits on; a callback whose event is no
@@ -154,10 +153,6 @@ class ReplicaServer:
     def add_completion_listener(self, callback: RequestCallback) -> None:
         """Register a callback invoked (with the request) on completion."""
         self._on_complete.append(callback)
-
-    def add_first_token_listener(self, callback: RequestCallback) -> None:
-        """Register a callback invoked when a request emits its first token."""
-        self._on_first_token.append(callback)
 
     def add_health_listener(self, callback: Callable[["ReplicaServer"], None]) -> None:
         """Register a callback invoked (with the replica) on fail/recover."""
@@ -332,11 +327,6 @@ class ReplicaServer:
         return self._batcher.cache_hit_rate
 
     @property
-    def has_capacity(self) -> bool:
-        """SP-P availability signal: no pending request means "not full"."""
-        return self.healthy and self.num_pending == 0
-
-    @property
     def batcher(self) -> ContinuousBatcher:
         """The scheduler state, caught up to ``now``."""
         self._sync()
@@ -351,11 +341,6 @@ class ReplicaServer:
     # ------------------------------------------------------------------
     # serving loop
     # ------------------------------------------------------------------
-    def _emit_first_tokens(self, requests: List[Request]) -> None:
-        for request in requests:
-            for callback in self._on_first_token:
-                callback(request)
-
     def _emit_completions(self, requests: List[Request]) -> None:
         for request in requests:
             request.replica_name = self.name
@@ -410,9 +395,7 @@ class ReplicaServer:
         plan = self._prefill
         self._prefill = None
         self._stats.record_step("prefill", plan.duration)
-        newly_running = [seq.request for seq in plan.admitted]
         finished = self._batcher.complete_prefill(plan.admitted, self.env.now)
-        self._emit_first_tokens(newly_running)
         self._step_done(event, finished)
 
     def _on_decoded(self, event: Event) -> None:

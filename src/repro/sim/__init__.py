@@ -7,7 +7,7 @@ This is a self-contained, SimPy-style kernel: generator processes yield
 
 from .engine import EmptySchedule, Environment
 from .origins import count_origins
-from .events import AllOf, AnyOf, Deferred, Event, PENDING, Timeout
+from .events import AllOf, Deferred, Event, PENDING, Timeout
 from .process import Interrupt, InvalidYield, Process
 from .resources import Store
 
@@ -18,7 +18,6 @@ __all__ = [
     "Timeout",
     "Deferred",
     "AllOf",
-    "AnyOf",
     "PENDING",
     "Process",
     "Interrupt",

@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from .events import AllOf, AnyOf, Deferred, Event, Timeout
+from .events import AllOf, Deferred, Event, Timeout
 from .process import Process
 
 __all__ = ["Environment", "EmptySchedule"]
@@ -269,10 +269,6 @@ class Environment:
     def all_of(self, events) -> AllOf:
         """Event that triggers when all of ``events`` have succeeded."""
         return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that triggers when any of ``events`` has succeeded."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # execution

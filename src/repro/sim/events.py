@@ -24,7 +24,6 @@ __all__ = [
     "Deferred",
     "ConditionEvent",
     "AllOf",
-    "AnyOf",
 ]
 
 
@@ -177,7 +176,7 @@ class Deferred(Event):
 
 
 class ConditionEvent(Event):
-    """Base class for events composed of other events (all-of / any-of)."""
+    """Base of :class:`AllOf`: an event composed of other events."""
 
     __slots__ = ("events", "_count")
 
@@ -198,10 +197,6 @@ class ConditionEvent(Event):
             else:
                 event.callbacks.append(self._check)
 
-    # Subclasses override to define when the condition is satisfied.
-    def _satisfied(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
     def _collect_values(self) -> dict:
         # Only events that have actually been *processed* contribute a value;
         # a pending Timeout already carries its value but has not happened yet.
@@ -219,7 +214,7 @@ class ConditionEvent(Event):
             self.fail(event._value)
             return
         self._count += 1
-        if self._satisfied(self._count, len(self.events)):
+        if self._count == len(self.events):
             self.succeed(self._collect_values())
 
 
@@ -228,14 +223,3 @@ class AllOf(ConditionEvent):
 
     __slots__ = ()
 
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(ConditionEvent):
-    """Triggered when *any* component event has triggered successfully."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count >= 1

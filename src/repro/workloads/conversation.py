@@ -80,7 +80,7 @@ class ConversationWorkload:
     def __init__(self, config: ConversationConfig = ConversationConfig()) -> None:
         self.config = config
         self._rng = random.Random(config.seed)
-        self._tokens = TokenFactory(seed=config.seed)
+        self._tokens = TokenFactory()
         self._lengths = LengthSampler(config.lengths, seed=config.seed + 1)
         self._global_templates: List[Tuple[int, ...]] = []
         self._regional_templates: Dict[str, List[Tuple[int, ...]]] = {}

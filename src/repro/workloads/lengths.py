@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 __all__ = ["LengthDistribution", "LengthSampler", "WILDCHAT_LIKE", "ARENA_LIKE", "TOT_LIKE"]
 
@@ -31,14 +30,6 @@ class LengthDistribution:
         mu = math.log(self.median)
         value = int(round(rng.lognormvariate(mu, self.sigma)))
         return max(self.minimum, min(self.maximum, value))
-
-    def cdf_points(self, samples: Sequence[int]) -> List[Tuple[int, float]]:
-        """Empirical CDF of ``samples`` as (length, cumulative fraction) points."""
-        if not samples:
-            return []
-        ordered = sorted(samples)
-        n = len(ordered)
-        return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
 
 
 @dataclass(frozen=True)

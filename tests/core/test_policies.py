@@ -66,7 +66,8 @@ def test_composite_requires_all_members_to_allow():
 def test_filter_regions_helper():
     constraint = GDPRConstraint(default_topology())
     eu_request = make_request(region="eu")
-    assert constraint.filter_regions(eu_request, "eu", ["us", "eu", "asia"]) == ["eu"]
+    candidates = ["us", "eu", "asia"]
+    assert [dst for dst in candidates if constraint.allows(eu_request, "eu", dst)] == ["eu"]
 
 
 # ----------------------------------------------------------------------

@@ -47,5 +47,5 @@ def test_workload_spec_counts_programs_and_requests():
         programs_by_region={"us": [program]},
         clients_per_region={"us": 1},
     )
-    assert spec.total_programs == 1
+    assert len(spec.programs_by_region["us"]) == 1
     assert spec.total_requests == 3

@@ -8,7 +8,7 @@ from repro.experiments.diurnal_sweep import fleet_runs, replicas_meeting_slo, sl
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_diurnal_sweep(replica_counts=(3, 6), scale=0.2, duration_s=50.0, seed=5)
+    return run_diurnal_sweep(replica_counts=(3, 6), scale=0.2, duration_s=50.0, seeds=[5])
 
 
 def test_sweep_covers_both_systems_and_all_counts(sweep):

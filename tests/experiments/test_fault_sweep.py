@@ -43,7 +43,7 @@ def small_sweep(**kwargs):
     workload = build_arena_workload(scale=0.03, seed=1)
     systems = [REGISTRY.spec("skywalker"), REGISTRY.spec("round-robin")]
     return run_sweep(
-        systems, [workload], cluster=CLUSTER, duration_s=25.0, seed=1, **kwargs
+        systems, [workload], cluster=CLUSTER, duration_s=25.0, seeds=[1], **kwargs
     ), workload.name
 
 
@@ -137,7 +137,7 @@ def test_pushing_benchmark_threads_faults_through_cells():
 def test_sweep_paired_diff_requires_and_uses_per_seed_runs():
     workload = build_arena_workload(scale=0.03, seed=1)
     systems = [REGISTRY.spec("skywalker"), REGISTRY.spec("round-robin")]
-    single = run_sweep(systems, [workload], cluster=CLUSTER, duration_s=20.0, seed=1)
+    single = run_sweep(systems, [workload], cluster=CLUSTER, duration_s=20.0, seeds=[1])
     # A single-seed sweep pairs one run per side: degenerate n=1, no CI.
     degenerate = single.paired_diff(workload.name, "skywalker", "round-robin")
     assert degenerate.n == 1 and degenerate.ci95 is None

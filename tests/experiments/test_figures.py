@@ -71,7 +71,7 @@ def test_round_robin_produces_memory_imbalance():
 # Fig. 9: pushing-policy comparison (scaled down)
 # ----------------------------------------------------------------------
 def test_pushing_benchmark_runs_all_three_policies():
-    result = run_pushing_benchmark(replicas=2, clients=6, duration_s=40.0, seed=4)
+    result = run_pushing_benchmark(replicas=2, clients=6, duration_s=40.0, seeds=[4])
     runs = result.runs["tot-single-region"]
     assert set(runs) == {"BP", "SP-O", "SP-P"}
     for metrics in runs.values():
@@ -97,5 +97,5 @@ def test_macro_benchmark_sweep_structure():
     assert result.get("chatbot-arena", "skywalker").throughput_tokens_per_s > 0
     speedups = speedup_over_baselines(result, "chatbot-arena", system="skywalker")
     assert "round-robin" in speedups
-    report = result.format_report()
+    report = result.report().format_table()
     assert "chatbot-arena" in report and "skywalker" in report

@@ -83,7 +83,7 @@ def _run_grid():
             profile=SMALL_KV_PROFILE,
         ),
         duration_s=GRID_DURATION_S,
-        seed=GRID_SEED,
+        seeds=[GRID_SEED],
     )
     return {
         workload: {system: metrics.to_dict() for system, metrics in row.items()}

@@ -2,27 +2,34 @@
 
 Three contracts under test:
 
-* ``seeds=[s]`` is **bit-identical** to the legacy single-seed ``seed=s``
-  path (the golden traces and committed artifacts depend on it),
+* a sweep is a pure fan-out of runs: each (workload, system, seed) cell is
+  **bit-identical** to one ``run_experiment`` at that seed (the golden
+  traces and committed artifacts depend on it),
 * serial and ``workers=2`` multi-seed sweeps are bit-identical per seed,
 * the per-seed runs and mean/95%-CI aggregates are populated everywhere
   the API promises them (``run_sweep``, macro, pushing, diurnal).
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import (
     REGISTRY,
     ClusterConfig,
+    ExperimentConfig,
+    SweepResult,
     build_arena_workload,
     normalise_seeds,
     run_diurnal_sweep,
     run_macro_benchmark,
+    run_experiment,
     run_pushing_benchmark,
     run_sweep,
 )
 from repro.experiments.diurnal_sweep import fleet_runs, replicas_meeting_slo
 from repro.experiments.pushing import throughput_gain
+from repro.experiments.workloads import MACRO_WORKLOAD_BUILDERS
 from repro.replica import TINY_TEST_PROFILE
 
 
@@ -36,33 +43,53 @@ def tiny_cluster():
 # seed-list normalisation
 # ----------------------------------------------------------------------
 def test_normalise_seeds_contract():
-    assert normalise_seeds(7, None) == [7]
-    assert normalise_seeds(7, [1, 2, 3]) == [1, 2, 3]
+    assert normalise_seeds((7,)) == [7]
+    assert normalise_seeds([1, 2, 3]) == [1, 2, 3]
     with pytest.raises(ValueError, match="non-empty"):
-        normalise_seeds(7, [])
+        normalise_seeds([])
     with pytest.raises(ValueError, match="duplicates"):
-        normalise_seeds(7, [1, 1, 2])
+        normalise_seeds([1, 1, 2])
 
 
 # ----------------------------------------------------------------------
-# seeds=[s] ≡ legacy seed=s, bit for bit
+# a sweep cell ≡ one run_experiment at its seed, bit for bit
 # ----------------------------------------------------------------------
-def test_single_entry_seeds_is_bit_identical_to_legacy_seed():
+def test_sweep_cell_is_a_plain_run():
     systems = [REGISTRY.spec("skywalker"), REGISTRY.spec("least-load")]
     workload = build_arena_workload(scale=0.03, seed=1)
-    kwargs = dict(cluster=tiny_cluster(), duration_s=15.0)
-    legacy = run_sweep(systems, [workload], seed=3, **kwargs)
-    seeded = run_sweep(systems, [workload], seeds=[3], **kwargs)
-    for system in legacy.systems(workload.name):
-        reference = legacy.get(workload.name, system)
+    sweep = run_sweep(systems, [workload], cluster=tiny_cluster(), duration_s=15.0, seeds=[3])
+    for system in systems:
+        reference = run_experiment(
+            ExperimentConfig(system=system, cluster=tiny_cluster(), duration_s=15.0, seed=3),
+            workload.fresh_copy(),
+        ).metrics
         assert reference.num_completed > 0
-        assert seeded.get(workload.name, system).to_dict() == reference.to_dict()
-        # The seeds=[3] run also exposes itself under its seed key...
-        assert seeded.get(workload.name, system, seed=3).to_dict() == reference.to_dict()
-    # ...and the seed stamp stays out of the identity payload.
-    stamped = seeded.get(workload.name, "skywalker")
-    assert stamped.seed == 3
+        assert sweep.get(workload.name, system.name).to_dict() == reference.to_dict()
+        assert sweep.get(workload.name, system.name, seed=3).to_dict() == reference.to_dict()
+    # run_experiment stamps the seed, and the stamp stays out of the
+    # identity payload.
+    stamped = sweep.get(workload.name, "skywalker")
+    assert stamped.seed == reference.seed == 3
     assert "seed" not in stamped.to_dict()
+
+
+def test_figure_driver_cell_is_a_plain_run():
+    result = run_macro_benchmark(
+        systems=("skywalker",),
+        workloads=("chatbot-arena",),
+        scale=0.03,
+        duration_s=10.0,
+        cluster=tiny_cluster(),
+        seeds=[2],
+    )
+    reference = run_experiment(
+        ExperimentConfig(
+            system=REGISTRY.spec("skywalker"), cluster=tiny_cluster(), duration_s=10.0, seed=2
+        ),
+        MACRO_WORKLOAD_BUILDERS["chatbot-arena"](scale=0.03, seed=2),
+    ).metrics
+    assert reference.num_completed > 0
+    assert result.get("chatbot-arena", "skywalker").to_dict() == reference.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -107,15 +134,12 @@ def test_multi_seed_aggregate_and_reports_populated():
             assert stat.ci95 is not None and stat.stdev is not None
         # Per-seed wall-clock is recorded alongside the base-seed view.
         for seed in (1, 2, 3):
-            assert sweep.wall_clock(workload.name, system, seed=seed) > 0.0
-        assert sweep.wall_clock(workload.name, system) == sweep.wall_clock(
-            workload.name, system, seed=1
-        )
-    report = sweep.format_report()
-    assert "aggregate over seeds [1, 2, 3]" in report and "±" in report
+            assert sweep.get(workload.name, system, seed=seed).wall_clock_s > 0.0
+        assert sweep.get(workload.name, system) is sweep.get(workload.name, system, seed=1)
+    assert "±" in sweep.report().format_table()
     import json
 
-    payload = json.loads(sweep.to_json())
+    payload = json.loads(sweep.report().to_json())
     assert {cell["system"] for cell in payload["cells"]} == {"skywalker", "least-load"}
 
 
@@ -151,7 +175,7 @@ def test_macro_benchmark_multi_seed():
         agg = result.aggregate("chatbot-arena", system)
         assert agg.num_seeds == 2
         assert agg.ci95("throughput_tokens_per_s") is not None
-    assert "±" in result.format_report()
+    assert "±" in result.report().format_table()
 
 
 def test_pushing_benchmark_multi_seed():
@@ -176,10 +200,13 @@ def test_pushing_benchmark_multi_seed():
     assert throughput_gain(result, "BP", "SP-P") > 0
 
 
-def test_diurnal_sweep_multi_seed():
-    result = run_diurnal_sweep(
-        replica_counts=(3,), scale=0.05, duration_s=10.0, seeds=[5, 6]
-    )
+@pytest.fixture(scope="module")
+def diurnal_two_seeds():
+    return run_diurnal_sweep(replica_counts=(3,), scale=0.05, duration_s=10.0, seeds=[5, 6])
+
+
+def test_diurnal_sweep_multi_seed(diurnal_two_seeds):
+    result = diurnal_two_seeds
     (workload,) = result.workloads()
     for system in ("skywalker", "region-local"):
         base = fleet_runs(result, system)[3]
@@ -202,18 +229,14 @@ def test_diurnal_sweep_multi_seed():
         result.get("regionally-skewed", "skywalker")
 
 
-def test_figure_drivers_single_seed_unchanged_by_seed_plumbing():
-    """seeds=None keeps the figure drivers bit-identical to seeds=[default]."""
-    kwargs = dict(
-        systems=("skywalker",),
-        workloads=("chatbot-arena",),
-        scale=0.03,
-        duration_s=10.0,
-        cluster=tiny_cluster(),
-    )
-    legacy = run_macro_benchmark(seed=0, **kwargs)
-    seeded = run_macro_benchmark(seeds=[0], **kwargs)
-    assert (
-        legacy.get("chatbot-arena", "skywalker").to_dict()
-        == seeded.get("chatbot-arena", "skywalker").to_dict()
-    )
+def test_get_unknown_seed_names_the_cells_seeds(diurnal_two_seeds):
+    (workload,) = diurnal_two_seeds.workloads()
+    with pytest.raises(ValueError, match=r"unknown seed 9 for 'skywalker'.*\[5, 6\]"):
+        diurnal_two_seeds.get(workload, "skywalker", seed=9)
+
+
+def test_add_rejects_a_run_without_a_seed(diurnal_two_seeds):
+    (workload,) = diurnal_two_seeds.workloads()
+    unstamped = replace(diurnal_two_seeds.get(workload, "skywalker"), seed=None)
+    with pytest.raises(ValueError, match="records no seed"):
+        SweepResult().add(unstamped)

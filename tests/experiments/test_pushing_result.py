@@ -35,6 +35,7 @@ def make_metrics(
         cross_region_fraction=0.0,
         forwarded_fraction=0.0,
         replica_load_imbalance=1.0,
+        seed=0,
     )
 
 

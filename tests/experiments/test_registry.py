@@ -224,7 +224,7 @@ def test_run_sweep_reuses_one_workload_across_variants():
             replicas_per_region={"us": 1, "eu": 1, "asia": 1}, profile=TINY_TEST_PROFILE
         ),
         duration_s=20.0,
-        seed=1,
+        seeds=[1],
     )
     # The original workload was never mutated by either run.
     assert workload.total_requests == total_before
@@ -262,7 +262,9 @@ def test_run_sweep_rejects_colliding_display_names():
 def test_fresh_copy_preserves_structure_with_pristine_requests():
     workload = build_arena_workload(scale=0.02)
     copy = workload.fresh_copy()
-    assert copy.total_programs == workload.total_programs
+    assert {region: len(programs) for region, programs in copy.programs_by_region.items()} == {
+        region: len(programs) for region, programs in workload.programs_by_region.items()
+    }
     assert copy.total_requests == workload.total_requests
     assert copy.hash_key == workload.hash_key
     original = next(iter(workload.programs_by_region.values()))[0]

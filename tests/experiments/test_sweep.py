@@ -96,7 +96,7 @@ def test_parallel_sweep_is_bit_identical_to_serial():
         build_arena_workload(scale=0.03, seed=1),
         build_tot_workload(scale=0.06, seed=2),
     ]
-    kwargs = dict(cluster=tiny_cluster(), duration_s=20.0, seed=1)
+    kwargs = dict(cluster=tiny_cluster(), duration_s=20.0, seeds=[1])
     serial = run_sweep(systems, workloads, workers=1, **kwargs)
     parallel = run_sweep(systems, workloads, workers=2, **kwargs)
 
@@ -117,7 +117,7 @@ def test_parallel_sweep_resolves_plugin_systems_in_workers():
         [build_arena_workload(scale=0.03, seed=1), build_tot_workload(scale=0.06, seed=2)],
         cluster=tiny_cluster(),
         duration_s=15.0,
-        seed=1,
+        seeds=[1],
         workers=2,
     )
     for workload in sweep.workloads():
@@ -135,14 +135,12 @@ def test_cell_wall_clock_recorded_in_serial_and_parallel_modes():
             systems, [workload], cluster=tiny_cluster(), duration_s=5.0, workers=workers
         )
         for system in sweep.systems(workload.name):
-            seconds = sweep.wall_clock(workload.name, system)
+            seconds = sweep.get(workload.name, system).wall_clock_s
             assert seconds is not None and seconds > 0.0, (workers, system)
-            assert sweep.get(workload.name, system).wall_clock_s == seconds
         # The wall-clock column is telemetry, not part of the result
         # identity that the serial-vs-parallel equivalence compares.
         metrics = sweep.get(workload.name, "skywalker")
         assert "wall_clock_s" not in metrics.to_dict()
-        assert "  wall=" in sweep.format_report()
 
 
 def test_wall_clock_survives_pickling_from_workers():

@@ -194,7 +194,6 @@ def _stochastic_sweep(executor):
         [workload],
         cluster=tiny_cluster(),
         duration_s=30.0,
-        seed=1,
         seeds=[1, 2],
         faults=faults,
     )

@@ -171,7 +171,7 @@ def _tiered_sweep(executor: SweepExecutor):
         [workload],
         cluster=tiny_cluster(TIERED),
         duration_s=25.0,
-        seed=1,
+        seeds=[1],
     )
 
 
@@ -228,7 +228,7 @@ def test_forced_spawn_workers_bootstrap_plugin_registrations():
         offload="mem-test-demote",
     )
     workloads = [build_arena_workload(scale=0.03, seed=7)]
-    kwargs = dict(cluster=tiny_cluster(memory), duration_s=20.0, seed=1)
+    kwargs = dict(cluster=tiny_cluster(memory), duration_s=20.0, seeds=[1])
     systems = [
         REGISTRY.spec("skywalker"),
         REGISTRY.spec("round-robin"),

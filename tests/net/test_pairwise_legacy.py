@@ -182,7 +182,7 @@ def test_default_network_sweep_matches_the_pairwise_recording():
     cluster = ClusterConfig(
         replicas_per_region={"us": 1, "eu": 1, "asia": 1}, profile=TINY_TEST_PROFILE
     )
-    result = run_sweep(systems, [workload], cluster=cluster, duration_s=20.0, seed=1)
+    result = run_sweep(systems, [workload], cluster=cluster, duration_s=20.0, seeds=[1])
     payloads = {
         name: result.get(workload.name, name).to_dict()
         for name in result.systems(workload.name)

@@ -50,15 +50,9 @@ class StepwiseReplica(ReplicaServer):
                 yield env.timeout(plan.duration)
                 self.stats.record_step(plan.kind, plan.duration)
                 if plan.kind == "prefill":
-                    newly_running = [seq.request for seq in plan.admitted]
                     finished = self.batcher.complete_prefill(plan.admitted, env.now)
-                    self._emit_first_tokens(newly_running)
                 else:
                     finished = self.batcher.complete_decode_step(env.now)
-                    just_got_first = [
-                        r for r in finished if r.generated_tokens == 1
-                    ]
-                    self._emit_first_tokens(just_got_first)
                 if finished:
                     self._emit_completions(finished)
                 if self.record_utilization:

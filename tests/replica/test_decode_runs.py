@@ -4,8 +4,8 @@ batch change simulates exactly what the one-event-per-step loop does.
 Every scenario runs twice on ``TINY_TEST_PROFILE`` (2,000 KV tokens, batches
 of 8): once on :class:`~repro.replica.ReplicaServer` and once on the
 :class:`~tests.replica.stepwise.StepwiseReplica` oracle.  The two runs must
-agree on every request timestamp and token count, the order and time of
-every first token and completion, the step statistics and utilization
+agree on every request timestamp (first token included) and token count,
+the order and time of every completion, the step statistics and utilization
 samples, what ``fail()`` aborts, and every probe read taken along the way.
 
 Scenarios mix random arrivals (one of them landing exactly on a step
@@ -71,7 +71,6 @@ def _simulate(cls, scenario: Scenario, record_utilization: bool):
     requests = _requests(scenario)
     index = {id(request): i for i, request in enumerate(requests)}
     log = []
-    replica.add_first_token_listener(lambda r: log.append(("first", index[id(r)], env.now)))
     replica.add_completion_listener(lambda r: log.append(("done", index[id(r)], env.now)))
 
     def at(when, action):
@@ -94,7 +93,7 @@ def _simulate(cls, scenario: Scenario, record_utilization: bool):
             replica.num_running,
             replica.num_outstanding,
             replica.cache_hit_rate,
-            replica.has_capacity,
+            replica.healthy,
             replica.load(),
         )
         if kind == "stats":

@@ -7,7 +7,7 @@ Every golden trace in this repo was recorded against that order.  Two kinds
 of checks pin it:
 
 * an **engine-level** fuzzer builds randomized simulations (processes with
-  mixed delays, absolute-time inserts, same-time bursts, ``AllOf``/``AnyOf``
+  mixed delays, absolute-time inserts, same-time bursts, ``AllOf``
   conditions, events succeeded by helpers, urgent-priority interrupts that
   cancel waits) from a pre-drawn script (``N_ENGINE_SCHEDULES`` of them)
   and checks properties of each run: the observed clock is monotone, every
@@ -50,10 +50,8 @@ def _engine_script(seed: int):
             elif roll < 0.55:
                 # Same-timestamp burst: AllOf over n equal-delay timeouts.
                 steps.append(("burst", rng.randrange(2, 5), rng.choice([0.5, 1.0])))
-            elif roll < 0.70:
-                steps.append(("all_of", [rng.uniform(0, 3) for _ in range(rng.randrange(2, 5))]))
             elif roll < 0.85:
-                steps.append(("any_of", [rng.uniform(0, 3) for _ in range(rng.randrange(2, 5))]))
+                steps.append(("all_of", [rng.uniform(0, 3) for _ in range(rng.randrange(2, 5))]))
             elif roll < 0.93:
                 # Absolute-time insert; the coarse grid ties it with
                 # relative timeouts landing on the same instant.
@@ -89,10 +87,6 @@ def _run_engine_script(script):
                     yield env.all_of([env.timeout(step[2]) for _ in range(step[1])])
                 elif step[0] == "all_of":
                     yield env.all_of([env.timeout(d) for d in step[1]])
-                elif step[0] == "any_of":
-                    # The losing timeouts still fire later: exercises the
-                    # already-processed / double-pop no-op paths.
-                    yield env.any_of([env.timeout(d) for d in step[1]])
                 elif step[0] == "at":
                     yield env.timeout_at(max(env.now, step[1]))
                 else:  # helper_event

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Timeout
+from repro.sim import AllOf, Environment, Event, Timeout
 
 
 def test_event_starts_pending(env):
@@ -104,20 +104,6 @@ def test_all_of_waits_for_every_event(env):
     env.process(waiter(env))
     env.run()
     assert done == [(3.0, ["one", "three"])]
-
-
-def test_any_of_returns_on_first_event(env):
-    done = []
-
-    def waiter(env):
-        t1 = env.timeout(1, value="fast")
-        t2 = env.timeout(10, value="slow")
-        values = yield env.any_of([t1, t2])
-        done.append((env.now, list(values.values())))
-
-    env.process(waiter(env))
-    env.run()
-    assert done == [(1.0, ["fast"])]
 
 
 def test_empty_condition_triggers_immediately(env):

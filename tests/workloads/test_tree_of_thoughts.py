@@ -7,7 +7,6 @@ from repro.workloads import TreeOfThoughtsConfig, TreeOfThoughtsWorkload
 
 def test_two_branch_tree_has_fifteen_requests():
     config = TreeOfThoughtsConfig(branching_factor=2, depth=4)
-    assert config.requests_per_tree == 15
     workload = TreeOfThoughtsWorkload(config)
     program = workload.generate_tree("q0", "user-0", "us")
     assert program.num_requests == 15
@@ -16,7 +15,6 @@ def test_two_branch_tree_has_fifteen_requests():
 
 def test_four_branch_tree_has_eighty_five_requests():
     config = TreeOfThoughtsConfig(branching_factor=4, depth=4)
-    assert config.requests_per_tree == 85
     program = TreeOfThoughtsWorkload(config).generate_tree("q0", "user-0", "us")
     assert program.num_requests == 85
     assert [len(stage) for stage in program.stages] == [1, 4, 16, 64]
