@@ -8,8 +8,8 @@ cell through the real stack — and checks it against the committed
   flatness across a doubled simulation window, and the day cell completing
   every request it issued;
 * the quick streamed cells' deterministic counters (events processed,
-  requests issued and completed, the day's throughput and cross-region
-  share) are pinned exactly;
+  requests issued and completed, the day's throughput, cross-region
+  share and TTFT percentiles) are pinned exactly;
 * the day cell's wall-clock only gets the loose accidental-cliff bound
   (same policy as ``test_perf_hotpaths.py``): CI runners are slower and
   noisier than the baseline host, so a tight wall-clock pin would flake.
@@ -51,6 +51,11 @@ QUICK_FLAT_REQUESTS_LONG = 18_675
 #: their origin region.
 QUICK_DAY_THROUGHPUT_TOKENS_PER_S = 9_855_059 / 4_200
 QUICK_DAY_CROSS_REGION_FRACTION = 3_093 / QUICK_DAY_REQUESTS
+#: The quick day's TTFT percentiles, from the tracker's per-completion
+#: columns (a streamed run keeps no request objects).
+QUICK_DAY_TTFT_P50_S = 0.07688149750720186
+QUICK_DAY_TTFT_P90_S = 0.7048604396406513
+QUICK_DAY_TTFT_P99_S = 2.720439204398953
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +106,8 @@ def test_fresh_quick_streamed_counters_are_pinned(fresh_quick):
     """Events, requests and served tokens are deterministic where timings
     are not, so the quick cells' counters are pinned exactly: a change that
     adds or removes events or requests fails here by name, not as a timing
-    flake, and a streamed run that stops counting tokens or cross-region
-    placements fails here too."""
+    flake, and a streamed run that stops counting tokens, cross-region
+    placements or first-token latencies fails here too."""
     cell = fresh_quick["benchmarks"]["streamed_diurnal_cell"]
     assert cell["day_events"] == QUICK_DAY_EVENTS
     assert cell["day_requests_issued"] == cell["day_requests_completed"] == QUICK_DAY_REQUESTS
@@ -110,6 +115,9 @@ def test_fresh_quick_streamed_counters_are_pinned(fresh_quick):
     assert cell["flat_requests_long"] == QUICK_FLAT_REQUESTS_LONG
     assert cell["day_throughput_tokens_per_s"] == QUICK_DAY_THROUGHPUT_TOKENS_PER_S
     assert cell["day_cross_region_fraction"] == QUICK_DAY_CROSS_REGION_FRACTION
+    assert cell["day_ttft_p50_s"] == QUICK_DAY_TTFT_P50_S
+    assert cell["day_ttft_p90_s"] == QUICK_DAY_TTFT_P90_S
+    assert cell["day_ttft_p99_s"] == QUICK_DAY_TTFT_P99_S
 
 
 def test_no_engine_timing_regressed_over_committed_quick(committed_report, fresh_quick):

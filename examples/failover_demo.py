@@ -63,7 +63,15 @@ def main() -> None:
 
     resilience = result.metrics.resilience
     start, end = resilience.outage_windows[0]
-    eu_requests = [r for r in result.completed if r.region == "eu"]
+    # run_experiment drives the workload's own request objects, so each
+    # finished one carries its routing record (ingress balancer, ...).
+    eu_requests = [
+        request
+        for programs in workload.programs_by_region.values()
+        for program in programs
+        for request in program.all_requests()
+        if request.finished and request.region == "eu"
+    ]
     during_outage = [r for r in eu_requests if start <= r.sent_time <= end]
     served_by_us_lb = [r for r in during_outage if r.ingress_region == "us"]
     eu = next(b for b in result.balancers if b.region == "eu")

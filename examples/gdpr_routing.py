@@ -50,6 +50,7 @@ def build_eu_heavy_workload(seed: int = 3) -> WorkloadSpec:
 
 
 def run(constraint):
+    """Run the EU-heavy workload and return the EU requests it finished."""
     workload = build_eu_heavy_workload()
     # ``constraint`` is a registered routing-constraint name (None, "gdpr",
     # "continent", or anything added via repro.core.register_constraint).
@@ -63,11 +64,18 @@ def run(constraint):
         duration_s=60.0,
         seed=3,
     )
-    return run_experiment(config, workload)
+    run_experiment(config, workload)
+    # run_experiment drives the workload's own request objects, so each
+    # finished one carries where it was served.
+    return [
+        request
+        for program in workload.programs_by_region["eu"]
+        for request in program.all_requests()
+        if request.finished
+    ]
 
 
-def summarize(label, result):
-    eu_requests = [r for r in result.completed if r.region == "eu"]
+def summarize(label, eu_requests):
     offloaded = [r for r in eu_requests if r.serving_region != "eu"]
     print(f"{label}")
     print(f"  EU requests completed      : {len(eu_requests)}")

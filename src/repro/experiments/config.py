@@ -173,10 +173,6 @@ class ExperimentConfig:
     deterministic :class:`~repro.faults.FaultSchedule` (or the name of a
     registered schedule) into the run; ``None`` -- or an empty schedule --
     leaves the simulation bit-identical to a fault-free run.
-    ``retain_completed=False`` keeps no finished request objects: every
-    run total still comes from the tracker's counters, and only the
-    latency summaries (``ttft``, ``e2e_latency``, ``queueing_delay``),
-    which are built from the request list, stay empty.
     """
 
     system: SystemSpec
@@ -185,4 +181,3 @@ class ExperimentConfig:
     seed: int = 0
     network_jitter: float = 0.05
     faults: FaultsLike = None
-    retain_completed: bool = True

@@ -128,14 +128,14 @@ def _run_diurnal_cell(task: SweepTask) -> RunMetrics:
 
     Module-level so :meth:`SweepExecutor.map` can ship it to a worker
     process; the per-region percentiles have to be computed here because
-    only the worker sees the completed request objects.
+    only the worker sees the tracker's completion columns.
     """
     outcome = run_experiment(task.config, task.workload.fresh_copy())
     metrics = outcome.metrics
     # Per-region tail latency: the overloaded (US) region is the one
     # a region-local deployment must over-provision for.
     for region in _REGIONS:
-        ttfts = [r.ttft for r in outcome.completed if r.region == region and r.ttft is not None]
+        ttfts = outcome.tracker.region_values(outcome.tracker.ttft, region)
         if ttfts:
             summary = LatencySummary.from_values(ttfts)
             metrics.extra[f"{region}_ttft_p90"] = summary.p90

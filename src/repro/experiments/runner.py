@@ -41,7 +41,6 @@ from ..metrics import (
 from ..net import Network, build_routed_network
 from ..network import default_topology
 from ..sim import Environment
-from ..workloads.request import Request
 from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .registry import REGISTRY, BuildContext, SystemSpec
 
@@ -66,10 +65,6 @@ class ExperimentResult:
     env: Environment
     #: Set when the run had a non-empty fault schedule.
     injector: Optional[FaultInjector] = None
-
-    @property
-    def completed(self) -> List[Request]:
-        return self.tracker.completed
 
     @property
     def controller(self):
@@ -134,7 +129,7 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         record_utilization=config.cluster.record_utilization,
     )
 
-    tracker = RequestTracker(env, retain_completed=config.retain_completed)
+    tracker = RequestTracker(env)
     for replica in deployment.replicas:
         replica.add_completion_listener(tracker.complete)
         if network.contention_enabled and network.model_responses:
@@ -303,8 +298,9 @@ class SweepResult:
 
     def runs_for(self, workload: str, system: str) -> Dict[int, RunMetrics]:
         """All per-seed runs of one cell, keyed by seed (insertion order ==
-        the order of the sweep's seeds list)."""
-        return dict(self.seed_runs.get(workload, {}).get(system, {}))
+        the order of the sweep's seeds list).  An unknown workload or system
+        raises a ValueError naming the known ones."""
+        return dict(self._cell(workload, system))
 
     def seeds(self) -> List[int]:
         """Every seed seen across the sweep, in first-seen order."""
@@ -341,14 +337,9 @@ class SweepResult:
         systems on one workload (positive ``ci_low`` means ``system_a``
         beats ``system_b`` at the 95% level).  Pairing needs the same
         seeds on both sides."""
-        runs_a = self.runs_for(workload, system_a)
-        runs_b = self.runs_for(workload, system_b)
-        if not runs_a or not runs_b:
-            raise ValueError(
-                "paired differences need per-seed runs for both systems "
-                f"(got {system_a!r}: {sorted(runs_a)}, {system_b!r}: {sorted(runs_b)})"
-            )
-        return paired_difference(runs_a, runs_b, metric)
+        return paired_difference(
+            self.runs_for(workload, system_a), self.runs_for(workload, system_b), metric
+        )
 
 
 def metric_ratio(

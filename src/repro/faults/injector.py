@@ -339,17 +339,13 @@ class FaultInjector:
         return total
 
     def resilience_metrics(self, *, duration_s: float) -> "ResilienceMetrics":
-        """Aggregate this run's fault story into a metrics record.
-
-        The fields derived from completed requests are ``None`` (not
-        measured) unless the tracker retained them."""
+        """Aggregate this run's fault story into a metrics record (an
+        injector built without a tracker reports no completions)."""
         from ..metrics.resilience import collect_resilience_metrics
 
-        tracker = self.tracker
+        tracker = self.tracker if self.tracker is not None else RequestTracker(self.env)
         return collect_resilience_metrics(
-            completed=(
-                tracker.completed if tracker is not None and tracker.retain_completed else None
-            ),
+            tracker=tracker,
             duration_s=duration_s,
             outage_windows=self.outage_windows(duration_s),
             degraded_windows=self.degraded_windows(duration_s),
@@ -357,7 +353,7 @@ class FaultInjector:
             failover_count=self.failover_count,
             stranded_requests=self.stranded_requests,
             parked_requests=self.parked_requests(),
-            failed_requests=tracker.num_failed if tracker is not None else 0,
+            failed_requests=tracker.num_failed,
             dropped_messages=self.network.dropped_messages,
         )
 

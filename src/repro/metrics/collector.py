@@ -1,7 +1,7 @@
 """End-of-run metric aggregation.
 
 :func:`collect_run_metrics` turns the raw artefacts of a simulation run --
-the request tracker's run totals and retained requests plus the
+the request tracker's run totals and completion columns plus the
 deployment's counters -- into the numbers the paper's evaluation reports:
 service throughput (tokens/s), TTFT and end-to-end latency distributions,
 prefix-cache hit rate, load-imbalance variance and cross-region traffic
@@ -117,8 +117,8 @@ class RunMetrics:
     def format_row(self) -> str:
         """One human-readable results row (used by the bench harness).
 
-        A latency summary with no samples (a non-retaining run) prints
-        ``-`` rather than a zero it never measured."""
+        A latency summary with no samples (nothing completed) prints ``-``
+        rather than a zero it never measured."""
 
         def seconds(summary: LatencySummary, value: float, fmt: str) -> str:
             return f"{'-':>7}" if summary.count == 0 else f"{value:{fmt}}s"
@@ -153,16 +153,10 @@ def collect_run_metrics(
     """Aggregate a finished run into a :class:`RunMetrics` record.
 
     Run totals come from the counters ``tracker`` folded as requests
-    completed; the latency summaries come from its retained requests, so a
-    non-retaining run leaves them empty.
+    completed, and the latency summaries from its completion columns.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-
-    completed = tracker.completed
-    ttfts = [r.ttft for r in completed if r.ttft is not None]
-    e2es = [r.e2e_latency for r in completed if r.e2e_latency is not None]
-    queueing = [r.queueing_delay for r in completed if r.queueing_delay is not None]
 
     peak_memory_imbalance: Optional[float] = None
     peaks = [
@@ -184,9 +178,9 @@ def collect_run_metrics(
         throughput_tokens_per_s=tracker.served_tokens / duration_s,
         output_tokens_per_s=tracker.output_tokens / duration_s,
         requests_per_s=num_completed / duration_s,
-        ttft=LatencySummary.from_values(ttfts),
-        e2e_latency=LatencySummary.from_values(e2es),
-        queueing_delay=LatencySummary.from_values(queueing),
+        ttft=LatencySummary.from_values(tracker.ttft),
+        e2e_latency=LatencySummary.from_values(tracker.e2e_latency),
+        queueing_delay=LatencySummary.from_values(tracker.queueing_delay),
         cache_hit_rate=deployment.aggregate_cache_hit_rate(),
         cross_region_fraction=(
             tracker.num_cross_region / num_completed if num_completed else 0.0

@@ -4,12 +4,14 @@ When an experiment runs with a fault schedule, the plain throughput/latency
 aggregates of :class:`~repro.metrics.collector.RunMetrics` hide the story
 that matters: how much goodput survived *during* the outage, how long
 recovery took, how many requests were stranded or lost.  This module
-computes that story from the raw ingredients -- the completed requests,
-the injector's outage windows and a handful of counters -- into a
+computes that story from the raw ingredients -- the request tracker's
+completion columns, the injector's outage windows and a handful of
+counters -- into a
 :class:`ResilienceMetrics` record attached to ``RunMetrics.resilience``.
 
 Phases are defined by the overall outage span (first injection to last
-recovery) and requests are classified by their **send time**: a request
+recovery), which is known only once the run ends, so completions are
+classified then, by their **send time** column: a request
 sent during the outage that only completes after recovery still tells an
 "outage experience" story, which is exactly what the per-phase p90 TTFT
 captures (the §4.2 experiment's before/during/after comparison).
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..workloads.request import Request
+from ..cluster.client import RequestTracker
 from .summary import percentile
 
 __all__ = ["ResilienceMetrics", "collect_resilience_metrics"]
@@ -32,9 +34,7 @@ class ResilienceMetrics:
 
     ``None`` values mean "not applicable" (no outage window, or an empty
     phase) rather than zero, so report code can distinguish "perfect
-    recovery" from "nothing ever failed".  On a run that retained no
-    completed requests, every field derived from them (the goodputs, the
-    phase counts and the p90 TTFTs) is ``None`` too: not measured.
+    recovery" from "nothing ever failed".
     """
 
     #: Fault events injected (including recovery-type events).
@@ -59,9 +59,9 @@ class ResilienceMetrics:
     #: span -- the "goodput during outage" of the §4.2 experiment.
     goodput_during_outage_tokens_per_s: Optional[float] = None
     #: Completed requests by send-time phase.
-    completed_before: Optional[int] = 0
-    completed_during: Optional[int] = 0
-    completed_after: Optional[int] = 0
+    completed_before: int = 0
+    completed_during: int = 0
+    completed_after: int = 0
     #: Client-perceived p90 TTFT by send-time phase.
     ttft_p90_before_s: Optional[float] = None
     ttft_p90_during_s: Optional[float] = None
@@ -72,7 +72,7 @@ class ResilienceMetrics:
     #: latency rather than downtime.
     degraded_windows: List[Tuple[float, float]] = field(default_factory=list)
     #: Completed requests sent while some degrade was active.
-    completed_degraded: Optional[int] = 0
+    completed_degraded: int = 0
     #: Served tokens per second of requests finishing inside degraded
     #: windows (degraded-mode goodput).
     goodput_while_degraded_tokens_per_s: Optional[float] = None
@@ -145,7 +145,7 @@ def _clip_windows(
 
 def collect_resilience_metrics(
     *,
-    completed: Optional[Sequence[Request]],
+    tracker: RequestTracker,
     duration_s: float,
     outage_windows: Sequence[Tuple[float, float]],
     num_fault_events: int,
@@ -164,9 +164,9 @@ def collect_resilience_metrics(
     before/during/after phases span from the earliest start to the latest
     end.  ``degraded_windows`` are gray (slow-but-alive) periods: requests
     *sent* inside any of them feed the degraded-mode goodput and p90 TTFT,
-    independently of the hard-outage phase classification.
-    ``completed=None`` means the run retained no requests: the fields
-    derived from them are left ``None``.
+    independently of the hard-outage phase classification.  Completions
+    are read from ``tracker``'s columns; one with no send time counts as
+    sent before the outage.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
@@ -191,26 +191,20 @@ def collect_resilience_metrics(
         metrics.mean_time_to_recovery_s = sum(recovery_times) / len(recovery_times)
         metrics.max_time_to_recovery_s = max(recovery_times)
 
-    if completed is None:
-        metrics.completed_before = metrics.completed_during = None
-        metrics.completed_after = metrics.completed_degraded = None
-        return metrics
+    def completions():
+        return zip(tracker.sent_time, tracker.finish_time, tracker.ttft, tracker.total_tokens)
 
     if gray:
         degraded_ttfts: List[float] = []
         degraded_tokens = 0
         degraded_time = sum(end - start for start, end in gray)
-        for request in completed:
-            sent = request.sent_time if request.sent_time is not None else 0.0
+        for sent, finish, ttft, tokens in completions():
             if any(start <= sent <= end for start, end in gray):
                 metrics.completed_degraded += 1
-                if request.ttft is not None:
-                    degraded_ttfts.append(request.ttft)
-            finish = request.finish_time
-            if finish is not None and any(
-                start <= finish <= end for start, end in gray
-            ):
-                degraded_tokens += request.prompt_len + request.generated_tokens
+                if ttft == ttft:
+                    degraded_ttfts.append(ttft)
+            if any(start <= finish <= end for start, end in gray):
+                degraded_tokens += tokens
         if degraded_time > 0:
             metrics.goodput_while_degraded_tokens_per_s = (
                 degraded_tokens / degraded_time
@@ -218,7 +212,7 @@ def collect_resilience_metrics(
         metrics.ttft_p90_degraded_s = _p90(degraded_ttfts)
 
     if not windows:
-        metrics.completed_before = len(completed)
+        metrics.completed_before = tracker.num_completed
         return metrics
 
     span_start = windows[0][0]
@@ -228,23 +222,21 @@ def collect_resilience_metrics(
     during_ttfts: List[float] = []
     after_ttfts: List[float] = []
     outage_tokens = 0
-    for request in completed:
-        sent = request.sent_time if request.sent_time is not None else 0.0
-        if sent < span_start:
-            metrics.completed_before += 1
-            bucket = before_ttfts
-        elif sent <= span_end:
+    for sent, finish, ttft, tokens in completions():
+        # A NaN send time fails both comparisons and lands in "before".
+        if sent > span_end:
+            metrics.completed_after += 1
+            bucket = after_ttfts
+        elif sent >= span_start:
             metrics.completed_during += 1
             bucket = during_ttfts
         else:
-            metrics.completed_after += 1
-            bucket = after_ttfts
-        ttft = request.ttft
-        if ttft is not None:
+            metrics.completed_before += 1
+            bucket = before_ttfts
+        if ttft == ttft:
             bucket.append(ttft)
-        finish = request.finish_time
-        if finish is not None and span_start <= finish <= span_end:
-            outage_tokens += request.prompt_len + request.generated_tokens
+        if span_start <= finish <= span_end:
+            outage_tokens += tokens
 
     if span_end > span_start:
         metrics.goodput_during_outage_tokens_per_s = outage_tokens / (span_end - span_start)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 __all__ = ["LatencySummary", "percentile"]
 
@@ -21,7 +21,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("cannot take the percentile of an empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be between 0 and 100")
-    ordered = sorted(values)
+    return _interpolate(sorted(values), q)
+
+
+def _interpolate(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of an already sorted, non-empty sequence."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -50,20 +54,18 @@ class LatencySummary:
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "LatencySummary":
-        data = [float(v) for v in values if v is not None]
+        """Summarise ``values`` (mean in the given order), skipping missing
+        ones: ``None``, or NaN in a tracker column."""
+        data = [float(v) for v in values if v is not None and v == v]
         if not data:
             return cls.empty()
+        ordered = sorted(data)
         return cls(
-            count=len(data),
-            mean=sum(data) / len(data),
-            p10=percentile(data, 10),
-            p25=percentile(data, 25),
-            p50=percentile(data, 50),
-            p75=percentile(data, 75),
-            p90=percentile(data, 90),
-            p99=percentile(data, 99),
-            minimum=min(data),
-            maximum=max(data),
+            len(data),
+            sum(data) / len(data),
+            *(_interpolate(ordered, q) for q in (10, 25, 50, 75, 90, 99)),
+            min(data),
+            max(data),
         )
 
     @classmethod

@@ -7,13 +7,13 @@ One benchmark measures the sim core on real traffic:
   :func:`~repro.experiments.run_experiment` call: each region's
   :class:`~repro.workloads.streams.DiurnalRequestStream` is a
   ``WorkloadSpec.timed_requests_by_region`` entry that
-  :class:`~repro.cluster.TraceReplayClient` replays, with
-  ``ExperimentConfig(retain_completed=False)``.  Reports events/sec (whose
-  ``day_wall_s`` includes assembling the stack), the day's service
-  throughput and cross-region share, and the tracemalloc peak over a short
-  and a doubled simulation window at the same rate; the window processes
-  ~2x the requests but the peak must stay (near) flat — the O(1)-memory
-  streaming claim.
+  :class:`~repro.cluster.TraceReplayClient` replays.  Reports events/sec
+  (whose ``day_wall_s`` includes assembling the stack), the day's service
+  throughput, cross-region share and TTFT p50/p90/p99, and the tracemalloc
+  peak over a short and a doubled simulation window at the same rate; the
+  window processes ~2x the requests but the peak must stay (near) flat —
+  the streaming claim: no request objects, only in-flight state plus the
+  tracker's ~50-byte completion columns.
 
 The simulated counters are deterministic and everything is stdlib-only.
 The committed report in ``BENCH_engine.json`` was produced by
@@ -70,7 +70,7 @@ def _run_streamed_cell(
     ``traced=True`` wraps the run in tracemalloc (slower, so events/sec from
     traced runs is not comparable with untraced ones) and reports the peak
     traced heap -- the number whose *flatness across simulation windows* is
-    the O(1)-memory streaming claim.
+    the streaming claim.
 
     ``trie_max_tokens`` / ``hbm_fraction`` shrink the two capacity-bounded
     caches (the balancers' routing tries, the replicas' radix KV caches) so
@@ -101,7 +101,6 @@ def _run_streamed_cell(
         ),
         duration_s=hours * 3600.0 + 600.0,  # the traced window plus a drain tail
         seed=seed,
-        retain_completed=False,
     )
     workload = WorkloadSpec(
         name="streamed-diurnal",
@@ -139,6 +138,9 @@ def _run_streamed_cell(
         "outstanding": float(run.tracker.outstanding),
         "throughput_tokens_per_s": run.metrics.throughput_tokens_per_s,
         "cross_region_fraction": run.metrics.cross_region_fraction,
+        "ttft_p50_s": run.metrics.ttft.p50,
+        "ttft_p90_s": run.metrics.ttft.p90,
+        "ttft_p99_s": run.metrics.ttft.p99,
     }
     if traced:
         _, peak = tracemalloc.get_traced_memory()
@@ -152,7 +154,7 @@ def _bench_streamed_diurnal_cell(quick: bool) -> BenchResult:
     # Two traced runs over a short and a doubled window at the *same* rate
     # pin memory flatness: the long window processes ~2x the requests, but
     # peak memory tracks the in-flight population (bounded by the busiest
-    # hour), not the total processed, so the peak must stay near-flat.
+    # hour) and ~50-byte completion columns, so it must stay near-flat.
     # (Doubling the *rate* instead would legitimately double the in-flight
     # population -- that measures concurrency, not streaming-ness.)  One
     # untraced run reports honest events/sec.  Full mode's untraced run is

@@ -29,7 +29,7 @@ def test_tracker_completes_registered_requests(env):
     assert tracker.outstanding == 1
     tracker.complete(request)
     assert event.triggered
-    assert tracker.completed == [request]
+    assert tracker.num_completed == len(tracker.ttft) == 1
     assert tracker.outstanding == 0
 
 
@@ -50,20 +50,54 @@ def test_tracker_counts_run_totals_as_requests_complete(env):
         served("asia", "eu", "eu/replica-0", hops=2),
         served("eu", "eu", "eu/replica-0", hops=1),
     ]
-    for retain in (True, False):
-        tracker = RequestTracker(env, retain_completed=retain)
-        for request in requests:
-            tracker.complete(request)
-        assert tracker.num_completed == 5
-        assert tracker.served_tokens == 13 + 25 + 7 + 13 + 13
-        assert tracker.output_tokens == 3 + 5 + 0 + 3 + 3
-        assert tracker.num_cross_region == 2
-        assert tracker.num_forwarded == 3
-        assert list(tracker.per_replica_completed.items()) == [
-            ("us/replica-0", 2),
-            ("eu/replica-0", 2),
-        ]
-        assert tracker.completed == (requests if retain else [])
+    tracker = RequestTracker(env)
+    for request in requests:
+        tracker.complete(request)
+    assert tracker.num_completed == 5
+    assert tracker.served_tokens == 13 + 25 + 7 + 13 + 13
+    assert tracker.output_tokens == 3 + 5 + 0 + 3 + 3
+    assert tracker.num_cross_region == 2
+    assert tracker.num_forwarded == 3
+    assert list(tracker.per_replica_completed.items()) == [
+        ("us/replica-0", 2),
+        ("eu/replica-0", 2),
+    ]
+
+
+def test_tracker_appends_one_column_entry_per_completion(env):
+    def finished(region, sent, first, done, *, prompt_len=10, generated=3):
+        request = make_request(prompt_len=prompt_len, output_len=generated, region=region)
+        request.sent_time = sent
+        request.lb_arrival_time = sent + 0.25
+        request.schedule_time = sent + 0.75
+        request.first_token_time = first
+        request.finish_time = done
+        request.generated_tokens = generated
+        request.response_network_delay = 0.5
+        return request
+
+    tracker = RequestTracker(env)
+    tracker.complete(finished("eu", 1.0, 2.0, 4.0))
+    tracker.complete(finished("us", 2.0, 2.5, 3.0, prompt_len=20, generated=5))
+    # A completion with no timestamps records NaN, not a made-up zero.
+    tracker.complete(make_request(prompt_len=7, output_len=1, region="eu", sent_time=None))
+    tracker.complete(finished("eu", 3.0, 5.0, 9.0))
+
+    def values(column):
+        return [None if v != v else v for v in column]
+
+    assert values(tracker.ttft) == [1.5, 1.0, None, 2.5]
+    assert values(tracker.e2e_latency) == [3.5, 1.5, None, 6.5]
+    assert values(tracker.queueing_delay) == [0.5, 0.5, None, 0.5]
+    assert values(tracker.sent_time) == [1.0, 2.0, None, 3.0]
+    assert values(tracker.finish_time) == [4.0, 3.0, None, 9.0]
+    assert list(tracker.total_tokens) == [13, 25, 7, 13]
+    assert tracker.regions == ["eu", "us"]
+    assert list(tracker.region) == [0, 1, 0, 0]
+    # Per-region values skip the missing entries, in completion order.
+    assert tracker.region_values(tracker.ttft, "eu") == [1.5, 2.5]
+    assert tracker.region_values(tracker.ttft, "asia") == []
+    assert sum(tracker.total_tokens) == tracker.served_tokens
 
 
 def test_tracker_fail_also_releases_waiters(env):
@@ -72,7 +106,8 @@ def test_tracker_fail_also_releases_waiters(env):
     event = tracker.register(request)
     tracker.fail(request)
     assert event.triggered
-    assert tracker.failed == [request]
+    assert tracker.num_failed == 1
+    assert tracker.num_completed == len(tracker.ttft) == 0
 
 
 def test_frontend_dispatches_to_nearest_balancer(env):

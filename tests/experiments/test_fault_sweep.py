@@ -141,7 +141,7 @@ def test_sweep_paired_diff_requires_and_uses_per_seed_runs():
     # A single-seed sweep pairs one run per side: degenerate n=1, no CI.
     degenerate = single.paired_diff(workload.name, "skywalker", "round-robin")
     assert degenerate.n == 1 and degenerate.ci95 is None
-    with pytest.raises(ValueError, match="per-seed runs"):
+    with pytest.raises(ValueError, match="unknown system 'no-such-system'"):
         single.paired_diff(workload.name, "skywalker", "no-such-system")
 
     multi = run_sweep(

@@ -1,5 +1,7 @@
 """Integration tests: every system kind runs end to end on a small workload."""
 
+import gc
+import weakref
 from itertools import takewhile
 
 import pytest
@@ -14,6 +16,7 @@ from repro.experiments import (
     build_skewed_workload,
     run_experiment,
 )
+from repro.faults import FaultSchedule, ReplicaCrash
 from repro.replica import TINY_TEST_PROFILE
 from repro.workloads import DiurnalPattern, DiurnalRequestStream
 
@@ -25,7 +28,11 @@ def tiny_cluster(per_region=1, **kwargs):
     )
 
 
-def run_tiny(kind, *, duration=40.0, scale=0.03, workload_builder=build_arena_workload, **system_kwargs):
+def run_tiny_served(kind, *, duration=40.0, scale=0.03, workload_builder=build_arena_workload,
+                    **system_kwargs):
+    """One tiny run, plus the workload's requests it finished:
+    ``run_experiment`` drives the closed-loop programs' requests in place,
+    so they carry the run's per-request routing fields."""
     workload = workload_builder(scale=scale)
     config = ExperimentConfig(
         system=REGISTRY.spec(kind, hash_key=workload.hash_key, **system_kwargs),
@@ -33,20 +40,35 @@ def run_tiny(kind, *, duration=40.0, scale=0.03, workload_builder=build_arena_wo
         duration_s=duration,
         seed=1,
     )
-    return run_experiment(config, workload)
+    result = run_experiment(config, workload)
+    return result, finished_requests(workload)
+
+
+def run_tiny(kind, **kwargs):
+    return run_tiny_served(kind, **kwargs)[0]
+
+
+def finished_requests(workload):
+    return [
+        request
+        for programs in workload.programs_by_region.values()
+        for program in programs
+        for request in program.all_requests()
+        if request.finished
+    ]
 
 
 @pytest.mark.parametrize("kind", ALL_SYSTEMS + ("region-local",))
 def test_every_system_kind_completes_requests(kind):
-    result = run_tiny(kind)
+    result, served = run_tiny_served(kind)
     metrics = result.metrics
     assert metrics.num_completed > 0, f"{kind} completed nothing"
     assert metrics.throughput_tokens_per_s > 0
-    assert metrics.ttft.count == metrics.num_completed
+    assert metrics.ttft.count == metrics.num_completed == len(served)
     assert metrics.ttft.p50 > 0
     assert metrics.e2e_latency.p50 >= metrics.ttft.p50
     # All completed requests carry full routing/execution metadata.
-    for request in result.completed:
+    for request in served:
         assert request.replica_name is not None
         assert request.serving_region is not None
         assert request.first_token_time is not None
@@ -55,17 +77,17 @@ def test_every_system_kind_completes_requests(kind):
 def test_centralized_baseline_pays_cross_region_first_hop():
     """Clients in Asia/Europe must cross an ocean to reach the single US
     balancer, so their TTFT includes cross-region latency even when idle."""
-    result = run_tiny("round-robin")
-    remote_clients = [r for r in result.completed if r.region != "us"]
+    _, served = run_tiny_served("round-robin")
+    remote_clients = [r for r in served if r.region != "us"]
     assert remote_clients
     # Every such request was dispatched by the balancer in the US.
     assert all(r.ingress_region == "us" for r in remote_clients)
 
 
 def test_skywalker_serves_clients_from_their_own_region_when_possible():
-    result = run_tiny("skywalker")
-    local = [r for r in result.completed if r.serving_region == r.region]
-    assert len(local) / len(result.completed) > 0.7
+    result, served = run_tiny_served("skywalker")
+    local = [r for r in served if r.serving_region == r.region]
+    assert len(local) / len(served) > 0.7
     assert result.metrics.forwarded_fraction < 0.3
 
 
@@ -87,7 +109,7 @@ def test_skywalker_offloads_under_regional_skew():
     )
     result = run_experiment(config, workload)
     assert result.metrics.forwarded_fraction > 0.0
-    forwarded = [r for r in result.completed if r.forward_hops > 0]
+    forwarded = [r for r in finished_requests(workload) if r.forward_hops > 0]
     assert forwarded
     assert all(r.forward_hops == 1 for r in forwarded)
 
@@ -99,9 +121,9 @@ def test_prefix_aware_systems_achieve_higher_cache_hit_rate():
 
 
 def test_gdpr_constraint_is_enforced_end_to_end():
-    result = run_tiny("skywalker", constraint="gdpr", workload_builder=build_skewed_workload,
-                      duration=60.0, scale=0.05)
-    eu_requests = [r for r in result.completed if r.region == "eu"]
+    _, served = run_tiny_served("skywalker", constraint="gdpr",
+                                workload_builder=build_skewed_workload, duration=60.0, scale=0.05)
+    eu_requests = [r for r in served if r.region == "eu"]
     assert eu_requests
     assert all(r.serving_region == "eu" for r in eu_requests)
 
@@ -152,13 +174,13 @@ def _open_loop_workload(window_s=120.0):
     )
 
 
-def _run_open_loop(workload, *, retain_completed):
+def _run_open_loop(workload, *, duration_s=300.0, faults=None):
     config = ExperimentConfig(
         system=REGISTRY.spec("skywalker"),
         cluster=tiny_cluster(profile=TINY_TEST_PROFILE),
-        duration_s=300.0,
+        duration_s=duration_s,
         seed=0,
-        retain_completed=retain_completed,
+        faults=faults,
     )
     return run_experiment(config, workload)
 
@@ -171,31 +193,70 @@ OPEN_LOOP_EVENTS = 20_385
 
 
 def test_open_loop_streams_drain_losslessly_without_retaining_requests():
-    result = _run_open_loop(_open_loop_workload(), retain_completed=False)
+    result = _run_open_loop(_open_loop_workload())
     metrics = result.metrics
     assert result.tracker.outstanding == 0
     assert metrics.num_issued == metrics.num_completed == result.tracker.num_completed == 159
-    assert result.completed == []
     assert result.env.events_processed == OPEN_LOOP_EVENTS
 
 
-def test_non_retaining_run_counts_what_a_retaining_run_measures():
-    workload = _open_loop_workload()
-    counted = _run_open_loop(workload, retain_completed=False)
-    # The fresh copy replays pristine requests: the same run, retained.
-    kept = _run_open_loop(workload.fresh_copy(), retain_completed=True)
-    assert len(kept.completed) == kept.metrics.num_completed == 159
-    assert kept.env.events_processed == counted.env.events_processed
-    # Every field but the latency summaries, which need the request list.
-    latency = ("ttft", "e2e_latency", "queueing_delay")
-    counted_fields = counted.metrics.to_dict()
-    kept_fields = kept.metrics.to_dict()
-    assert counted_fields["ttft"]["count"] == 0
-    for name in latency:
-        del counted_fields[name], kept_fields[name]
-    assert counted_fields == kept_fields
-    assert kept_fields["throughput_tokens_per_s"] > 0
-    assert counted.metrics.per_replica_completed == kept.metrics.per_replica_completed
+def _watched_stream_workload(sent):
+    """The US diurnal stream's first hour at a tenth of the profile rate,
+    appending a weak reference to ``sent`` for each request it yields."""
+    stream = DiurnalRequestStream(
+        pattern=DiurnalPattern(-6.0, base_rate=900.0, peak_rate=7600.0),
+        region="us",
+        hours=1,
+        seed=0,
+        rate_scale=0.1,
+    )
+
+    def replay():
+        for arrival, request in stream:
+            sent.append(weakref.ref(request))
+            yield arrival, request
+
+    return WorkloadSpec(
+        name="streamed-diurnal",
+        programs_by_region={},
+        clients_per_region={},
+        timed_requests_by_region={"us": replay()},
+    )
+
+
+def _assert_keeps_no_requests(result, sent):
+    # What survives is O(1): the request the client drew past the horizon,
+    # and the last one each balancer's serve loop handled.
+    gc.collect()
+    bound = len(result.balancers) + 1
+    assert len(sent) > result.metrics.num_issued > bound
+    assert sum(ref() is not None for ref in sent) <= bound
+
+
+def test_streamed_open_loop_run_keeps_no_requests_yet_reports_latency():
+    """A lazily streamed open-loop run keeps no request objects, yet its
+    latency summaries cover every completion, from the tracker's columns."""
+    sent = []
+    result = _run_open_loop(_watched_stream_workload(sent), duration_s=120.0)
+    metrics = result.metrics
+    assert metrics.num_completed > 0
+    assert metrics.ttft.count == metrics.e2e_latency.count == metrics.num_completed
+    assert metrics.queueing_delay.count == metrics.num_completed
+    assert 0 < metrics.ttft.p50 <= metrics.e2e_latency.p50
+    _assert_keeps_no_requests(result, sent)
+
+
+def test_faulted_streamed_run_puts_every_completion_in_one_phase():
+    sent = []
+    schedule = FaultSchedule.single(20.0, ReplicaCrash(region="us", index=0, duration_s=30.0))
+    result = _run_open_loop(_watched_stream_workload(sent), duration_s=120.0, faults=schedule)
+    resilience = result.metrics.resilience
+    phases = (resilience.completed_before, resilience.completed_during, resilience.completed_after)
+    assert all(type(count) is int for count in phases)
+    assert sum(phases) == result.metrics.num_completed
+    assert min(phases) > 0
+    assert resilience.ttft_p90_during_s is not None
+    _assert_keeps_no_requests(result, sent)
 
 
 def test_open_loop_region_without_replicas_gets_its_own_balancer():
@@ -205,7 +266,6 @@ def test_open_loop_region_without_replicas_gets_its_own_balancer():
             replicas_per_region={"us": 0, "eu": 1, "asia": 1}, profile=TINY_TEST_PROFILE
         ),
         duration_s=60.0,
-        retain_completed=False,
     )
     result = run_experiment(config, _open_loop_workload(window_s=30.0))
     assert sorted(balancer.region for balancer in result.balancers) == ["asia", "eu", "us"]

@@ -193,7 +193,9 @@ def test_degraded_replica_serves_less_traffic_under_hybrid_routing():
     def us_share(result):
         completed = result.metrics.num_completed
         served = sum(
-            1 for r in result.tracker.completed if r.serving_region == "us"
+            count
+            for replica, count in result.metrics.per_replica_completed.items()
+            if replica.startswith("us/")
         )
         return served / max(completed, 1)
 

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.cluster import RequestTracker
 from repro.metrics import ResilienceMetrics, collect_resilience_metrics
 from repro.metrics.summary import percentile
+from repro.sim import Environment
 
 from ..conftest import make_request
 
@@ -20,6 +22,14 @@ def finished_request(sent, first_token, finish, *, prompt_len=10, generated=5, r
     return request
 
 
+def tracked(*requests):
+    """A tracker whose completion columns hold ``requests``, in order."""
+    tracker = RequestTracker(Environment())
+    for request in requests:
+        tracker.complete(request)
+    return tracker
+
+
 def test_phases_goodput_and_recovery_hand_computed():
     # One outage window [10, 20] in a 40 s run.
     #   r1: sent 5,  ft 6,  finish 7   -> before, ttft 1.0
@@ -29,7 +39,7 @@ def test_phases_goodput_and_recovery_hand_computed():
     r2 = finished_request(12.0, 15.0, 18.0, prompt_len=20, generated=10)
     r3 = finished_request(25.0, 26.0, 27.0)
     metrics = collect_resilience_metrics(
-        completed=[r1, r2, r3],
+        tracker=tracked(r1, r2, r3),
         duration_s=40.0,
         outage_windows=[(10.0, 20.0)],
         num_fault_events=1,
@@ -65,7 +75,7 @@ def test_multiple_windows_span_and_ttr():
         finished_request(35.0, 36.0, 37.0),  # after
     ]
     metrics = collect_resilience_metrics(
-        completed=requests,
+        tracker=tracked(*requests),
         duration_s=40.0,
         outage_windows=[(20.0, 30.0), (5.0, 8.0)],
         num_fault_events=2,
@@ -79,7 +89,7 @@ def test_multiple_windows_span_and_ttr():
 
 def test_windows_are_clipped_to_the_run():
     metrics = collect_resilience_metrics(
-        completed=[],
+        tracker=tracked(),
         duration_s=40.0,
         outage_windows=[(35.0, 120.0), (-3.0, 2.0), (50.0, 60.0)],
         num_fault_events=3,
@@ -92,7 +102,7 @@ def test_windows_are_clipped_to_the_run():
 def test_no_windows_means_no_outage_phases():
     request = finished_request(5.0, 6.0, 7.0)
     metrics = collect_resilience_metrics(
-        completed=[request],
+        tracker=tracked(request),
         duration_s=40.0,
         outage_windows=[],
         num_fault_events=1,  # e.g. a latency spike that never "opened" an outage
@@ -108,13 +118,14 @@ def test_no_windows_means_no_outage_phases():
 def test_rejects_non_positive_duration():
     with pytest.raises(ValueError, match="duration_s"):
         collect_resilience_metrics(
-            completed=[], duration_s=0.0, outage_windows=[], num_fault_events=0, failover_count=0
+            tracker=tracked(), duration_s=0.0, outage_windows=[], num_fault_events=0,
+            failover_count=0,
         )
 
 
 def test_to_dict_round_trips_through_json():
     metrics = collect_resilience_metrics(
-        completed=[finished_request(12.0, 13.0, 14.0)],
+        tracker=tracked(finished_request(12.0, 13.0, 14.0)),
         duration_s=40.0,
         outage_windows=[(10.0, 20.0)],
         num_fault_events=1,
@@ -142,7 +153,7 @@ def test_degraded_windows_hand_computed():
     r2 = finished_request(12.0, 16.0, 25.0, prompt_len=30, generated=10)
     r3 = finished_request(28.0, 29.0, 35.0)
     metrics = collect_resilience_metrics(
-        completed=[r1, r2, r3],
+        tracker=tracked(r1, r2, r3),
         duration_s=40.0,
         outage_windows=[],
         degraded_windows=[(10.0, 30.0)],
@@ -169,7 +180,7 @@ def test_outage_and_degraded_windows_are_independent_channels():
     r_outage = finished_request(7.0, 8.0, 9.0)
     r_gray = finished_request(18.0, 19.0, 20.0)
     metrics = collect_resilience_metrics(
-        completed=[r_outage, r_gray],
+        tracker=tracked(r_outage, r_gray),
         duration_s=40.0,
         outage_windows=[(5.0, 10.0)],
         degraded_windows=[(15.0, 25.0)],
@@ -185,7 +196,7 @@ def test_outage_and_degraded_windows_are_independent_channels():
 
 def test_degraded_windows_clip_and_empty_payload_is_stable():
     metrics = collect_resilience_metrics(
-        completed=[],
+        tracker=tracked(),
         duration_s=40.0,
         outage_windows=[],
         degraded_windows=[(35.0, 90.0), (50.0, 60.0)],

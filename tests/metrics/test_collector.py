@@ -133,10 +133,11 @@ def test_to_dict_and_format_row(env, deployment):
 
 
 def test_format_row_prints_a_dash_for_empty_latency_summaries(env, deployment):
-    tracker = RequestTracker(env, retain_completed=False)
-    tracker.complete(_finished_request())
+    # A completion that recorded no timestamps is a NaN in every latency
+    # column: counted, but in no summary.
     metrics = collect_run_metrics(
         system="skywalker", workload="unit", duration_s=1.0,
-        tracker=tracker, issued=1, deployment=deployment,
+        tracker=_tracker(env, [make_request()]), issued=1, deployment=deployment,
     )
+    assert metrics.num_completed == 1 and metrics.ttft.count == 0
     assert "ttft p50=      - p90=      -  e2e p50=      -" in metrics.format_row()
