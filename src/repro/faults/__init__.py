@@ -6,9 +6,10 @@ failover demo) -- becomes a reusable subsystem here:
 
 * :class:`FaultSpec` subclasses (:class:`ReplicaCrash`,
   :class:`BalancerFailure`, :class:`RegionPartition`,
-  :class:`LinkLatencySpike`, ...) describe faults as pure, picklable data;
-  :func:`register_fault` plugs in third-party kinds by name, mirroring the
-  pushing/constraint/selection registries.
+  :class:`LinkLatencySpike`, ...) describe faults as pure, picklable data.
+  Every fault heals by its own ``duration_s`` (``None`` = for the rest of
+  the run).  :func:`register_fault` plugs in third-party kinds by name,
+  mirroring the pushing/constraint/selection registries.
 * :class:`FaultSchedule` composes timed events into a scenario;
   :func:`register_fault_schedule` names whole scenarios so sweeps can ship
   just a string into worker processes.  :mod:`repro.faults.scenarios`
@@ -22,8 +23,9 @@ failover demo) -- becomes a reusable subsystem here:
 * :class:`FaultInjector` executes a schedule deterministically against a
   live experiment, running a :class:`~repro.core.controller.ServiceController`
   for SkyWalker-family balancer failures so §4.2 failover happens end to
-  end.  The resulting resilience metrics (outage goodput, time to
-  recovery, per-phase tail latency, ...) land on
+  end.  Appliers receive the injector itself and heal through
+  :meth:`FaultInjector.heal_after`.  The resulting resilience metrics
+  (outage goodput, time to recovery, per-phase tail latency, ...) land on
   ``RunMetrics.resilience``.
 
 Every experiment entry point takes the schedule directly::
@@ -44,7 +46,7 @@ schedule + seed reproduces the same metrics bit for bit, serial or under
 ``workers=N``.
 """
 
-from .injector import FaultContext, FaultInjector, FaultRecord
+from .injector import FaultInjector, FaultRecord
 from .schedule import (
     CompilesToFaultSchedule,
     FaultEvent,
@@ -58,17 +60,13 @@ from .schedule import (
 )
 from .spec import (
     BalancerFailure,
-    BalancerRecovery,
     FaultSpec,
     LinkDegrade,
     LinkDown,
     LinkLatencySpike,
-    LinkUp,
     RegionPartition,
     ReplicaCrash,
     ReplicaDegrade,
-    ReplicaRecover,
-    ReplicaRestore,
     make_fault,
     register_fault,
     registered_faults,
@@ -82,16 +80,12 @@ __all__ = [
     # specs + fault registry
     "FaultSpec",
     "ReplicaCrash",
-    "ReplicaRecover",
     "ReplicaDegrade",
-    "ReplicaRestore",
     "BalancerFailure",
-    "BalancerRecovery",
     "RegionPartition",
     "LinkLatencySpike",
     "LinkDegrade",
     "LinkDown",
-    "LinkUp",
     "register_fault",
     "unregister_fault",
     "registered_faults",
@@ -112,6 +106,5 @@ __all__ = [
     "StochasticFaultSchedule",
     # execution
     "FaultInjector",
-    "FaultContext",
     "FaultRecord",
 ]

@@ -2,9 +2,9 @@
 
 The injector is a thin deterministic orchestrator.  It walks the schedule's
 events in time order inside one simulation process, resolves each fault's
-``kind`` through the fault registry and hands the live stack to the
-registered applier via a :class:`FaultContext`.  Every injection leaves a
-:class:`FaultRecord` behind; records (plus the controller's
+``kind`` through the fault registry and hands itself -- the live stack --
+to the registered applier.  Every injection leaves a :class:`FaultRecord`
+behind; records (plus the controller's
 :class:`~repro.core.controller.FailoverRecord` bookkeeping, when one runs)
 are what the resilience metrics are computed from.
 
@@ -16,12 +16,15 @@ and recovery are exercised end to end rather than stubbed.  Controller-less
 systems (the centralized §5.1 baselines, the gateway) get the injector
 itself as a minimal ops loop: DNS health flips and ``duration_s``-timed
 recovery.
+
+Every fault heals by its own ``duration_s`` (:meth:`FaultInjector.heal_after`);
+``duration_s=None`` means the fault lasts for the rest of the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..cluster.client import Frontend, RequestTracker
 from ..cluster.deployment import Deployment
@@ -34,17 +37,13 @@ from ..workloads.request import Request
 from .schedule import FaultEvent, FaultSchedule, FaultsLike, resolve_fault_schedule
 from .spec import (
     BalancerFailure,
-    BalancerRecovery,
     FaultSpec,
     LinkDegrade,
     LinkDown,
     LinkLatencySpike,
-    LinkUp,
     RegionPartition,
     ReplicaCrash,
     ReplicaDegrade,
-    ReplicaRecover,
-    ReplicaRestore,
     register_fault,
     resolve_fault,
 )
@@ -53,12 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.interface import Balancer
     from ..metrics.resilience import ResilienceMetrics
 
-__all__ = ["FaultRecord", "FaultContext", "FaultInjector"]
-
-#: Fault kinds whose presence makes the injector run a ServiceController
-#: (when the system's balancers support one).
-_CONTROLLER_FAULT_KINDS = frozenset({"balancer-fail", "balancer-recover"})
-
+__all__ = ["FaultRecord", "FaultInjector"]
 
 @dataclass
 class FaultRecord:
@@ -72,7 +66,7 @@ class FaultRecord:
     #: Affected entity (replica/balancer name, link description).
     target: str = ""
     #: Whether this record opens an outage window for the resilience
-    #: metrics (recovery-type events resolve windows instead).
+    #: metrics (gray failures, observability faults and no-ops do not).
     opens_window: bool = True
     #: Whether this record opens a *degraded* (gray, slow-but-alive)
     #: window -- tracked separately from hard outages: a degraded system
@@ -80,70 +74,6 @@ class FaultRecord:
     opens_degraded_window: bool = False
     #: Requests this event stranded (pulled out of a dead balancer).
     stranded: int = 0
-
-
-@dataclass
-class FaultContext:
-    """Everything a fault applier may need to reach into the stack."""
-
-    env: Environment
-    network: Network
-    deployment: Deployment
-    frontend: Frontend
-    balancers: List["Balancer"]
-    tracker: Optional[RequestTracker]
-    controller: Optional[ServiceController]
-    injector: "FaultInjector"
-
-    # -- lookups --------------------------------------------------------
-    def find_balancer_in(self, region: str) -> Optional["Balancer"]:
-        """The (first) balancer deployed in ``region``, or ``None``.
-
-        ``None`` is a legitimate outcome in cross-system sweeps: one fault
-        schedule runs against every system variant, and a centralized
-        baseline simply has no balancer in most regions -- there is nothing
-        to kill there (its clients never depended on one).
-        """
-        for balancer in self.balancers:
-            if balancer.region == region:
-                return balancer
-        return None
-
-    def balancer_in(self, region: str) -> "Balancer":
-        """The (first) balancer deployed in ``region`` (raising lookup)."""
-        balancer = self.find_balancer_in(region)
-        if balancer is None:
-            regions = sorted({b.region for b in self.balancers})
-            raise ValueError(
-                f"no balancer deployed in region {region!r}; balancer regions: {regions}"
-            )
-        return balancer
-
-    def replica(self, region: str, index: int) -> ReplicaServer:
-        """The ``index``-th replica of ``region``, in deployment order."""
-        replicas = self.deployment.replicas_in(region)
-        if not 0 <= index < len(replicas):
-            raise ValueError(
-                f"region {region!r} has {len(replicas)} replicas; "
-                f"index {index} is out of range"
-            )
-        return replicas[index]
-
-    def controller_manages(self, balancer: "Balancer") -> bool:
-        """Is this balancer's failure handled by a running controller?"""
-        return self.controller is not None and balancer.name in self.controller.balancers
-
-    # -- common actions -------------------------------------------------
-    def fail_request(self, request: Request) -> None:
-        """Report an aborted request as failed (unblocks waiting clients)."""
-        if self.tracker is not None:
-            self.tracker.fail(request)
-
-    def redispatch(self, requests: Sequence[Request]) -> None:
-        """Re-issue stranded requests through the frontend (client retry:
-        DNS re-resolves, so they reach the nearest healthy balancer)."""
-        for request in requests:
-            self.frontend.dispatch(request)
 
 
 class FaultInjector:
@@ -196,7 +126,9 @@ class FaultInjector:
     def _wants_controller(self) -> bool:
         if not self.schedule.use_controller or not self.balancers:
             return False
-        if not any(kind in _CONTROLLER_FAULT_KINDS for kind in self.schedule.kinds()):
+        # Only a balancer failure needs the controller (and only on systems
+        # whose balancers support one).
+        if "balancer-fail" not in self.schedule.kinds():
             return False
         return all(isinstance(b, SkyWalkerBalancer) for b in self.balancers)
 
@@ -229,38 +161,77 @@ class FaultInjector:
         entry = resolve_fault(event.fault.kind)
         record = FaultRecord(fault=event.fault, injected_at=self.env.now)
         self.records.append(record)
-        ctx = FaultContext(
-            env=self.env,
-            network=self.network,
-            deployment=self.deployment,
-            frontend=self.frontend,
-            balancers=self.balancers,
-            tracker=self.tracker,
-            controller=self.controller,
-            injector=self,
-        )
-        entry.factory(event.fault, ctx, record)
+        entry.factory(event.fault, self, record)
 
     # ------------------------------------------------------------------
-    # record resolution
+    # the applier surface: lookups, actions and healing
     # ------------------------------------------------------------------
+    def find_balancer_in(self, region: str) -> Optional["Balancer"]:
+        """The (first) balancer deployed in ``region``, or ``None``.
+
+        ``None`` is a legitimate outcome in cross-system sweeps: one fault
+        schedule runs against every system variant, and a centralized
+        baseline simply has no balancer in most regions -- there is nothing
+        to kill there (its clients never depended on one).
+        """
+        for balancer in self.balancers:
+            if balancer.region == region:
+                return balancer
+        return None
+
+    def balancer_in(self, region: str) -> "Balancer":
+        """The (first) balancer deployed in ``region`` (raising lookup)."""
+        balancer = self.find_balancer_in(region)
+        if balancer is None:
+            regions = sorted({b.region for b in self.balancers})
+            raise ValueError(
+                f"no balancer deployed in region {region!r}; balancer regions: {regions}"
+            )
+        return balancer
+
+    def replica(self, region: str, index: int) -> ReplicaServer:
+        """The ``index``-th replica of ``region``, in deployment order."""
+        replicas = self.deployment.replicas_in(region)
+        if not 0 <= index < len(replicas):
+            raise ValueError(
+                f"region {region!r} has {len(replicas)} replicas; "
+                f"index {index} is out of range"
+            )
+        return replicas[index]
+
+    def controller_manages(self, balancer: "Balancer") -> bool:
+        """Is this balancer's failure handled by a running controller?"""
+        return self.controller is not None and balancer.name in self.controller.balancers
+
+    def fail_request(self, request: Request) -> None:
+        """Report an aborted request as failed (unblocks waiting clients)."""
+        if self.tracker is not None:
+            self.tracker.fail(request)
+
+    def redispatch(self, requests: Sequence[Request]) -> None:
+        """Re-issue stranded requests through the frontend (client retry:
+        DNS re-resolves, so they reach the nearest healthy balancer)."""
+        for request in requests:
+            self.frontend.dispatch(request)
+
     def resolve(self, record: FaultRecord) -> None:
         """Mark a record as healed at the current simulation time."""
         if record.resolved_at is None:
             record.resolved_at = self.env.now
 
-    def resolve_target(self, target: str, *, kind: str) -> None:
-        """Resolve the oldest open record of ``kind`` affecting ``target``
-        (how explicit recover events close their matching crash record)."""
-        for record in self.records:
-            if (
-                (record.opens_window or record.opens_degraded_window)
-                and record.resolved_at is None
-                and record.target == target
-                and record.fault.kind == kind
-            ):
-                record.resolved_at = self.env.now
-                return
+    def heal_after(
+        self, delay: Optional[float], record: FaultRecord, undo: Callable[[], None]
+    ) -> None:
+        """Heal a fault ``delay`` seconds from now: run ``undo`` and resolve
+        ``record``.  ``delay=None`` leaves the fault in place for the rest
+        of the run (its window extends to the end)."""
+        if delay is not None:
+            self.env.process(self._heal(delay, record, undo))
+
+    def _heal(self, delay: float, record: FaultRecord, undo: Callable[[], None]):
+        yield self.env.timeout(delay)
+        undo()
+        self.resolve(record)
 
     # ------------------------------------------------------------------
     # resilience accounting
@@ -372,7 +343,7 @@ def _partition_pairs(network: Network, a: str, b: Optional[str]) -> List[Tuple[s
     spec=ReplicaCrash,
     description="Crash one replica; optional timed recovery",
 )
-def _apply_replica_crash(spec: ReplicaCrash, ctx: FaultContext, record: FaultRecord) -> None:
+def _apply_replica_crash(spec: ReplicaCrash, ctx: FaultInjector, record: FaultRecord) -> None:
     replica = ctx.replica(spec.region, spec.index)
     record.target = replica.name
     if not replica.healthy:
@@ -382,29 +353,9 @@ def _apply_replica_crash(spec: ReplicaCrash, ctx: FaultContext, record: FaultRec
         return
     for request in replica.fail():
         ctx.fail_request(request)
-    if spec.duration_s is not None:
-
-        def recover_later():
-            yield ctx.env.timeout(spec.duration_s)
-            replica.recover(preserve_disk=spec.preserve_disk)
-            ctx.injector.resolve(record)
-
-        ctx.env.process(recover_later())
-
-
-@register_fault(
-    "replica-recover",
-    spec=ReplicaRecover,
-    description="Bring a crashed replica back (cold cache)",
-)
-def _apply_replica_recover(
-    spec: ReplicaRecover, ctx: FaultContext, record: FaultRecord
-) -> None:
-    replica = ctx.replica(spec.region, spec.index)
-    record.target = replica.name
-    record.opens_window = False
-    replica.recover(preserve_disk=spec.preserve_disk)
-    ctx.injector.resolve_target(replica.name, kind="replica-crash")
+    ctx.heal_after(
+        spec.duration_s, record, lambda: replica.recover(preserve_disk=spec.preserve_disk)
+    )
 
 
 @register_fault(
@@ -413,7 +364,7 @@ def _apply_replica_recover(
     description="Kill a regional balancer (controller-driven failover when available)",
 )
 def _apply_balancer_failure(
-    spec: BalancerFailure, ctx: FaultContext, record: FaultRecord
+    spec: BalancerFailure, ctx: FaultInjector, record: FaultRecord
 ) -> None:
     balancer = ctx.find_balancer_in(spec.region)
     if balancer is None:
@@ -440,36 +391,12 @@ def _apply_balancer_failure(
     # queueing against the stale record during a total outage).
     ctx.frontend.set_health(balancer.name, False)
     ctx.redispatch(balancer.take_stranded())
-    if spec.duration_s is not None:
 
-        def recover_later():
-            yield ctx.env.timeout(spec.duration_s)
-            balancer.recover()
-            ctx.frontend.set_health(balancer.name, True)
-            ctx.injector.resolve(record)
-
-        ctx.env.process(recover_later())
-
-
-@register_fault(
-    "balancer-recover",
-    spec=BalancerRecovery,
-    description="Explicitly restore a failed balancer (controller-less schedules)",
-)
-def _apply_balancer_recovery(
-    spec: BalancerRecovery, ctx: FaultContext, record: FaultRecord
-) -> None:
-    balancer = ctx.find_balancer_in(spec.region)
-    if balancer is None:
-        record.target = f"(no balancer in {spec.region})"
-        record.opens_window = False
-        return
-    record.target = balancer.name
-    record.opens_window = False
-    balancer.recover()
-    if not ctx.controller_manages(balancer):
+    def recover() -> None:
+        balancer.recover()
         ctx.frontend.set_health(balancer.name, True)
-    ctx.injector.resolve_target(balancer.name, kind="balancer-fail")
+
+    ctx.heal_after(spec.duration_s, record, recover)
 
 
 @register_fault(
@@ -478,21 +405,18 @@ def _apply_balancer_recovery(
     description="Block a region pair's link (or isolate one region entirely)",
 )
 def _apply_region_partition(
-    spec: RegionPartition, ctx: FaultContext, record: FaultRecord
+    spec: RegionPartition, ctx: FaultInjector, record: FaultRecord
 ) -> None:
     pairs = _partition_pairs(ctx.network, spec.a, spec.b)
     record.target = spec.a if spec.b is None else f"{spec.a}<->{spec.b}"
     for src, dst in pairs:
         ctx.network.set_link_blocked(src, dst, True)
-    if spec.duration_s is not None:
 
-        def heal_later():
-            yield ctx.env.timeout(spec.duration_s)
-            for src, dst in pairs:
-                ctx.network.set_link_blocked(src, dst, False)
-            ctx.injector.resolve(record)
+    def heal() -> None:
+        for src, dst in pairs:
+            ctx.network.set_link_blocked(src, dst, False)
 
-        ctx.env.process(heal_later())
+    ctx.heal_after(spec.duration_s, record, heal)
 
 
 @register_fault(
@@ -501,7 +425,7 @@ def _apply_region_partition(
     description="Add constant extra one-way latency to a link",
 )
 def _apply_link_latency_spike(
-    spec: LinkLatencySpike, ctx: FaultContext, record: FaultRecord
+    spec: LinkLatencySpike, ctx: FaultInjector, record: FaultRecord
 ) -> None:
     # Additive contribution (not an overwrite): overlapping spikes sum and
     # each settle removes exactly its own surcharge, and a spike landing on
@@ -509,14 +433,11 @@ def _apply_link_latency_spike(
     # are independent per-edge states.
     record.target = f"{spec.a}<->{spec.b}"
     ctx.network.add_link_extra_latency(spec.a, spec.b, spec.extra_s)
-    if spec.duration_s is not None:
-
-        def settle_later():
-            yield ctx.env.timeout(spec.duration_s)
-            ctx.network.remove_link_extra_latency(spec.a, spec.b, spec.extra_s)
-            ctx.injector.resolve(record)
-
-        ctx.env.process(settle_later())
+    ctx.heal_after(
+        spec.duration_s,
+        record,
+        lambda: ctx.network.remove_link_extra_latency(spec.a, spec.b, spec.extra_s),
+    )
 
 
 @register_fault(
@@ -525,7 +446,7 @@ def _apply_link_latency_spike(
     description="Gray failure: slow a replica to a named performance level",
 )
 def _apply_replica_degrade(
-    spec: ReplicaDegrade, ctx: FaultContext, record: FaultRecord
+    spec: ReplicaDegrade, ctx: FaultInjector, record: FaultRecord
 ) -> None:
     replica = ctx.replica(spec.region, spec.index)
     record.target = replica.name
@@ -533,30 +454,8 @@ def _apply_replica_degrade(
     record.opens_degraded_window = True
     until = None if spec.duration_s is None else ctx.env.now + spec.duration_s
     token = replica.set_performance_level(spec.level, until=until)
-    if spec.duration_s is not None:
-
-        def restore_later():
-            yield ctx.env.timeout(spec.duration_s)
-            # Epoch-guarded: a newer degrade supersedes this timed restore.
-            replica.restore_performance(token)
-            ctx.injector.resolve(record)
-
-        ctx.env.process(restore_later())
-
-
-@register_fault(
-    "replica-restore",
-    spec=ReplicaRestore,
-    description="Return a degraded replica to nominal compute rates",
-)
-def _apply_replica_restore(
-    spec: ReplicaRestore, ctx: FaultContext, record: FaultRecord
-) -> None:
-    replica = ctx.replica(spec.region, spec.index)
-    record.target = replica.name
-    record.opens_window = False
-    replica.restore_performance()
-    ctx.injector.resolve_target(replica.name, kind="replica-degrade")
+    # Epoch-guarded: a newer degrade supersedes this timed restore.
+    ctx.heal_after(spec.duration_s, record, lambda: replica.restore_performance(token))
 
 
 @register_fault(
@@ -565,30 +464,19 @@ def _apply_replica_restore(
     description="Gray link failure: loss probability + extra jitter",
 )
 def _apply_link_degrade(
-    spec: LinkDegrade, ctx: FaultContext, record: FaultRecord
+    spec: LinkDegrade, ctx: FaultInjector, record: FaultRecord
 ) -> None:
     record.target = f"{spec.a}<->{spec.b}"
     record.opens_window = False
     record.opens_degraded_window = True
-    ctx.network.add_link_degrade(
-        spec.a,
-        spec.b,
+    degrade = dict(
         loss_probability=spec.loss_probability,
         extra_jitter_fraction=spec.extra_jitter_fraction,
     )
-    if spec.duration_s is not None:
-
-        def heal_later():
-            yield ctx.env.timeout(spec.duration_s)
-            ctx.network.remove_link_degrade(
-                spec.a,
-                spec.b,
-                loss_probability=spec.loss_probability,
-                extra_jitter_fraction=spec.extra_jitter_fraction,
-            )
-            ctx.injector.resolve(record)
-
-        ctx.env.process(heal_later())
+    ctx.network.add_link_degrade(spec.a, spec.b, **degrade)
+    ctx.heal_after(
+        spec.duration_s, record, lambda: ctx.network.remove_link_degrade(spec.a, spec.b, **degrade)
+    )
 
 
 @register_fault(
@@ -596,30 +484,13 @@ def _apply_link_degrade(
     spec=LinkDown,
     description="Take one physical link down (routes re-converge around it)",
 )
-def _apply_link_down(spec: LinkDown, ctx: FaultContext, record: FaultRecord) -> None:
+def _apply_link_down(spec: LinkDown, ctx: FaultInjector, record: FaultRecord) -> None:
     # Downs a graph edge and the routing policy re-converges
     # deterministically (traffic re-routes where the topology allows).
     # Downs are reference-counted, so overlapping link-down faults compose
     # and each heal removes only its own down.
     record.target = f"{spec.a}<->{spec.b}"
     ctx.network.set_edge_down(spec.a, spec.b, True)
-    if spec.duration_s is not None:
-
-        def heal_later():
-            yield ctx.env.timeout(spec.duration_s)
-            ctx.network.set_edge_down(spec.a, spec.b, False)
-            ctx.injector.resolve(record)
-
-        ctx.env.process(heal_later())
-
-
-@register_fault(
-    "link-up",
-    spec=LinkUp,
-    description="Bring a downed link back up and re-converge routes",
-)
-def _apply_link_up(spec: LinkUp, ctx: FaultContext, record: FaultRecord) -> None:
-    record.target = f"{spec.a}<->{spec.b}"
-    record.opens_window = False
-    ctx.network.set_edge_down(spec.a, spec.b, False)
-    ctx.injector.resolve_target(record.target, kind="link-down")
+    ctx.heal_after(
+        spec.duration_s, record, lambda: ctx.network.set_edge_down(spec.a, spec.b, False)
+    )

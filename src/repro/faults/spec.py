@@ -26,12 +26,14 @@ After registration the fault is a first-class citizen: it can appear in any
 so runtime registrations carry over) and shows up in the resilience
 metrics like the built-ins.
 
-Built-in kinds (appliers live in :mod:`repro.faults.injector`):
+Built-in kinds (appliers live in :mod:`repro.faults.injector`).  Each one
+heals by its own ``duration_s``; ``duration_s=None`` means the fault lasts
+for the rest of the run.
 
-``replica-crash`` / ``replica-recover``
-    Crash one replica (aborting its in-flight work) / bring it back with a
+``replica-crash``
+    Crash one replica (aborting its in-flight work); it comes back with a
     cold cache.
-``balancer-fail`` / ``balancer-recover``
+``balancer-fail``
     Kill a regional load balancer.  For SkyWalker-family systems the
     injector runs a :class:`~repro.core.controller.ServiceController`, so
     detection, replica takeover, DNS re-pointing, stranded-request
@@ -45,7 +47,7 @@ Built-in kinds (appliers live in :mod:`repro.faults.injector`):
     isolate one region from everyone (``b=None``).
 ``link-latency-spike``
     Add a constant extra one-way latency to a link.
-``replica-degrade`` / ``replica-restore``
+``replica-degrade``
     Gray failure: slow a replica's compute to a named performance level
     (``thermal-throttle``, ``power-cap``, ...) without killing it.  The
     replica stays healthy, keeps answering probes, and its queue inflates
@@ -53,11 +55,11 @@ Built-in kinds (appliers live in :mod:`repro.faults.injector`):
 ``link-degrade``
     Gray network failure: per-message loss probability and extra jitter on
     a link.  Probes feel the jitter but are never lost (slow, not dead).
-``link-down`` / ``link-up``
-    Take one physical link down / bring it back.  This downs a graph edge
-    of the network (:mod:`repro.net`) and re-converges routes around the
-    cut: traffic *re-routes* where the topology allows, unlike a
-    ``region-partition`` which forbids the pair outright.
+``link-down``
+    Take one physical link down.  This downs a graph edge of the network
+    (:mod:`repro.net`) and re-converges routes around the cut: traffic
+    *re-routes* where the topology allows, unlike a ``region-partition``
+    which forbids the pair outright.
 """
 
 from __future__ import annotations
@@ -70,16 +72,12 @@ from .._registry import Entry, NameRegistry
 __all__ = [
     "FaultSpec",
     "ReplicaCrash",
-    "ReplicaRecover",
     "BalancerFailure",
-    "BalancerRecovery",
     "RegionPartition",
     "LinkLatencySpike",
     "ReplicaDegrade",
-    "ReplicaRestore",
     "LinkDegrade",
     "LinkDown",
-    "LinkUp",
     "register_fault",
     "unregister_fault",
     "registered_faults",
@@ -117,24 +115,13 @@ class ReplicaCrash(FaultSpec):
     region: str = "us"
     #: Index into the region's replicas, in deployment order.
     index: int = 0
-    #: Auto-recover after this many seconds (``None`` = stays down until an
-    #: explicit ``replica-recover`` event, or forever).
+    #: Recover after this many seconds (``None`` = down for the rest of
+    #: the run).
     duration_s: Optional[float] = None
-    #: On (timed) recovery, re-seed the replica's disk KV tier from its
+    #: On recovery, re-seed the replica's disk KV tier from its
     #: pre-crash contents: a crash loses HBM and host RAM, but durable
     #: storage survives a process restart.  Only meaningful when the run
     #: uses a :class:`~repro.mem.MemoryConfig` with a disk tier.
-    preserve_disk: bool = False
-
-
-@dataclass(frozen=True)
-class ReplicaRecover(FaultSpec):
-    """Bring a crashed replica back (cold cache, fresh batcher)."""
-
-    kind: str = "replica-recover"
-    region: str = "us"
-    index: int = 0
-    #: See :attr:`ReplicaCrash.preserve_disk`.
     preserve_disk: bool = False
 
 
@@ -145,21 +132,13 @@ class BalancerFailure(FaultSpec):
     With a controller (SkyWalker-family systems) recovery is driven by the
     controller after its configured ``recovery_time_s`` and ``duration_s``
     is ignored; without one the injector restores the balancer (and its
-    DNS record) after ``duration_s`` (``None`` = stays down until an
-    explicit ``balancer-recover`` event).
+    DNS record) after ``duration_s`` (``None`` = down for the rest of the
+    run).
     """
 
     kind: str = "balancer-fail"
     region: str = "eu"
     duration_s: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class BalancerRecovery(FaultSpec):
-    """Explicitly restore a failed balancer (controller-less schedules)."""
-
-    kind: str = "balancer-recover"
-    region: str = "eu"
 
 
 @dataclass(frozen=True)
@@ -204,8 +183,7 @@ class ReplicaDegrade(FaultSpec):
     accepting requests and answering probes, but every prefill/decode step
     stretches by ``1/scale`` -- so its pending queue inflates and
     load-discounted routing can observe the slowness without any
-    crash signal.  ``duration_s=None`` degrades until an explicit
-    ``replica-restore`` event.
+    crash signal.  ``duration_s=None`` degrades for the rest of the run.
     """
 
     kind: str = "replica-degrade"
@@ -213,15 +191,6 @@ class ReplicaDegrade(FaultSpec):
     index: int = 0
     level: str = "thermal-throttle"
     duration_s: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class ReplicaRestore(FaultSpec):
-    """Return a degraded replica to nominal compute rates."""
-
-    kind: str = "replica-restore"
-    region: str = "us"
-    index: int = 0
 
 
 @dataclass(frozen=True)
@@ -253,7 +222,7 @@ class LinkDown(FaultSpec):
     (observable as ``route_changed`` events); pairs left with no surviving
     path drop messages until the link heals.  Downs are
     reference-counted, so overlapping faults compose.  ``duration_s=None``
-    keeps the link down until an explicit ``link-up`` event.
+    keeps the link down for the rest of the run.
     """
 
     kind: str = "link-down"
@@ -262,22 +231,13 @@ class LinkDown(FaultSpec):
     duration_s: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class LinkUp(FaultSpec):
-    """Bring a downed ``a``<->``b`` link back and re-converge routes."""
-
-    kind: str = "link-up"
-    a: str = "us"
-    b: str = "eu"
-
-
 # ----------------------------------------------------------------------
 # the fault registry
 # ----------------------------------------------------------------------
-#: Applier signature: ``(spec, ctx, record) -> None``.  ``ctx`` is a
-#: :class:`repro.faults.injector.FaultContext`; ``record`` the event's
-#: :class:`repro.faults.injector.FaultRecord` (set ``target`` and resolve
-#: it when the fault heals).
+#: Applier signature: ``(spec, ctx, record) -> None``.  ``ctx`` is the
+#: :class:`repro.faults.injector.FaultInjector`; ``record`` the event's
+#: :class:`repro.faults.injector.FaultRecord` (set ``target``, and heal it
+#: with ``ctx.heal_after(spec.duration_s, record, undo)``).
 FaultApplier = Callable[..., object]
 
 
@@ -295,8 +255,8 @@ def register_fault(
     """Register a fault applier under ``name`` (case-insensitive).
 
     The public extension point: decorate a callable taking
-    ``(spec, ctx, record)``.  It may mutate the stack immediately and/or
-    start follow-up simulation processes via ``ctx.env.process``.
+    ``(spec, ctx, record)``.  It mutates the stack immediately and
+    schedules its own healing with ``ctx.heal_after``.
     """
     return _FAULTS.register(
         name, spec=spec, description=description, replace_existing=replace_existing

@@ -260,13 +260,10 @@ class ReplicaServer:
         self._batcher.performance_scale = scale
         return self._degrade_epoch
 
-    def restore_performance(self, token: Optional[int] = None) -> None:
-        """Return to nominal rates.
-
-        With ``token``, only restores if no newer degrade has been applied
-        since the token was issued; ``None`` forces the restore.
-        """
-        if token is not None and token != self._degrade_epoch:
+    def restore_performance(self, token: int) -> None:
+        """Return to nominal rates, unless a newer degrade has been applied
+        since :meth:`set_performance_level` issued ``token``."""
+        if token != self._degrade_epoch:
             return
         self._clear_degrade()
 

@@ -10,6 +10,8 @@ guarantees:
   loop and ``workers=N`` worker processes, and across repeats.
 """
 
+import functools
+
 import pytest
 
 from repro.experiments import (
@@ -26,10 +28,13 @@ from repro.faults import (
     BalancerFailure,
     FaultSchedule,
     ReplicaCrash,
+    make_fault,
     register_fault_schedule,
     unregister_fault_schedule,
 )
 from repro.replica import TINY_TEST_PROFILE
+
+from ..faults.test_schedule import BUILTIN_KINDS
 
 CLUSTER = ClusterConfig(
     replicas_per_region={"us": 1, "eu": 1, "asia": 1}, profile=TINY_TEST_PROFILE
@@ -65,6 +70,54 @@ def test_empty_schedule_is_bit_identical_to_no_faults():
     # runs that predate fault injection (golden traces stay valid).
     for payload in cells_of(plain, name).values():
         assert "resilience" not in payload
+
+
+# ----------------------------------------------------------------------
+# metamorphic relation: a fault past the horizon changes nothing
+# ----------------------------------------------------------------------
+HORIZON_S = 20.0
+
+
+def horizon_cells(faults):
+    workload = build_arena_workload(scale=0.05, seed=3)
+    systems = [REGISTRY.spec(kind) for kind in ("skywalker", "round-robin", "gke-gateway")]
+    sweep = run_sweep(
+        systems, [workload], cluster=CLUSTER, duration_s=HORIZON_S, seeds=[3], faults=faults
+    )
+    return cells_of(sweep, workload.name)
+
+
+@functools.lru_cache(maxsize=None)
+def unfaulted_horizon_cells():
+    return horizon_cells(None)
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+@pytest.mark.parametrize("at_s, applied", [(25.0, 0), (HORIZON_S, 1)], ids=["after", "at"])
+def test_fault_past_the_horizon_matches_no_faults(kind, at_s, applied):
+    # An event after the horizon never fires; one exactly at it fires, but
+    # its window is empty and nothing runs after it.  Either way every
+    # metric but the fault count equals the unfaulted run's.
+    faulted = horizon_cells(FaultSchedule.single(at_s, make_fault(kind, duration_s=5.0)))
+    for system, payload in unfaulted_horizon_cells().items():
+        rest = dict(faulted[system])
+        resilience = rest.pop("resilience")
+        assert rest == payload, system
+        assert resilience["num_fault_events"] == applied, system
+        assert resilience["outage_windows"] == resilience["degraded_windows"] == []
+
+
+def test_zero_duration_crash_is_not_an_empty_fault():
+    # A crash aborts the replica's in-flight work at once, so even a
+    # zero-length crash (an empty outage window) changes the run.
+    faulted = horizon_cells(
+        FaultSchedule.single(5.0, ReplicaCrash(region="us", index=0, duration_s=0.0))
+    )
+    for system, payload in unfaulted_horizon_cells().items():
+        resilience = faulted[system].pop("resilience")
+        assert resilience["outage_windows"] == []
+        assert resilience["failed_requests"] > 0, system
+        assert faulted[system]["num_completed"] < payload["num_completed"], system
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.faults import (
     RegionPartition,
     ReplicaCrash,
     ReplicaDegrade,
-    ReplicaRestore,
 )
 from repro.network import Network, default_topology
 from repro.replica import (
@@ -49,11 +48,11 @@ def test_degrade_stretches_compute_but_not_promotion_stall(env):
     replica = ReplicaServer(env, "us/replica-0", "us", TINY_TEST_PROFILE)
     batcher = replica.batcher
     nominal = TINY_TEST_PROFILE.prefill_time(100)
-    replica.set_performance_level(0.5)
+    token = replica.set_performance_level(0.5)
     assert batcher.performance_scale == 0.5
     # Compute time doubles at half speed; the scale applies at plan time.
     assert TINY_TEST_PROFILE.prefill_time(100) == nominal  # profile untouched
-    replica.restore_performance()
+    replica.restore_performance(token)
     assert batcher.performance_scale == 1.0
 
 
@@ -76,9 +75,9 @@ def test_restore_epoch_token_guards_stale_restores(env):
     assert replica.performance_scale == PERFORMANCE_LEVELS["p-state-floor"]
     replica.restore_performance(token_new)
     assert replica.performance_scale == 1.0
-    # Forced restore works regardless of epochs.
-    replica.set_performance_level("power-cap")
-    replica.restore_performance()
+    # A fresh degrade issues a fresh token, which restores it.
+    token = replica.set_performance_level("power-cap")
+    replica.restore_performance(token)
     assert replica.performance_scale == 1.0
 
 
@@ -120,14 +119,14 @@ def test_crash_recovery_keeps_indefinite_degrade(env):
 
     def scenario():
         yield env.timeout(2.0)
-        replica.set_performance_level("power-cap")  # no until
+        token = replica.set_performance_level("power-cap")  # no until
         replica.fail()
         yield env.timeout(1.0)
         replica.recover()
         assert replica.batcher.performance_scale == pytest.approx(
             PERFORMANCE_LEVELS["power-cap"]
         )
-        replica.restore_performance()
+        replica.restore_performance(token)
         assert replica.batcher.performance_scale == 1.0
 
     env.process(scenario())
@@ -167,18 +166,6 @@ def test_replica_degrade_opens_degraded_window_not_outage():
     assert resilience.failed_requests == 0
     assert result.metrics.num_completed > 0
     assert result.deployment.replicas_in("us")[0].performance_scale == 1.0
-
-
-def test_explicit_replica_restore_closes_the_degraded_window():
-    schedule = (
-        FaultSchedule()
-        .add(5.0, ReplicaDegrade(region="eu", index=0))  # open-ended
-        .add(12.0, ReplicaRestore(region="eu", index=0))
-    )
-    result = run_faulted("skywalker", schedule)
-    resilience = result.metrics.resilience
-    assert resilience.degraded_windows == [pytest.approx((5.0, 12.0))]
-    assert result.deployment.replicas_in("eu")[0].performance_scale == 1.0
 
 
 def test_degraded_replica_serves_less_traffic_under_hybrid_routing():

@@ -12,13 +12,20 @@ from repro.experiments import (
 )
 from repro.faults import (
     BalancerFailure,
-    BalancerRecovery,
+    FaultEvent,
     FaultSchedule,
+    FaultSpec,
     LinkLatencySpike,
     RegionPartition,
     ReplicaCrash,
+    make_fault,
+    register_fault,
+    registered_faults,
+    unregister_fault,
 )
 from repro.replica import TINY_TEST_PROFILE
+
+from .test_schedule import BUILTIN_KINDS
 
 
 def tiny_cluster(profile=TINY_TEST_PROFILE):
@@ -65,19 +72,16 @@ def test_replica_crash_aborts_and_recovers():
     assert sum(phases) == result.metrics.num_completed
 
 
-def test_explicit_replica_recover_closes_the_window():
-    from repro.faults import ReplicaRecover
-
+def test_timed_replica_recover_closes_the_window():
     schedule = (
         FaultSchedule()
-        .add(5.0, ReplicaCrash(region="eu", index=0))
+        .add(5.0, ReplicaCrash(region="eu", index=0, duration_s=5.0))
         .add(9.0, ReplicaCrash(region="eu", index=0))  # no-op on a dead replica
-        .add(10.0, ReplicaRecover(region="eu", index=0))
         .add(12.0, ReplicaCrash(region="us", index=0, duration_s=4.0))
     )
     result = run_faulted("skywalker", schedule)
     windows = result.metrics.resilience.outage_windows
-    # The eu window closes at the explicit recover; crashing an
+    # The eu window closes at its own timed recovery; crashing an
     # already-dead replica opened no second window.
     assert windows == [pytest.approx((5.0, 10.0)), pytest.approx((12.0, 16.0))]
     assert all(replica.healthy for replica in result.deployment.replicas)
@@ -123,19 +127,6 @@ def test_gateway_outage_reroutes_to_surviving_regions():
     assert result.frontend.stale_dispatches == 0
     assert resilience.completed_during > 0
     assert all(balancer.healthy for balancer in result.balancers)
-
-
-def test_explicit_balancer_recovery_without_controller():
-    schedule = FaultSchedule(
-        events=(
-            FaultSchedule.single(6.0, BalancerFailure(region="us")).events
-            + FaultSchedule.single(12.0, BalancerRecovery(region="us")).events
-        ),
-        use_controller=False,
-    )
-    result = run_faulted("round-robin", schedule)
-    assert result.metrics.resilience.outage_windows == [pytest.approx((6.0, 12.0))]
-    assert result.balancers[0].healthy
 
 
 def test_balancer_fault_in_absent_region_is_a_noop():
@@ -230,8 +221,85 @@ def test_named_schedule_resolves_through_experiment_config():
 
 
 def test_unknown_fault_kind_fails_fast_at_setup():
-    from repro.faults import FaultEvent, FaultSpec
-
     schedule = FaultSchedule(events=(FaultEvent(1.0, FaultSpec(kind="quantum-flip")),))
     with pytest.raises(ValueError, match="unknown fault"):
         run_faulted("skywalker", schedule, duration=5.0)
+
+
+@pytest.mark.parametrize(
+    "kind", ["replica-recover", "balancer-recover", "replica-restore", "link-up"]
+)
+def test_recovery_events_are_not_fault_kinds(kind):
+    # A fault heals by its own duration_s; there is no separate recovery
+    # event, and naming one fails at setup with the registered kinds.
+    schedule = FaultSchedule(events=(FaultEvent(1.0, FaultSpec(kind=kind)),))
+    with pytest.raises(ValueError, match=f"unknown fault '{kind}'") as raised:
+        run_faulted("skywalker", schedule, duration=5.0)
+    message = str(raised.value)
+    assert all(repr(name) in message for name in registered_faults())
+
+
+# ----------------------------------------------------------------------
+# one lifecycle: every built-in kind heals by its own duration_s
+# ----------------------------------------------------------------------
+def stack_state(ctx):
+    """Everything a built-in fault changes, as one comparable value."""
+    regions = ctx.network.topology.region_names()
+    pairs = [(a, b) for a in regions for b in regions if a != b]
+    return {
+        "replicas": [(r.name, r.healthy, r.performance_scale) for r in ctx.deployment.replicas],
+        "balancers": [(b.name, b.healthy) for b in ctx.balancers],
+        "dns": [ctx.frontend.dns.resolve(region) for region in regions],
+        "links": [
+            (
+                pair,
+                ctx.network.link_blocked(*pair),
+                ctx.network.link_extra_latency(*pair),
+                ctx.network.link_loss_probability(*pair),
+                ctx.network.route(*pair),
+            )
+            for pair in pairs
+        ],
+    }
+
+
+@pytest.fixture
+def snapshots():
+    """A ``stack-snapshot`` fault kind that records :func:`stack_state`."""
+    taken = []
+
+    @register_fault("stack-snapshot")
+    def _snapshot(spec, ctx, record):
+        record.opens_window = False
+        taken.append(stack_state(ctx))
+
+    yield taken
+    unregister_fault("stack-snapshot")
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_every_kind_heals_after_its_duration(kind, snapshots):
+    at, duration = 3.0, 4.0
+    snapshot = FaultSpec(kind="stack-snapshot")
+    schedule = FaultSchedule(
+        events=(
+            FaultEvent(1.0, snapshot),
+            FaultEvent(at, make_fault(kind, duration_s=duration)),
+            FaultEvent(5.0, snapshot),
+            FaultEvent(9.0, snapshot),
+        ),
+        # Controller-less, so the injector itself heals balancer-fail too.
+        use_controller=False,
+    )
+    result = run_faulted("skywalker", schedule, duration=10.0)
+    (record,) = [r for r in result.injector.records if r.fault.kind == kind]
+    assert record.resolved_at == at + duration
+    before, during, after = snapshots
+    assert during != before  # the fault took effect ...
+    assert after == before  # ... and healed completely
+    # Before the fault the stack was nominal, so after it, it is again.
+    assert all(healthy and scale == 1.0 for _, healthy, scale in after["replicas"])
+    assert all(healthy for _, healthy in after["balancers"])
+    assert after["dns"] == [f"skywalker@{region}" for region in ("us", "eu", "asia")]
+    for (src, dst), blocked, extra, loss, route in after["links"]:
+        assert (blocked, extra, loss, route) == (False, 0.0, 0.0, (src, dst))

@@ -26,11 +26,12 @@ from repro.faults import (
 
 BUILTIN_KINDS = (
     "replica-crash",
-    "replica-recover",
     "balancer-fail",
-    "balancer-recover",
     "region-partition",
     "link-latency-spike",
+    "replica-degrade",
+    "link-degrade",
+    "link-down",
 )
 
 

@@ -1,6 +1,7 @@
 """Seeded renewal processes: compile determinism, serial == parallel."""
 
 import multiprocessing
+from dataclasses import dataclass
 
 import pytest
 
@@ -10,10 +11,10 @@ from repro.experiments import REGISTRY, SweepExecutor, build_arena_workload
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
+    FaultSpec,
     RenewalFaultProcess,
     ReplicaCrash,
     ReplicaDegrade,
-    ReplicaRecover,
     StochasticFaultSchedule,
     make_fault_schedule,
     resolve_fault_schedule,
@@ -97,8 +98,12 @@ def test_bundle_appends_process_events_after_base():
 
 
 def test_validation_errors():
+    @dataclass(frozen=True)
+    class Untimed(FaultSpec):
+        kind: str = "untimed"
+
     with pytest.raises(ValueError, match="duration_s"):
-        RenewalFaultProcess(fault=ReplicaRecover())  # no duration_s field
+        RenewalFaultProcess(fault=Untimed())  # no duration_s field
     with pytest.raises(ValueError, match="must be positive"):
         crash_process(mtbf_s=0.0)
     with pytest.raises(ValueError, match="unknown distribution"):
