@@ -35,15 +35,12 @@ def outage_schedule(duration_s: float) -> FaultSchedule:
 
     The US hosts the centralized baseline's only balancer, so the same
     schedule is a regional blip for SkyWalker and a total outage for the
-    centralized family.  ``recovery_time_s`` mirrors ``duration_s`` so the
-    controller-driven (SkyWalker) and injector-driven (baselines) outage
-    windows are comparable.
+    centralized family.  The one ``duration_s`` times both the
+    controller-driven (SkyWalker) and injector-driven (baselines) recovery,
+    so the outage windows are comparable.
     """
-    outage_len = duration_s / 6.0
     return FaultSchedule.single(
-        duration_s * 0.25,
-        BalancerFailure(region="us", duration_s=outage_len),
-        recovery_time_s=outage_len,
+        duration_s * 0.25, BalancerFailure(region="us", duration_s=duration_s / 6.0)
     )
 
 
@@ -153,10 +150,10 @@ def test_fig11_failover(benchmark, record_result):
     assert central.ttft_p90_during_s > 3 * central.ttft_p90_before_s
 
     # --- the controller's recovery is bounded: detection (<= one probe
-    # interval) plus the configured recovery time.
-    schedule = outage_schedule(duration)
-    assert sky.mean_time_to_recovery_s >= schedule.recovery_time_s
-    assert sky.mean_time_to_recovery_s <= schedule.recovery_time_s + 1.0
+    # interval) plus the fault's duration.
+    outage_len = outage_schedule(duration).events[0].fault.duration_s
+    assert sky.mean_time_to_recovery_s >= outage_len
+    assert sky.mean_time_to_recovery_s <= outage_len + 1.0
 
     # --- everyone is healthy again by the end of the run.
     for system, metrics in rows.items():

@@ -48,7 +48,7 @@ PUSH_BANDWIDTH = 10e9  # 10 GB/s cross-replica KV transfer
 
 def _memory(hbm_fraction: float, host_tokens: int):
     if hbm_fraction == 1.0 and host_tokens == 0:
-        return None  # the legacy flat model; the grid's reference corner
+        return MemoryConfig()  # the legacy flat model; the grid's reference corner
     return MemoryConfig(
         page_size=16,
         hbm_fraction=hbm_fraction,

@@ -37,10 +37,7 @@ def main() -> None:
     # controller (probing every 0.5 s) detects it, re-homes its replicas,
     # re-points DNS, and brings it back 20 s later.
     schedule = FaultSchedule.single(
-        30.0,
-        BalancerFailure(region="eu"),
-        controller_probe_interval_s=0.5,
-        recovery_time_s=20.0,
+        30.0, BalancerFailure(region="eu", duration_s=20.0), controller_probe_interval_s=0.5
     )
 
     config = ExperimentConfig(

@@ -1,8 +1,7 @@
 """The one name -> factory registry behind every plug-in point.
 
 Systems, faults, fault schedules, pushing/selection policies, routing
-constraints, offload/admission policies, WAN topologies, routing policies
-and lint rules all follow the same pattern: built-ins and
+constraints, offload policies, WAN topologies and lint rules all follow the same pattern: built-ins and
 third parties register a factory under a name with an ``@register_*``
 decorator, and configs carry only the (picklable) name, resolved against the
 registry wherever the stack is built -- including inside sweep worker

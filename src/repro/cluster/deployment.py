@@ -40,7 +40,7 @@ class Deployment:
         from the topology if not supplied.
     specs:
         One :class:`ReplicaSpec` per (region, profile) group.
-    enable_prefix_cache / memory / record_utilization:
+    memory / record_utilization:
         Forwarded to every replica.
     """
 
@@ -51,8 +51,7 @@ class Deployment:
         *,
         topology: Optional[NetworkTopology] = None,
         network: Optional[Network] = None,
-        enable_prefix_cache: bool = True,
-        memory: Optional[MemoryConfig] = None,
+        memory: MemoryConfig = MemoryConfig(),
         record_utilization: bool = False,
     ) -> None:
         self.env = env
@@ -71,7 +70,6 @@ class Deployment:
                     name,
                     spec.region,
                     spec.profile,
-                    enable_prefix_cache=enable_prefix_cache,
                     memory=memory,
                     record_utilization=record_utilization,
                 )

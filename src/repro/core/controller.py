@@ -4,7 +4,9 @@ The controller is SkyWalker's management plane: it periodically probes the
 health of every load balancer and replica, reconfigures the system when a
 load balancer dies (re-assigning its replicas to the geographically closest
 healthy balancer and re-pointing DNS), initiates recovery in the background,
-and transfers the replicas back once the failed balancer returns.
+and transfers the replicas back once the failed balancer returns.  Each
+failure's downtime comes from the fault that caused it
+(:attr:`ServiceController.downtime_s`), counted from its detection.
 
 The controller is intentionally *not* on the data path -- requests never
 pass through it -- so its own failure only delays reconfiguration.  Its
@@ -48,13 +50,15 @@ class ServiceController:
         frontend: Frontend,
         *,
         health_probe_interval_s: float = 0.5,
-        recovery_time_s: float = 10.0,
     ) -> None:
         self.env = env
         self.network = network
         self.frontend = frontend
         self.health_probe_interval_s = health_probe_interval_s
-        self.recovery_time_s = recovery_time_s
+        #: Downtime of each balancer's next detected failure, set by the
+        #: fault that fails it; a failure without an entry (or with
+        #: ``None``) stays down for the rest of the run.
+        self.downtime_s: Dict[str, Optional[float]] = {}
         self.balancers: Dict[str, SkyWalkerBalancer] = {}
         self.failovers: List[FailoverRecord] = []
         self._active_failovers: Dict[str, FailoverRecord] = {}
@@ -100,6 +104,7 @@ class ServiceController:
     def _handle_balancer_failure(self, failed: SkyWalkerBalancer) -> None:
         """Reassign the failed balancer's replicas and stranded requests."""
         takeover = self._nearest_healthy_balancer(failed.region, exclude=failed.name)
+        downtime = self.downtime_s.pop(failed.name, None)
         failed.fail()  # idempotent if the failure was injected externally
         stranded = failed.take_stranded()
         self.frontend.set_health(failed.name, False)
@@ -120,15 +125,17 @@ class ServiceController:
                 )
         self.failovers.append(record)
         self._active_failovers[failed.name] = record
-        self.env.process(self._recover_later(failed, takeover, record))
+        if downtime is not None:
+            self.env.process(self._recover_later(failed, takeover, record, downtime))
 
     def _recover_later(
         self,
         failed: SkyWalkerBalancer,
         takeover: Optional[SkyWalkerBalancer],
         record: FailoverRecord,
+        downtime: float,
     ):
-        yield self.env.timeout(self.recovery_time_s)
+        yield self.env.timeout(downtime)
         failed.recover()
         if takeover is not None:
             for replica_name in record.replica_names:

@@ -18,7 +18,7 @@ and workloads without duplicating wiring code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..faults import FaultsLike
 from ..mem import MemoryConfig
@@ -74,22 +74,23 @@ class ClusterConfig:
         default_factory=lambda: {"us": 4, "eu": 4, "asia": 4}
     )
     profile: ModelProfile = LLAMA_8B_L4
-    enable_prefix_cache: bool = True
-    #: Optional tiered/paged KV memory model applied to every replica (and,
-    #: via its ``push_*`` knobs, to the balancers' dispatch path).  ``None``
-    #: keeps the flat legacy model and is bit-identical to it.
-    memory: Optional[MemoryConfig] = None
+    #: The KV memory model applied to every replica (and, via its
+    #: ``push_*`` knobs, to the balancers' dispatch path).  The default
+    #: ``MemoryConfig()`` is the flat legacy model.
+    memory: MemoryConfig = MemoryConfig()
     record_utilization: bool = False
-    #: The WAN (:class:`~repro.net.NetConfig`): graph topology, routing
-    #: policy and shared-link bandwidth contention.  The default is the
-    #: uncontended full mesh over the region latency matrix.
+    #: The WAN (:class:`~repro.net.NetConfig`): graph topology and
+    #: shared-link bandwidth contention.  The default is the uncontended
+    #: full mesh over the region latency matrix.
     network: NetConfig = NetConfig()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.network, NetConfig):
-            raise TypeError(
-                f"ClusterConfig.network must be a NetConfig, got {self.network!r}"
-            )
+        for name, kind in (("network", NetConfig), ("memory", MemoryConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(
+                    f"ClusterConfig.{name} must be a {kind.__name__}, "
+                    f"got {getattr(self, name)!r}"
+                )
 
     @property
     def total_replicas(self) -> int:

@@ -124,7 +124,6 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         specs,
         topology=topology,
         network=network,
-        enable_prefix_cache=config.cluster.enable_prefix_cache,
         memory=memory,
         record_utilization=config.cluster.record_utilization,
     )
@@ -137,10 +136,6 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
             # they share contended WAN edges with pushes.
             replica.add_completion_listener(network.stream_response)
 
-    push_transfer = None
-    if memory is not None:
-        push_transfer = memory.push_transfer(config.cluster.profile.kv_bytes_per_token)
-
     frontend = Frontend(env, network)
     balancers = build_system(
         config.system,
@@ -150,7 +145,7 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         frontend,
         client_regions=workload.client_regions,
         hash_key=workload.hash_key,
-        push_transfer=push_transfer,
+        push_transfer=memory.push_transfer(config.cluster.profile.kv_bytes_per_token),
     )
 
     # Fault injection: only a non-empty schedule creates any machinery at
@@ -220,7 +215,7 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
     metrics.seed = config.seed
     if injector is not None:
         metrics.resilience = injector.resilience_metrics(duration_s=config.duration_s)
-    if memory is not None and memory.telemetry_enabled:
+    if memory.telemetry_enabled:
         metrics.memory = collect_memory_metrics(deployment, balancers)
     return ExperimentResult(
         metrics=metrics,

@@ -143,7 +143,6 @@ class FaultInjector:
                 self.network,
                 self.frontend,
                 health_probe_interval_s=self.schedule.controller_probe_interval_s,
-                recovery_time_s=self.schedule.recovery_time_s,
             )
             for balancer in self.balancers:
                 self.controller.register_balancer(balancer)
@@ -383,7 +382,9 @@ def _apply_balancer_failure(
         # Detection, DNS, replica takeover, stranded re-routing and timed
         # recovery are all the ServiceController's job from here (§4.2);
         # the stranded requests stay parked on the balancer until the
-        # controller's next health probe picks the failure up.
+        # controller's next health probe picks the failure up, and the
+        # balancer comes back this fault's duration after that.
+        ctx.controller.downtime_s[balancer.name] = spec.duration_s
         return
     # Controller-less systems: the injector plays ops.  DNS stops resolving
     # to the dead balancer and the stranded requests retry through the
@@ -485,7 +486,7 @@ def _apply_link_degrade(
     description="Take one physical link down (routes re-converge around it)",
 )
 def _apply_link_down(spec: LinkDown, ctx: FaultInjector, record: FaultRecord) -> None:
-    # Downs a graph edge and the routing policy re-converges
+    # Downs a graph edge and the shortest paths re-converge
     # deterministically (traffic re-routes where the topology allows).
     # Downs are reference-counted, so overlapping link-down faults compose
     # and each heal removes only its own down.

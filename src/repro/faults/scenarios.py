@@ -90,7 +90,7 @@ def _zone_outage_correlated(
         for index in range(replicas)
     ]
     events.append(FaultEvent(at_s, BalancerFailure(region=region, duration_s=duration_s)))
-    return FaultSchedule(events=tuple(events), recovery_time_s=duration_s)
+    return FaultSchedule(events=tuple(events))
 
 
 @register_fault_schedule("region-partition-flap")

@@ -76,7 +76,7 @@ class FaultSchedule:
     ``use_controller`` (default on) makes the injector run a
     :class:`~repro.core.controller.ServiceController` for schedules that
     contain balancer faults on SkyWalker-family systems;
-    ``controller_probe_interval_s`` / ``recovery_time_s`` configure it.
+    ``controller_probe_interval_s`` sets its health-probe period.
     Everything here is plain data, so schedules pickle into sweep workers
     and hash/compare by value.
     """
@@ -86,8 +86,6 @@ class FaultSchedule:
     #: supports it (SkyWalker-family balancers).
     use_controller: bool = True
     controller_probe_interval_s: float = 0.5
-    #: Controller-driven recovery delay after a balancer failure is detected.
-    recovery_time_s: float = 10.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
@@ -98,8 +96,6 @@ class FaultSchedule:
                 )
         if self.controller_probe_interval_s <= 0:
             raise ValueError("controller_probe_interval_s must be positive")
-        if self.recovery_time_s <= 0:
-            raise ValueError("recovery_time_s must be positive")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -218,11 +214,10 @@ def _eu_balancer_outage(
 ) -> FaultSchedule:
     """The canonical §4.2 scenario: one regional balancer dies mid-run.
 
-    Controller-driven recovery for SkyWalker systems; ``duration_s``-timed
-    recovery for controller-less ones (the two are aligned so outage
-    windows are comparable across system families).
+    The balancer is down for ``duration_s``: counted from the controller's
+    detection for SkyWalker systems, from the failure for controller-less
+    ones.
     """
     return FaultSchedule(
-        events=(FaultEvent(at_s, BalancerFailure(region=region, duration_s=duration_s)),),
-        recovery_time_s=duration_s,
+        events=(FaultEvent(at_s, BalancerFailure(region=region, duration_s=duration_s)),)
     )

@@ -38,10 +38,11 @@ for the rest of the run.
     injector runs a :class:`~repro.core.controller.ServiceController`, so
     detection, replica takeover, DNS re-pointing, stranded-request
     re-routing and recovery are all controller-driven -- the paper's §4.2
-    failover exercised end to end.  For controller-less systems (the
-    centralized baselines, the gateway) the injector plays ops itself:
-    DNS health off, stranded requests re-dispatched, recovery after
-    ``duration_s``.
+    failover exercised end to end; the controller brings the balancer back
+    ``duration_s`` after it detects the failure.  For controller-less
+    systems (the centralized baselines, the gateway) the injector plays
+    ops itself: DNS health off, stranded requests re-dispatched, recovery
+    ``duration_s`` after the failure.
 ``region-partition``
     Block the network link between two regions (messages are dropped), or
     isolate one region from everyone (``b=None``).
@@ -129,11 +130,11 @@ class ReplicaCrash(FaultSpec):
 class BalancerFailure(FaultSpec):
     """Kill the load balancer serving ``region``.
 
-    With a controller (SkyWalker-family systems) recovery is driven by the
-    controller after its configured ``recovery_time_s`` and ``duration_s``
-    is ignored; without one the injector restores the balancer (and its
-    DNS record) after ``duration_s`` (``None`` = down for the rest of the
-    run).
+    With a controller (SkyWalker-family systems) the controller restores
+    the balancer ``duration_s`` after its health probe detects the failure;
+    without one the injector restores the balancer (and its DNS record)
+    ``duration_s`` after the failure.  ``None`` = down for the rest of the
+    run.
     """
 
     kind: str = "balancer-fail"

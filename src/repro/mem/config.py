@@ -1,10 +1,10 @@
 """Frozen, picklable configuration for the tiered KV memory model.
 
 ``MemoryConfig`` travels inside :class:`repro.experiments.ClusterConfig`
-through sweep workers, so it carries only names and scalars: the offload /
-admission *policy names* are resolved against the registries wherever the
-replica is actually built (exactly like pushing/constraint/selection
-policies and fault kinds).
+through sweep workers, so it carries only names and scalars: the offload
+*policy name* is resolved against its registry wherever the replica is
+actually built (exactly like pushing/constraint/selection policies and
+fault kinds).
 
 The default config is **legacy-equivalent by construction**: ``page_size=1``
 and ``hbm_fraction=1.0`` leave HBM accounting token-granular and unrounded,
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .paging import round_to_pages
-from .policies import make_admission_policy, make_offload_policy
+from .policies import make_offload_policy
 from .tiers import TieredKVStore, TierSpec, TransferModel
 
-__all__ = ["MemoryConfig", "DEFAULT_MEMORY_CONFIG"]
+__all__ = ["MemoryConfig"]
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,9 @@ class MemoryConfig:
         sweep shrinks this to force eviction traffic.
     host_capacity_tokens / disk_capacity_tokens:
         Offload tier sizes in token slots; ``0`` disables a tier.
-    offload / admission:
-        Registered policy names (resolved lazily, including inside sweep
-        worker processes); ``*_args`` are keyword arguments passed to the
-        factory, as a tuple of ``(name, value)`` pairs so the config stays
-        hashable and picklable.
+    offload:
+        Registered offload-policy name (resolved lazily, including inside
+        sweep worker processes).
     host_* / disk_*:
         Transfer cost of crossing into that tier, charged per crossing as
         ``latency + bytes / bandwidth`` (defaults: PCIe-4-ish host link,
@@ -62,9 +60,6 @@ class MemoryConfig:
     host_capacity_tokens: int = 0
     disk_capacity_tokens: int = 0
     offload: str = "never-offload"
-    admission: str = "admit-all"
-    offload_args: Tuple[Tuple[str, object], ...] = ()
-    admission_args: Tuple[Tuple[str, object], ...] = ()
     host_latency_s: float = 100e-6
     host_bandwidth_bytes_per_s: float = 24e9
     disk_latency_s: float = 2e-3
@@ -85,8 +80,8 @@ class MemoryConfig:
             raise ValueError("tier bandwidths must be positive")
         if self.push_bandwidth_bytes_per_s < 0:
             raise ValueError("push bandwidth must be non-negative")
-        if not self.offload or not self.admission:
-            raise ValueError("offload/admission policy names must be non-empty")
+        if not self.offload:
+            raise ValueError("offload policy name must be non-empty")
 
     # ------------------------------------------------------------------
     @property
@@ -162,12 +157,6 @@ class MemoryConfig:
             return None
         return TieredKVStore(
             self.tier_specs(bytes_per_token),
-            make_offload_policy(self.offload, **dict(self.offload_args)),
-            make_admission_policy(self.admission, **dict(self.admission_args)),
+            make_offload_policy(self.offload),
             page_size=self.page_size,
         )
-
-
-#: The legacy-equivalent default shared by every code path that takes an
-#: optional ``memory=`` argument.
-DEFAULT_MEMORY_CONFIG = MemoryConfig()

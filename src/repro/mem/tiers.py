@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .paging import PageAllocator, PageBlock
-from .policies import AdmissionPolicy, OffloadPolicy, SegmentMeta
+from .policies import OffloadPolicy
 
 __all__ = ["TransferModel", "TierSpec", "TierSegment", "TierStore", "TieredKVStore"]
 
@@ -70,38 +70,22 @@ class TierSpec:
 class TierSegment:
     """One offloaded KV segment resident in a tier."""
 
-    __slots__ = ("entry_id", "tokens", "block", "last_access", "hits", "pinned")
+    __slots__ = ("entry_id", "tokens", "block", "last_access")
 
     def __init__(
-        self,
-        entry_id: int,
-        tokens: Tuple[int, ...],
-        block: PageBlock,
-        last_access: float,
-        hits: int,
-        pinned: bool,
+        self, entry_id: int, tokens: Tuple[int, ...], block: PageBlock, last_access: float
     ) -> None:
         self.entry_id = entry_id
         self.tokens = tokens
         self.block = block
         self.last_access = last_access
-        self.hits = hits
-        self.pinned = pinned
 
     @property
     def num_tokens(self) -> int:
         return len(self.tokens)
 
-    def meta(self) -> SegmentMeta:
-        return SegmentMeta(
-            num_tokens=len(self.tokens), hits=self.hits, last_access=self.last_access
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<TierSegment id={self.entry_id} tokens={len(self.tokens)} "
-            f"hits={self.hits}{' pinned' if self.pinned else ''}>"
-        )
+        return f"<TierSegment id={self.entry_id} tokens={len(self.tokens)}>"
 
 
 class TierStore:
@@ -153,12 +137,12 @@ class TierStore:
 
     # ------------------------------------------------------------------
     def put(
-        self, tokens: Tuple[int, ...], hits: int, now: float, *, pinned: bool = False
+        self, tokens: Tuple[int, ...], now: float
     ) -> Tuple[Optional[TierSegment], List[TierSegment]]:
         """Store a segment, evicting LRU segments if needed.
 
         Returns ``(stored, evicted)``: the resident segment (``None`` when
-        the segment cannot fit even after evicting everything unpinned, or
+        the segment cannot fit even after evicting everything, or
         is already covered by a stored segment) and the victims displaced to
         make room, oldest first -- the tiered store cascades those downward.
         """
@@ -172,15 +156,11 @@ class TierStore:
             if existing.tokens[:shorter] != tokens[:shorter]:
                 continue
             if len(existing.tokens) >= len(tokens):
-                # Already covered: refresh recency/heat, store nothing.
+                # Already covered: refresh recency, store nothing.
                 existing.last_access = now
-                existing.hits = max(existing.hits, hits)
-                existing.pinned = existing.pinned or pinned
                 self._note_lru(existing)
                 return None, []
             # The new segment extends a stored one: replace it.
-            pinned = pinned or existing.pinned
-            hits = max(hits, existing.hits)
             self._remove(existing)
             break
         evicted: List[TierSegment] = []
@@ -195,14 +175,7 @@ class TierStore:
             self.evicted_tokens += victim.num_tokens
             evicted.append(victim)
         block = self.allocator.alloc(len(tokens))
-        segment = TierSegment(
-            entry_id=next(self._entry_ids),
-            tokens=tokens,
-            block=block,
-            last_access=now,
-            hits=hits,
-            pinned=pinned,
-        )
+        segment = TierSegment(next(self._entry_ids), tokens, block, now)
         self._segments[segment.entry_id] = segment
         self._buckets.setdefault(key, []).append(segment.entry_id)
         self._note_lru(segment)
@@ -218,27 +191,12 @@ class TierStore:
         self.allocator.free(segment.block)
 
     def _pop_lru(self) -> Optional[TierSegment]:
-        """Oldest unpinned segment; pinned ones only when nothing else is
-        left (a fully pinned tier must still be evictable or it deadlocks)."""
-        deferred: List[Tuple[float, int]] = []
-        victim: Optional[TierSegment] = None
+        """The least recently used segment, or ``None`` when the tier is empty."""
         while self._lru_heap:
             last_access, entry_id = heappop(self._lru_heap)
             segment = self._segments.get(entry_id)
-            if segment is None or segment.last_access != last_access:
-                continue
-            if segment.pinned:
-                deferred.append((last_access, entry_id))
-                continue
-            victim = segment
-            break
-        for entry in deferred:
-            heappush(self._lru_heap, entry)
-        if victim is not None:
-            return victim
-        if deferred:
-            oldest = min(deferred)
-            return self._segments[oldest[1]]
+            if segment is not None and segment.last_access == last_access:
+                return segment
         return None
 
     # ------------------------------------------------------------------
@@ -284,11 +242,11 @@ class TierStore:
         self._note_lru(segment)
 
     # ------------------------------------------------------------------
-    def export(self) -> List[Tuple[Tuple[int, ...], int, float, bool]]:
-        """Snapshot for crash-survivable tiers (token data + heat)."""
+    def export(self) -> List[Tuple[int, ...]]:
+        """Snapshot for crash-survivable tiers: each segment's tokens, in
+        insertion order."""
         return [
-            (seg.tokens, seg.hits, seg.last_access, seg.pinned)
-            for seg in sorted(self._segments.values(), key=lambda s: s.entry_id)
+            seg.tokens for seg in sorted(self._segments.values(), key=lambda s: s.entry_id)
         ]
 
     def check_invariants(self) -> None:
@@ -313,17 +271,16 @@ class TieredKVStore:
 
     Routing is policy-driven: the offload policy picks the destination tier
     for every eviction victim (HBM victims and cascading tier victims
-    alike), the admission policy can refuse a segment, and all byte
-    movement shares one transfer engine whose busy time serialises through
-    :attr:`engine_free_at` -- demotions are fire-and-forget, promotions
-    stall the requesting prefill until the copy lands.
+    alike), and all byte movement shares one transfer engine whose busy
+    time serialises through :attr:`engine_free_at` -- demotions are
+    fire-and-forget, promotions stall the requesting prefill until the copy
+    lands.
     """
 
     def __init__(
         self,
         tiers: Sequence[TierSpec],
         offload_policy: OffloadPolicy,
-        admission_policy: AdmissionPolicy,
         *,
         page_size: int = 1,
     ) -> None:
@@ -338,7 +295,6 @@ class TieredKVStore:
             order.append(spec.name)
         self.order: Tuple[str, ...] = tuple(order)
         self.offload_policy = offload_policy
-        self.admission_policy = admission_policy
         #: Simulation time the shared transfer engine is next idle.
         self.engine_free_at = 0.0
         # Monotonic telemetry (the MemoryMetrics inputs).
@@ -371,18 +327,12 @@ class TieredKVStore:
     # ------------------------------------------------------------------
     # demotion (HBM victims and cascading tier victims)
     # ------------------------------------------------------------------
-    def demote(
-        self, tokens: Tuple[int, ...], hits: int, last_access: float, now: float,
-        *, from_tier: str = "hbm",
-    ) -> None:
+    def demote(self, tokens: Tuple[int, ...], now: float, *, from_tier: str = "hbm") -> None:
         """Route one eviction victim through the offload policy."""
         if not tokens or not self.enabled:
             self.dropped_tokens += len(tokens)
             return
-        meta = SegmentMeta(num_tokens=len(tokens), hits=hits, last_access=last_access)
-        target = self.offload_policy.demote_target(
-            meta, from_tier, self.lower_tiers(from_tier)
-        )
+        target = self.offload_policy.demote_target(from_tier, self.lower_tiers(from_tier))
         if target is None:
             self.dropped_tokens += len(tokens)
             return
@@ -391,13 +341,8 @@ class TieredKVStore:
                 f"offload policy routed a {from_tier!r} victim to {target!r}; "
                 f"valid targets: {self.lower_tiers(from_tier)}"
             )
-        if not self.admission_policy.admit(meta, target):
-            self.dropped_tokens += len(tokens)
-            return
         store = self.stores[target]
-        stored, displaced = store.put(
-            tokens, hits, now, pinned=self.offload_policy.pin(meta, target)
-        )
+        stored, displaced = store.put(tokens, now)
         if stored is not None:
             # The copy occupies the engine but nobody waits on a demotion.
             self._engine_busy(store.spec.transfer.delay_s(len(tokens)), now)
@@ -407,9 +352,7 @@ class TieredKVStore:
             self.dropped_tokens += len(tokens)
         # Cascade this tier's victims further down (or drop at the bottom).
         for victim in displaced:
-            self.demote(
-                victim.tokens, victim.hits, victim.last_access, now, from_tier=target
-            )
+            self.demote(victim.tokens, now, from_tier=target)
 
     # ------------------------------------------------------------------
     # promotion (cold prefix hits)
@@ -464,13 +407,12 @@ class TieredKVStore:
         return store.export() if store is not None else []
 
     def restore_tier(self, name: str, snapshot, now: float) -> None:
-        """Re-seed a tier from a snapshot, bypassing the admission policy
-        (the segments were admitted before the crash)."""
+        """Re-seed a tier from a snapshot (:meth:`export_tier`)."""
         store = self.stores.get(name)
         if store is None:
             return
-        for tokens, hits, last_access, pinned in snapshot:
-            store.put(tokens, hits, now, pinned=pinned)
+        for tokens in snapshot:
+            store.put(tokens, now)
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:

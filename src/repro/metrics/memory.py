@@ -70,7 +70,7 @@ class MemoryMetrics:
     promotion_bytes: int
     demoted_tokens: int
     demotion_bytes: int
-    #: Victim tokens the offload/admission policies let vanish.
+    #: Victim tokens the offload policy lets vanish.
     dropped_tokens: int
     #: Promotion stall charged through the engine (queueing + copy).
     transfer_stall_s: float

@@ -59,13 +59,15 @@ class LatencySummary:
         data = [float(v) for v in values if v is not None and v == v]
         if not data:
             return cls.empty()
-        ordered = sorted(data)
+        # Order-dependent statistics first, then sort the one list in place.
+        mean, minimum, maximum = sum(data) / len(data), min(data), max(data)
+        data.sort()
         return cls(
             len(data),
-            sum(data) / len(data),
-            *(_interpolate(ordered, q) for q in (10, 25, 50, 75, 90, 99)),
-            min(data),
-            max(data),
+            mean,
+            *(_interpolate(data, q) for q in (10, 25, 50, 75, 90, 99)),
+            minimum,
+            maximum,
         )
 
     @classmethod

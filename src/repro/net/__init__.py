@@ -6,11 +6,10 @@ bandwidth-scarce regime the paper's BP vs SP-O/SP-P comparison diverges in
 is unreachable.  This package carries messages over a routed graph instead:
 
 * :mod:`~repro.net.graph` -- :class:`WanGraph` (regions + WAN routers,
-  directed edges with latency and optional finite bandwidth) and the
+  directed edges with latency and optional finite bandwidth), its one
+  route function :meth:`WanGraph.shortest_path` (Dijkstra with the
+  deterministic ``(cost, name)`` tie-break) and the
   ``register_wan_topology`` builder registry (``"mesh"``, ``"backbone"``).
-* :mod:`~repro.net.routing` -- the ``register_routing_policy`` registry
-  (``"shortest-path"`` Dijkstra with the deterministic ``(cost, name)``
-  tie-break, ``"static-route"``, ``"cost-weighted"``).
 * :mod:`~repro.net.routed` -- :class:`Network`, the simulator's only
   transport: multi-hop delivery and probes, per-edge faults, FIFO
   contention and deterministic route re-convergence under faults
@@ -32,15 +31,6 @@ from .graph import (
     registered_wan_topologies,
 )
 from .routed import Network, RouteChange, build_routed_network
-from .routing import (
-    CostWeightedRouting,
-    RoutingPolicy,
-    ShortestPathRouting,
-    StaticRouting,
-    make_routing_policy,
-    register_routing_policy,
-    registered_routing_policies,
-)
 from .trace import run_route_trace
 
 __all__ = [
@@ -50,13 +40,6 @@ __all__ = [
     "register_wan_topology",
     "make_wan_topology",
     "registered_wan_topologies",
-    "RoutingPolicy",
-    "ShortestPathRouting",
-    "StaticRouting",
-    "CostWeightedRouting",
-    "register_routing_policy",
-    "make_routing_policy",
-    "registered_routing_policies",
     "Network",
     "RouteChange",
     "build_routed_network",

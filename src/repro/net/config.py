@@ -32,10 +32,6 @@ class NetConfig:
     #: Extra scalar kwargs for the topology builder, as sorted
     #: ``(name, value)`` pairs so the config stays hashable/picklable.
     topology_args: Tuple[Tuple[str, float], ...] = ()
-    #: Registered routing policy (``repro.net.routing``).
-    routing: str = "shortest-path"
-    #: Extra scalar kwargs for the routing policy, same encoding.
-    routing_args: Tuple[Tuple[str, float], ...] = ()
     #: Bandwidth of WAN edges in bytes/s; 0 = uncontended (infinite).
     wan_bandwidth_bytes_per_s: float = 0.0
     #: Wire bytes per prompt token for request messages.
@@ -62,12 +58,8 @@ class NetConfig:
         ):
             if value < 0:
                 raise ValueError(f"{label} must be non-negative, got {value!r}")
-        for label, pairs in (
-            ("topology_args", self.topology_args),
-            ("routing_args", self.routing_args),
-        ):
-            for entry in pairs:
-                if not (isinstance(entry, tuple) and len(entry) == 2):
-                    raise ValueError(
-                        f"{label} entries must be (name, value) pairs, got {entry!r}"
-                    )
+        for entry in self.topology_args:
+            if not (isinstance(entry, tuple) and len(entry) == 2):
+                raise ValueError(
+                    f"topology_args entries must be (name, value) pairs, got {entry!r}"
+                )

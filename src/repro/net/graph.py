@@ -6,8 +6,9 @@ messages never share a path and never queue.  :class:`WanGraph` turns it
 into a real graph: *region* nodes (the deployment's regions) plus
 optional *WAN router* nodes, connected by directed :class:`WanLink` edges
 that carry a propagation latency and an optional finite bandwidth.  Routes
-between regions are computed by a registered routing policy
-(:mod:`repro.net.routing`); messages transit edge by edge, and on
+between regions are latency-shortest paths (:meth:`WanGraph.shortest_path`,
+with a deterministic ``(cost, name)`` tie-break); messages transit edge by
+edge, and on
 finite-bandwidth edges they serialise through a shared FIFO
 (:mod:`repro.net.routed`).
 
@@ -31,8 +32,9 @@ selection / constraint registries:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .._registry import NameRegistry
 
@@ -151,6 +153,46 @@ class WanGraph:
         """Every directed edge, sorted by (src, dst)."""
         for key in sorted(self._links):
             yield self._links[key]
+
+    def shortest_path(
+        self, src: str, dst: str, down_edges: FrozenSet[Tuple[str, str]] = frozenset()
+    ) -> Optional[Tuple[str, ...]]:
+        """The latency-shortest node path from ``src`` to ``dst`` (inclusive)
+        avoiding ``down_edges``, or ``None`` when no route survives.
+
+        Dijkstra with ``(cost, name)`` heap entries, so equal-cost frontiers
+        pop in lexicographic node order, and neighbours relax in sorted
+        order: the path is a pure function of the graph, never of insertion
+        or dict iteration order.
+        """
+        if src == dst:
+            return (src,)
+        dist: Dict[str, float] = {src: 0.0}
+        prev: Dict[str, str] = {}
+        heap: list = [(0.0, src)]
+        done: Dict[str, None] = {}
+        while heap:
+            cost, node = heapq.heappop(heap)
+            if node in done:
+                continue
+            done[node] = None
+            if node == dst:
+                break
+            for neighbor in self.neighbors(node):
+                if (node, neighbor) in down_edges:
+                    continue
+                next_cost = cost + self.latency(node, neighbor)
+                if neighbor not in dist or next_cost < dist[neighbor]:
+                    dist[neighbor] = next_cost
+                    prev[neighbor] = node
+                    heapq.heappush(heap, (next_cost, neighbor))
+        if dst not in done:
+            return None
+        path = [dst]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        path.reverse()
+        return tuple(path)
 
     @property
     def has_finite_bandwidth(self) -> bool:

@@ -2,7 +2,7 @@
 
 :class:`Network` is the simulator's one transport between simulation
 actors.  It routes every region pair over a
-:class:`~repro.net.graph.WanGraph` with a registered routing policy, samples
+:class:`~repro.net.graph.WanGraph` along its shortest paths, samples
 a jittered latency summed edge by edge along the route, and then delivers
 the payload into the destination's inbox store.  Probes (heartbeat RTTs) are
 modelled the same way, which is what makes "probe all replicas from every
@@ -15,7 +15,7 @@ process per message).
 Determinism contract (the part the golden traces pin):
 
 * **The default network** is the ``"mesh"`` graph (one direct edge per
-  latency-matrix entry) with ``"shortest-path"`` routing and no bandwidth.
+  latency-matrix entry) with no bandwidth.
   Every route is the single direct hop, so samples, fault-RNG draws and
   counters reproduce the historical pairwise-matrix transport bit for bit
   (``tests/net/data/pairwise_legacy.json``).
@@ -25,7 +25,7 @@ Determinism contract (the part the golden traces pin):
   (spec, workload, seed): serial, ``workers=N`` and forced-spawn sweeps
   produce identical results.
 * **Re-convergence**: route tables are recomputed whenever an edge goes
-  down/up or a region pair is (un)blocked, by the routing policy with its
+  down/up or a region pair is (un)blocked, as shortest paths with their
   deterministic tie-break; every table diff is appended to
   :attr:`Network.route_events` in sorted pair order, so two runs agree on
   the exact ``route_changed`` sequence.
@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 from ..sim import Environment, Store, Timeout
 from .config import NetConfig
 from .graph import WanGraph, make_wan_topology
-from .routing import RoutingPolicy, make_routing_policy
 
 if TYPE_CHECKING:
     from ..network.topology import NetworkTopology
@@ -111,11 +110,10 @@ class Network:
     jitter_fraction / seed:
         Every sampled latency is jittered uniformly by up to
         ``jitter_fraction`` of itself, from a RNG seeded with ``seed``.
-    graph / policy:
-        The :class:`WanGraph` to route over -- built over ``topology``;
-        the default is the ``"mesh"`` graph -- and the
-        :class:`~repro.net.routing.RoutingPolicy` computing paths (default
-        ``"shortest-path"``).  Edge bandwidths are fixed at build time
+    graph:
+        The :class:`WanGraph` to route over along its shortest paths --
+        built over ``topology``; the default is the ``"mesh"`` graph.
+        Edge bandwidths are fixed at build time
         (``contention_enabled`` is cached), so mutate the graph before
         constructing the network.
     request_bytes_per_token / response_bytes_per_token / kv_bytes_per_token:
@@ -136,7 +134,6 @@ class Network:
         jitter_fraction: float = 0.05,
         seed: int = 0,
         graph: Optional[WanGraph] = None,
-        policy: Optional[RoutingPolicy] = None,
         request_bytes_per_token: float = 0.0,
         response_bytes_per_token: float = 0.0,
         kv_bytes_per_token: float = 0.0,
@@ -149,7 +146,6 @@ class Network:
         self.env = env
         self.topology = topology
         self.graph = graph
-        self.policy = policy if policy is not None else make_routing_policy("shortest-path")
         self.jitter_fraction = jitter_fraction
         self.seed = seed
         self._rng = random.Random(seed)
@@ -243,7 +239,7 @@ class Network:
                     # routing around it is not allowed.
                     new_path: Optional[Path] = None
                 else:
-                    new_path = self.policy.compute_path(self.graph, src, dst, down)
+                    new_path = self.graph.shortest_path(src, dst, down)
                 if new_path is None:
                     if reason is None:
                         raise ValueError(
@@ -305,7 +301,7 @@ class Network:
 
         Downs are reference-counted per direction, like pair blocks, so
         overlapping faults compose.  Unlike a blocked pair, traffic *routes
-        around* a downed edge when the policy finds an alternative."""
+        around* a downed edge when another path exists."""
         pairs = _pairs(u, v, symmetric)
         for a, b in pairs:
             if not self.graph.has_edge(a, b):
@@ -699,14 +695,12 @@ def build_routed_network(
         wan_bandwidth_bytes_per_s=config.wan_bandwidth_bytes_per_s,
         **dict(config.topology_args),
     )
-    policy = make_routing_policy(config.routing, **dict(config.routing_args))
     return Network(
         env,
         regions,
         jitter_fraction=jitter_fraction,
         seed=seed,
         graph=graph,
-        policy=policy,
         request_bytes_per_token=config.request_bytes_per_token,
         response_bytes_per_token=config.response_bytes_per_token,
         kv_bytes_per_token=config.kv_bytes_per_token or default_kv_bytes_per_token,

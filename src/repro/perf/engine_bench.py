@@ -97,7 +97,7 @@ def _run_streamed_cell(
         system=REGISTRY.spec("skywalker", **overrides),
         cluster=ClusterConfig(
             replicas_per_region={region: replicas_per_region for region in _DIURNAL_PATTERNS},
-            memory=None if hbm_fraction >= 1.0 else MemoryConfig(hbm_fraction=hbm_fraction),
+            memory=MemoryConfig(hbm_fraction=hbm_fraction),
         ),
         duration_s=hours * 3600.0 + 600.0,  # the traced window plus a drain tail
         seed=seed,

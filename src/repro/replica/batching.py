@@ -66,13 +66,10 @@ class ContinuousBatcher:
         self,
         profile: ModelProfile,
         *,
-        enable_prefix_cache: bool = True,
-        memory: Optional[MemoryConfig] = None,
+        memory: MemoryConfig = MemoryConfig(),
     ) -> None:
         self.profile = profile
-        self.memory = KVMemoryManager(
-            profile, enable_prefix_cache=enable_prefix_cache, memory=memory
-        )
+        self.memory = KVMemoryManager(profile, memory)
         #: Compute-rate multiplier for gray failures (1.0 = nominal).  A
         #: degraded replica still answers probes and accepts work; only its
         #: compute time stretches by 1/scale.  Promotion stalls are transfer

@@ -46,7 +46,7 @@ class RadixNode:
     root has an empty key and no parent.
     """
 
-    __slots__ = ("key", "parent", "children", "last_access", "lock_count", "hit_count")
+    __slots__ = ("key", "parent", "children", "last_access", "lock_count")
 
     def __init__(
         self,
@@ -58,10 +58,6 @@ class RadixNode:
         self.children: Dict[int, "RadixNode"] = {}
         self.last_access = 0.0
         self.lock_count = 0
-        #: Lifetime number of recorded prefix matches covering this edge;
-        #: offload policies use it as the segment's "heat" when the node is
-        #: eventually evicted (see ``pin-hot-prefixes``).
-        self.hit_count = 0
 
     # ------------------------------------------------------------------
     @property
@@ -127,10 +123,10 @@ class RadixCache:
         #: node)``; see the module docstring.
         self._leaf_heap: List[Tuple[float, int, RadixNode]] = []
         self._entry_ids = itertools.count()
-        #: Optional demotion hook ``(tokens, hits, last_access, now)`` called
-        #: for every pressure-eviction victim *before* it is removed -- the
-        #: tiered KV store registers itself here so victims spill to lower
-        #: tiers instead of vanishing.  ``None`` (default) keeps the legacy
+        #: Optional demotion hook ``(tokens, now)`` called for every
+        #: pressure-eviction victim *before* it is removed -- the tiered KV
+        #: store registers itself here so victims spill to lower tiers
+        #: instead of vanishing.  ``None`` (default) keeps the legacy
         #: drop-on-evict behaviour, with zero extra work on the hot path.
         self.on_evict = None
 
@@ -223,8 +219,6 @@ class RadixCache:
             matched += overlap
             idx += overlap
             child.last_access = now
-            if record:
-                child.hit_count += 1
             self._note_leaf(child)
             if overlap == len(key):
                 nodes.append(child)
@@ -304,10 +298,8 @@ class RadixCache:
         assert parent is not None
         upper = RadixNode(key=node.key[:offset], parent=parent)
         upper.last_access = node.last_access
-        # The lower half's lock holders all cover the upper half too, and
-        # every hit on the old edge covered (at least) its upper half.
+        # The lower half's lock holders all cover the upper half too.
         upper.lock_count = node.lock_count
-        upper.hit_count = node.hit_count
         parent.children[upper.key[0]] = upper
         node.key = node.key[offset:]
         node.parent = upper
@@ -363,9 +355,7 @@ class RadixCache:
             if victim is None:
                 break
             if self.on_evict is not None:
-                self.on_evict(
-                    victim.path_tokens(), victim.hit_count, victim.last_access, now
-                )
+                self.on_evict(victim.path_tokens(), now)
             evicted += self._remove_leaf(victim)
         return evicted
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..mem import DEFAULT_MEMORY_CONFIG, MemoryConfig
+from ..mem import MemoryConfig
 from .kv_cache import RadixCache, RadixNode
 from .model_profile import ModelProfile
 
@@ -53,30 +53,19 @@ class KVMemoryManager:
     on a lower tier pay that tier's promotion delay before prefill.
     """
 
-    def __init__(
-        self,
-        profile: ModelProfile,
-        enable_prefix_cache: bool = True,
-        memory: Optional[MemoryConfig] = None,
-    ) -> None:
+    def __init__(self, profile: ModelProfile, memory: MemoryConfig = MemoryConfig()) -> None:
         self.profile = profile
-        self.memory = memory if memory is not None else DEFAULT_MEMORY_CONFIG
-        self.capacity_tokens = self.memory.hbm_capacity_tokens(profile.kv_capacity_tokens)
-        self.enable_prefix_cache = enable_prefix_cache
+        self.memory = memory
+        self.capacity_tokens = memory.hbm_capacity_tokens(profile.kv_capacity_tokens)
         self.cache = RadixCache(capacity_tokens=self.capacity_tokens)
         #: Offload tiers under HBM; ``None`` on the (default) legacy path.
-        self.tiers = self.memory.build_store(profile.kv_bytes_per_token)
-        if (
-            self.tiers is not None
-            and enable_prefix_cache
-            and not self.tiers.offload_policy.inert
-        ):
+        self.tiers = memory.build_store(profile.kv_bytes_per_token)
+        if self.tiers is not None and not self.tiers.offload_policy.inert:
             self.cache.on_evict = self.tiers.demote
         #: Output tokens held by running requests, outside the radix tree.
         self._grants: Dict[int, AdmissionGrant] = {}
         #: Prompt tokens of running requests that could not be inserted into
-        #: the cache (prefix caching disabled, or capacity truncated); they
-        #: still occupy KV memory.
+        #: the cache (capacity truncated); they still occupy KV memory.
         self._uncached_prompt_tokens: Dict[int, int] = {}
         # Running totals so the per-step/per-probe load queries below are
         # O(1) instead of re-summing every grant (these sit on the decode
@@ -126,26 +115,6 @@ class KVMemoryManager:
         if request_id in self._grants:
             raise ValueError(f"request {request_id} is already admitted")
         reserve = self.profile.admission_output_reserve
-
-        if not self.enable_prefix_cache:
-            needed = len(prompt_tokens) + reserve
-            if needed > self.free_tokens + self.cache.evictable_tokens():
-                return None
-            self.cache.evict(max(0, needed - self.free_tokens), now=now)
-            if needed > self.free_tokens:
-                return None
-            grant = AdmissionGrant(
-                request_id=request_id,
-                cached_tokens=0,
-                new_prompt_tokens=len(prompt_tokens),
-                locked_node=None,
-            )
-            self._grants[request_id] = grant
-            self._uncached_prompt_tokens[request_id] = len(prompt_tokens)
-            self._uncached_prompt_total += len(prompt_tokens)
-            self._prompt_tokens_total += len(prompt_tokens)
-            return grant
-
         match = self.cache.match_prefix(prompt_tokens, now=now)
         cached = match.matched_tokens
         new_prompt = len(prompt_tokens) - cached
@@ -239,7 +208,7 @@ class KVMemoryManager:
         self._uncached_prompt_total -= self._uncached_prompt_tokens.pop(request_id, 0)
         if grant.locked_node is not None:
             self.cache.unlock(grant.locked_node)
-        if cache_output and full_sequence is not None and self.enable_prefix_cache:
+        if cache_output and full_sequence is not None:
             free_budget = self.capacity_tokens - self.cache.total_tokens
             extra = len(full_sequence) - self.cache.match_prefix(
                 full_sequence, record=False

@@ -91,11 +91,10 @@ class ReplicaServer:
     profile:
         Latency/memory model; defaults to Llama-3.1-8B on an L4, the paper's
         configuration.
-    enable_prefix_cache:
-        Disable to model a replica without RadixAttention-style caching.
     memory:
-        Optional :class:`~repro.mem.MemoryConfig` turning the flat KV budget
-        into a paged, tiered hierarchy; ``None`` keeps the legacy model.
+        The :class:`~repro.mem.MemoryConfig` of the replica's KV memory; the
+        default ``MemoryConfig()`` is the flat legacy budget, and other
+        configs page and tier it.
     record_utilization:
         When set, the replica appends ``(time, kv_utilization)`` samples after
         every step; used to reproduce the paper's Fig. 4b.
@@ -108,8 +107,7 @@ class ReplicaServer:
         region: str,
         profile: ModelProfile = LLAMA_8B_L4,
         *,
-        enable_prefix_cache: bool = True,
-        memory: Optional[MemoryConfig] = None,
+        memory: MemoryConfig = MemoryConfig(),
         record_utilization: bool = False,
     ) -> None:
         self.env = env
@@ -117,9 +115,7 @@ class ReplicaServer:
         self.region = region
         self.profile = profile
         self.memory_config = memory
-        self._batcher = ContinuousBatcher(
-            profile, enable_prefix_cache=enable_prefix_cache, memory=memory
-        )
+        self._batcher = ContinuousBatcher(profile, memory=memory)
         self.inbox: Store = _Inbox(env, self._on_put)
         self._stats = ReplicaStats()
         self.record_utilization = record_utilization
@@ -208,11 +204,7 @@ class ReplicaServer:
         self.env.settle()
         self.healthy = True
         old_tiers = self._batcher.memory.tiers
-        self._batcher = ContinuousBatcher(
-            self.profile,
-            enable_prefix_cache=self._batcher.memory.enable_prefix_cache,
-            memory=self.memory_config,
-        )
+        self._batcher = ContinuousBatcher(self.profile, memory=self.memory_config)
         if preserve_disk and old_tiers is not None:
             new_tiers = self._batcher.memory.tiers
             if new_tiers is not None:

@@ -32,11 +32,11 @@ def system(env):
                 balancer.add_peer(peer)
         balancer.start()
         frontend.register_balancer(balancer)
-    controller = ServiceController(
-        env, network, frontend, health_probe_interval_s=0.1, recovery_time_s=2.0
-    )
+    controller = ServiceController(env, network, frontend, health_probe_interval_s=0.1)
     for balancer in balancers.values():
         controller.register_balancer(balancer)
+        # Each balancer's (first) failure lasts 2 s after its detection.
+        controller.downtime_s[balancer.name] = 2.0
     controller.start()
     return {
         "env": env,
@@ -75,7 +75,7 @@ def test_recovery_transfers_replicas_back(system):
     eu = system["balancers"]["eu"]
     us = system["balancers"]["us"]
     eu.fail()
-    env.run(until=5.0)  # recovery_time_s = 2.0, plus detection latency
+    env.run(until=5.0)  # 2 s of downtime, plus detection latency
     record = system["controller"].failovers[0]
     assert record.recovered_at is not None
     assert eu.healthy

@@ -71,10 +71,10 @@ def test_recovery_clears_tries_under_injected_balancer_failure():
 
     try:
         schedule = (
-            FaultSchedule(controller_probe_interval_s=0.25, recovery_time_s=3.0)
+            FaultSchedule(controller_probe_interval_s=0.25)
             .add(7.5, PlantSentinel(region="eu"))
             .add(7.5, PlantSentinel(region="us"))
-            .add(8.0, BalancerFailure(region="eu"))
+            .add(8.0, BalancerFailure(region="eu", duration_s=3.0))
         )
         result = run_skywalker(schedule)
     finally:
@@ -100,9 +100,8 @@ def test_replicas_and_rings_transfer_through_injected_failover():
     """End-to-end §4.2: takeover, then replicas home again after recovery."""
     schedule = FaultSchedule.single(
         8.0,
-        BalancerFailure(region="eu"),
+        BalancerFailure(region="eu", duration_s=3.0),
         controller_probe_interval_s=0.25,
-        recovery_time_s=3.0,
     )
     result = run_skywalker(schedule)
     record = result.controller.failovers[0]

@@ -104,9 +104,8 @@ SCENARIOS = {
     "balancer-failure-controller": (
         FaultSchedule.single(
             6.0,
-            BalancerFailure(region="eu"),
+            BalancerFailure(region="eu", duration_s=3.0),
             controller_probe_interval_s=0.25,
-            recovery_time_s=3.0,
         ),
         None,
     ),

@@ -39,9 +39,7 @@ from ..faults.test_schedule import BUILTIN_KINDS
 CLUSTER = ClusterConfig(
     replicas_per_region={"us": 1, "eu": 1, "asia": 1}, profile=TINY_TEST_PROFILE
 )
-OUTAGE = FaultSchedule.single(
-    10.0, BalancerFailure(region="us", duration_s=8.0), recovery_time_s=8.0
-)
+OUTAGE = FaultSchedule.single(10.0, BalancerFailure(region="us", duration_s=8.0))
 
 
 def small_sweep(**kwargs):

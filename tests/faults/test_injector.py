@@ -146,9 +146,8 @@ def test_balancer_fault_in_absent_region_is_a_noop():
 def test_controller_driven_failover_end_to_end():
     schedule = FaultSchedule.single(
         8.0,
-        BalancerFailure(region="eu"),
+        BalancerFailure(region="eu", duration_s=4.0),
         controller_probe_interval_s=0.25,
-        recovery_time_s=4.0,
     )
     result = run_faulted("skywalker", schedule)
     controller = result.controller
@@ -160,7 +159,7 @@ def test_controller_driven_failover_end_to_end():
     resilience = result.metrics.resilience
     assert resilience.failover_count == 1
     # Window: injection at 8.0 until the controller-driven recovery
-    # (detection <= probe interval, then recovery_time_s).
+    # (detection <= probe interval, then the fault's duration_s).
     (start, end) = resilience.outage_windows[0]
     assert start == pytest.approx(8.0)
     assert end == pytest.approx(record.recovered_at)
@@ -170,6 +169,28 @@ def test_controller_driven_failover_end_to_end():
     eu = next(b for b in result.balancers if b.region == "eu")
     assert eu.healthy
     assert any(r.name == "eu/replica-0" for r in eu.local_replicas())
+
+
+def test_controller_takes_each_failures_downtime_from_its_fault():
+    schedule = (
+        FaultSchedule(controller_probe_interval_s=0.25)
+        .add(5.0, BalancerFailure(region="eu", duration_s=2.0))
+        .add(5.0, BalancerFailure(region="asia", duration_s=3.0))
+        .add(15.0, BalancerFailure(region="eu"))  # down for the rest of the run
+    )
+    result = run_faulted("skywalker", schedule, duration=30.0)
+    # Detection lands on the probe tick at 5.0; each balancer then stays
+    # down for its own fault's duration, and the open-ended one never heals.
+    assert [
+        (f.failed_balancer, f.failed_at, f.recovered_at) for f in result.controller.failovers
+    ] == [
+        ("skywalker@asia", 5.0, 8.0),
+        ("skywalker@eu", 5.0, 7.0),
+        ("skywalker@eu", 15.0, None),
+    ]
+    assert result.metrics.resilience.outage_windows == [(5.0, 7.0), (5.0, 8.0), (15.0, 30.0)]
+    eu = next(b for b in result.balancers if b.region == "eu")
+    assert not eu.healthy
 
 
 def test_use_controller_false_downgrades_to_injector_ops():

@@ -98,8 +98,6 @@ def test_schedule_validates_events():
         FaultEvent(1.0, "replica-crash")
     with pytest.raises(TypeError, match="FaultEvent"):
         FaultSchedule(events=(ReplicaCrash(),))
-    with pytest.raises(ValueError, match="recovery_time_s"):
-        FaultSchedule(recovery_time_s=0.0)
 
 
 def test_schedule_single_and_equality():
@@ -127,7 +125,6 @@ def test_builtin_outage_schedule_resolves_by_name():
     assert schedule.kinds() == ("balancer-fail",)
     assert schedule.events[0].at_s == pytest.approx(7.0)
     assert schedule.events[0].fault.duration_s == pytest.approx(3.0)
-    assert schedule.recovery_time_s == pytest.approx(3.0)
 
 
 def test_resolve_fault_schedule_normalises():

@@ -50,7 +50,7 @@ class _SpawnVisibleDemote(LruDemote):
     name = "mem-test-demote"
 
 
-def tiny_cluster(memory=None):
+def tiny_cluster(memory=MemoryConfig()):
     return ClusterConfig(
         replicas_per_region={"us": 1, "eu": 1},
         profile=TINY_TEST_PROFILE,
@@ -133,15 +133,9 @@ def test_lru_demote_catches_what_legacy_drops():
 # ----------------------------------------------------------------------
 # run-level bit-identity and telemetry gating
 # ----------------------------------------------------------------------
-def test_default_memory_config_is_bit_identical_to_none():
-    baseline = run_tiny(None).metrics.to_dict()
-    explicit = run_tiny(MemoryConfig()).metrics.to_dict()
-    assert "memory" not in baseline
-    assert explicit == baseline
-
-
 def test_never_offload_run_matches_legacy_outside_telemetry():
-    baseline = run_tiny(None).metrics.to_dict()
+    baseline = run_tiny(MemoryConfig()).metrics.to_dict()
+    assert "memory" not in baseline
     tiered = run_tiny(
         MemoryConfig(host_capacity_tokens=4096, offload="never-offload")
     ).metrics.to_dict()
@@ -258,7 +252,7 @@ def _crashed_server(preserve_disk: bool):
         memory=MemoryConfig(disk_capacity_tokens=16384, offload="lru-demote"),
     )
     tiers = server.batcher.memory.tiers
-    tiers.demote(tuple(range(64)), hits=1, last_access=0.0, now=0.0)
+    tiers.demote(tuple(range(64)), now=0.0)
     assert tiers.stores["disk"].inserted_tokens == 64
     server.fail()
     server.recover(preserve_disk=preserve_disk)

@@ -1,24 +1,20 @@
-"""Unit tests for the tiered KV store, transfer model and policies."""
+"""Unit tests for the tiered KV store, transfer model and offload policies."""
 
 import pickle
 
 import pytest
 
 from repro.mem import (
-    AdmissionPolicy,
+    LruDemote,
     MemoryConfig,
     OffloadPolicy,
     TieredKVStore,
     TierSpec,
     TierStore,
     TransferModel,
-    make_admission_policy,
     make_offload_policy,
-    register_admission_policy,
     register_offload_policy,
-    registered_admission_policies,
     registered_offload_policies,
-    unregister_admission_policy,
     unregister_offload_policy,
 )
 
@@ -33,7 +29,6 @@ def make_store(host_tokens=64, disk_tokens=256, offload="lru-demote", page_size=
             TierSpec("disk", disk_tokens, DISK),
         ],
         offload_policy=make_offload_policy(offload),
-        admission_policy=make_admission_policy("admit-all"),
         page_size=page_size,
     )
 
@@ -63,63 +58,46 @@ def test_transfer_model_validation():
 # ----------------------------------------------------------------------
 def test_put_dedups_covered_segment():
     store = TierStore(TierSpec("host", 64, HOST), page_size=1)
-    long_seg, _ = store.put(seq(0, 32), hits=1, now=0.0)
+    long_seg, _ = store.put(seq(0, 32), now=0.0)
     assert long_seg is not None
-    short_seg, evicted = store.put(seq(0, 16), hits=5, now=1.0)
+    short_seg, evicted = store.put(seq(0, 16), now=1.0)
     assert short_seg is None and evicted == []
     assert store.num_segments == 1
-    # Recency and heat were merged into the covering segment.
+    # Recency was merged into the covering segment.
     assert long_seg.last_access == 1.0
-    assert long_seg.hits == 5
     store.check_invariants()
 
 
 def test_put_replaces_extended_segment():
     store = TierStore(TierSpec("host", 64, HOST), page_size=1)
-    store.put(seq(0, 16), hits=3, now=0.0, pinned=True)
-    longer, _ = store.put(seq(0, 32), hits=1, now=1.0)
+    store.put(seq(0, 16), now=0.0)
+    longer, _ = store.put(seq(0, 32), now=1.0)
     assert store.num_segments == 1
     assert longer.num_tokens == 32
-    # Pin and heat survive the replacement.
-    assert longer.pinned and longer.hits == 3
     store.check_invariants()
 
 
 def test_put_evicts_lru_first():
     store = TierStore(TierSpec("host", 32, HOST), page_size=1)
-    store.put(seq(0, 16), hits=0, now=0.0)
-    store.put(seq(100, 16), hits=0, now=1.0)
-    stored, evicted = store.put(seq(200, 16), hits=0, now=2.0)
+    store.put(seq(0, 16), now=0.0)
+    store.put(seq(100, 16), now=1.0)
+    stored, evicted = store.put(seq(200, 16), now=2.0)
     assert stored is not None
     assert [v.tokens for v in evicted] == [seq(0, 16)]
     store.check_invariants()
 
 
-def test_pinned_segments_evicted_last():
-    store = TierStore(TierSpec("host", 32, HOST), page_size=1)
-    store.put(seq(0, 16), hits=9, now=0.0, pinned=True)
-    store.put(seq(100, 16), hits=0, now=1.0)
-    _, evicted = store.put(seq(200, 16), hits=0, now=2.0, pinned=True)
-    # The unpinned segment is the victim even though the pinned one is older.
-    assert [v.tokens for v in evicted] == [seq(100, 16)]
-    _, evicted = store.put(seq(300, 16), hits=0, now=3.0)
-    # Only pinned segments remain: the oldest pinned one must still yield
-    # (a fully pinned tier cannot deadlock).
-    assert len(evicted) == 1 and evicted[0].tokens == seq(0, 16)
-    store.check_invariants()
-
-
 def test_oversized_segment_is_refused():
     store = TierStore(TierSpec("host", 32, HOST), page_size=1)
-    stored, evicted = store.put(seq(0, 33), hits=0, now=0.0)
+    stored, evicted = store.put(seq(0, 33), now=0.0)
     assert stored is None and evicted == []
     store.check_invariants()
 
 
 def test_match_longest_common_prefix():
     store = TierStore(TierSpec("host", 128, HOST), page_size=1)
-    store.put(seq(0, 32), hits=0, now=0.0)
-    store.put(seq(0, 12) + seq(100, 20), hits=0, now=0.0)
+    store.put(seq(0, 32), now=0.0)
+    store.put(seq(0, 12) + seq(100, 20), now=0.0)
     matched, segment = store.match(seq(0, 40))
     assert matched == 32
     assert segment.tokens == seq(0, 32)
@@ -134,7 +112,7 @@ def test_match_longest_common_prefix():
 
 def test_match_short_prompt_across_buckets():
     store = TierStore(TierSpec("host", 64, HOST), page_size=1)
-    store.put(seq(0, 32), hits=0, now=0.0)
+    store.put(seq(0, 32), now=0.0)
     matched, segment = store.match(seq(0, 4))  # shorter than the bucket key
     assert matched == 4
     assert segment is not None
@@ -145,7 +123,7 @@ def test_match_short_prompt_across_buckets():
 # ----------------------------------------------------------------------
 def test_demote_lands_in_first_lower_tier():
     store = make_store()
-    store.demote(seq(0, 16), hits=1, last_access=0.0, now=1.0)
+    store.demote(seq(0, 16), now=1.0)
     assert store.stores["host"].used_tokens == 16
     assert store.demoted_tokens == 16
     assert store.demotion_bytes == 16 * 100
@@ -156,8 +134,8 @@ def test_demote_lands_in_first_lower_tier():
 
 def test_demotion_cascades_to_disk():
     store = make_store(host_tokens=32)
-    store.demote(seq(0, 32), hits=0, last_access=0.0, now=0.0)
-    store.demote(seq(100, 32), hits=0, last_access=1.0, now=1.0)
+    store.demote(seq(0, 32), now=0.0)
+    store.demote(seq(100, 32), now=1.0)
     # The second demotion displaces the first host segment down to disk.
     assert store.stores["host"].used_tokens == 32
     assert store.stores["disk"].used_tokens == 32
@@ -166,14 +144,14 @@ def test_demotion_cascades_to_disk():
 
 def test_never_offload_drops_everything():
     store = make_store(offload="never-offload")
-    store.demote(seq(0, 16), hits=0, last_access=0.0, now=0.0)
+    store.demote(seq(0, 16), now=0.0)
     assert store.dropped_tokens == 16
     assert store.stores["host"].used_tokens == 0
 
 
 def test_lookup_and_promote_charge_stall_and_remove_segment():
     store = make_store()
-    store.demote(seq(0, 32), hits=0, last_access=0.0, now=0.0)
+    store.demote(seq(0, 32), now=0.0)
     found = store.lookup(seq(0, 40), hbm_matched=8)
     assert found is not None
     tier, matched, _ = found
@@ -190,7 +168,7 @@ def test_lookup_and_promote_charge_stall_and_remove_segment():
 
 def test_promote_waits_for_busy_engine():
     store = make_store()
-    store.demote(seq(0, 16), hits=0, last_access=0.0, now=0.0)  # engine busy
+    store.demote(seq(0, 16), now=0.0)  # engine busy
     queue_delay = store.engine_free_at
     found = store.lookup(seq(0, 16), hbm_matched=0)
     promoted, stall = store.promote(found, hbm_matched=0, now=0.0)
@@ -200,29 +178,28 @@ def test_promote_waits_for_busy_engine():
 
 def test_lookup_returns_none_when_hbm_already_covers():
     store = make_store()
-    store.demote(seq(0, 16), hits=0, last_access=0.0, now=0.0)
+    store.demote(seq(0, 16), now=0.0)
     assert store.lookup(seq(0, 16), hbm_matched=16) is None
 
 
 def test_export_restore_round_trip():
     store = make_store()
-    store.demote(seq(0, 16), hits=2, last_access=0.0, now=0.0, from_tier="hbm")
+    store.demote(seq(0, 16), now=0.0, from_tier="hbm")
     snapshot = store.export_tier("host")
     fresh = make_store()
     fresh.restore_tier("host", snapshot, now=5.0)
     assert fresh.stores["host"].used_tokens == 16
     matched, segment = fresh.stores["host"].match(seq(0, 16))
-    assert matched == 16 and segment.hits == 2
+    assert matched == 16 and segment.last_access == 5.0
 
 
 def test_zero_capacity_tiers_are_skipped():
     store = TieredKVStore(
         [TierSpec("host", 0, HOST), TierSpec("disk", 64, DISK)],
         offload_policy=make_offload_policy("lru-demote"),
-        admission_policy=make_admission_policy("admit-all"),
     )
     assert store.order == ("disk",)
-    store.demote(seq(0, 16), hits=0, last_access=0.0, now=0.0)
+    store.demote(seq(0, 16), now=0.0)
     assert store.stores["disk"].used_tokens == 16
 
 
@@ -230,10 +207,7 @@ def test_zero_capacity_tiers_are_skipped():
 # policies and their registries
 # ----------------------------------------------------------------------
 def test_builtin_policies_are_registered():
-    assert {"never-offload", "lru-demote", "pin-hot-prefixes"} <= set(
-        registered_offload_policies()
-    )
-    assert {"admit-all", "size-cap"} <= set(registered_admission_policies())
+    assert {"never-offload", "lru-demote"} <= set(registered_offload_policies())
 
 
 def test_never_offload_is_inert():
@@ -241,41 +215,16 @@ def test_never_offload_is_inert():
     assert not make_offload_policy("lru-demote").inert
 
 
-def test_pin_hot_prefixes_routes_by_heat():
-    policy = make_offload_policy("pin-hot-prefixes", hot_hits=3)
-    from repro.mem import SegmentMeta
-
-    hot = SegmentMeta(num_tokens=16, hits=3, last_access=0.0)
-    cold = SegmentMeta(num_tokens=16, hits=0, last_access=0.0)
-    lower = ("host", "disk")
-    assert policy.demote_target(hot, "hbm", lower) == "host"
-    assert policy.pin(hot, "host")
-    assert policy.demote_target(cold, "hbm", lower) == "disk"
-    assert not policy.pin(cold, "disk")
-
-
-def test_size_cap_admission():
-    from repro.mem import SegmentMeta
-
-    policy = make_admission_policy("size-cap", max_tokens=10)
-    assert policy.admit(SegmentMeta(10, 0, 0.0), "host")
-    assert not policy.admit(SegmentMeta(11, 0, 0.0), "host")
-
-
 def test_invalid_offload_target_raises():
     class Rogue(OffloadPolicy):
         name = "rogue"
 
-        def demote_target(self, meta, from_tier, lower_tiers):
+        def demote_target(self, from_tier, lower_tiers):
             return "hbm"  # never a valid destination
 
-    store = TieredKVStore(
-        [TierSpec("host", 64, HOST)],
-        offload_policy=Rogue(),
-        admission_policy=make_admission_policy("admit-all"),
-    )
+    store = TieredKVStore([TierSpec("host", 64, HOST)], offload_policy=Rogue())
     with pytest.raises(ValueError, match="routed"):
-        store.demote(seq(0, 8), hits=0, last_access=0.0, now=0.0)
+        store.demote(seq(0, 8), now=0.0)
 
 
 def test_third_party_policy_registration_round_trip():
@@ -283,7 +232,7 @@ def test_third_party_policy_registration_round_trip():
     class TestPolicy(OffloadPolicy):
         name = "unit-test-offload"
 
-        def demote_target(self, meta, from_tier, lower_tiers):
+        def demote_target(self, from_tier, lower_tiers):
             return None
 
     try:
@@ -294,18 +243,6 @@ def test_third_party_policy_registration_round_trip():
     finally:
         unregister_offload_policy("unit-test-offload")
     assert "unit-test-offload" not in registered_offload_policies()
-
-    @register_admission_policy("unit-test-admission")
-    class TestAdmission(AdmissionPolicy):
-        name = "unit-test-admission"
-
-        def admit(self, meta, tier):
-            return False
-
-    try:
-        assert not make_admission_policy("unit-test-admission").admit(None, "host")
-    finally:
-        unregister_admission_policy("unit-test-admission")
 
 
 # ----------------------------------------------------------------------
@@ -339,13 +276,13 @@ def test_memory_config_is_picklable():
         page_size=16,
         host_capacity_tokens=4096,
         disk_capacity_tokens=65536,
-        offload="pin-hot-prefixes",
-        offload_args=(("hot_hits", 3),),
+        offload="lru-demote",
     )
     clone = pickle.loads(pickle.dumps(config))
     assert clone == config
     store = clone.build_store(64)
-    assert store.offload_policy.hot_hits == 3
+    assert store.order == ("host", "disk")
+    assert isinstance(store.offload_policy, LruDemote)
 
 
 def test_memory_config_validation():

@@ -58,7 +58,7 @@ _BACKBONE = dict(
 class Cell:
     net: NetConfig
     faults: Optional[FaultSchedule] = None
-    memory: Optional[MemoryConfig] = None
+    memory: MemoryConfig = MemoryConfig()
 
 
 CELLS = {

@@ -172,7 +172,7 @@ def test_edge_down_reroutes_on_redundant_backbone():
     network = _routed(topology="backbone", topology_args=(("redundancy", 2),))
     assert network.route("us", "eu") == ("us", "wan/north-america/a", "wan/europe/a", "eu")
     network.set_edge_down("wan/north-america/a", "wan/europe/a")
-    # Still reachable: the policy re-converged onto the surviving plane.
+    # Still reachable: routes re-converged onto the surviving plane.
     assert network.reachable("us", "eu")
     assert "wan/north-america/b" in network.route("us", "eu")
     assert any(event.reason == "link-down" for event in network.route_events)
@@ -202,12 +202,11 @@ def test_edge_downs_are_refcounted():
 
 def test_disconnected_topology_rejected_at_build():
     from repro.net import WanGraph
-    from repro.net.routing import ShortestPathRouting
 
     graph = WanGraph(default_topology())
     graph.add_edge("us", "eu", 0.075)  # asia left unconnected
     with pytest.raises(ValueError, match="asia"):
-        Network(Environment(), graph.regions, graph=graph, policy=ShortestPathRouting())
+        Network(Environment(), graph.regions, graph=graph)
     with pytest.raises(ValueError, match="topology"):
         Network(Environment(), default_topology(), graph=graph)
 

@@ -1,14 +1,7 @@
-"""Unit tests for routing policies: determinism, tie-breaks, fallbacks."""
+"""Unit tests for WAN routing (``WanGraph.shortest_path``): determinism,
+tie-breaks and downed edges."""
 
-import pytest
-
-from repro.net import (
-    WanGraph,
-    make_routing_policy,
-    register_routing_policy,
-    registered_routing_policies,
-)
-from repro.net.routing import _ROUTING_POLICIES
+from repro.net import WanGraph
 from repro.network import NetworkTopology, RegionInfo
 
 
@@ -37,64 +30,10 @@ def _equal_cost_diamond():
     return graph
 
 
-def test_builtin_policies_registered():
-    names = registered_routing_policies()
-    assert "shortest-path" in names
-    assert "static-route" in names
-    assert "cost-weighted" in names
-
-
 def test_shortest_path_picks_cheapest():
-    policy = make_routing_policy("shortest-path")
-    assert policy.compute_path(_diamond(), "a", "b") == ("a", "upper", "b")
-
-
-def test_shortest_path_same_node_is_trivial():
-    policy = make_routing_policy("shortest-path")
-    assert policy.compute_path(_diamond(), "a", "a") == ("a",)
-
-
-def test_shortest_path_tie_break_is_lexicographic():
-    policy = make_routing_policy("shortest-path")
-    # Both paths cost 0.02; 'k' < 'm' so the k-path wins -- regardless of
-    # the order the routers were inserted in.
-    assert policy.compute_path(_equal_cost_diamond(), "a", "b") == ("a", "k", "b")
-
-
-def test_shortest_path_routes_around_down_edges():
-    policy = make_routing_policy("shortest-path")
-    graph = _diamond()
-    down = frozenset({("a", "upper"), ("upper", "a")})
-    assert policy.compute_path(graph, "a", "b", down) == ("a", "lower", "b")
-
-
-def test_shortest_path_returns_none_when_cut():
-    policy = make_routing_policy("shortest-path")
-    graph = _diamond()
-    down = frozenset({("a", "upper"), ("a", "lower")})
-    assert policy.compute_path(graph, "a", "b", down) is None
-
-
-def test_static_route_pins_a_path_and_falls_back():
-    policy = make_routing_policy(
-        "static-route", routes={("a", "b"): ("a", "lower", "b")}
-    )
-    graph = _diamond()
-    # Pinned: takes the (more expensive) lower path.
-    assert policy.compute_path(graph, "a", "b") == ("a", "lower", "b")
-    # Reverse direction has no pin: shortest-path fallback.
-    assert policy.compute_path(graph, "b", "a") == ("b", "upper", "a")
-    # Pinned path crosses a downed edge: falls back to shortest-path.
-    down = frozenset({("lower", "b")})
-    assert policy.compute_path(graph, "a", "b", down) == ("a", "upper", "b")
-
-
-def test_static_route_validates_endpoints():
-    with pytest.raises(ValueError, match="static route"):
-        make_routing_policy("static-route", routes={("a", "b"): ("a", "x", "c")})
-
-
-def test_cost_weighted_hop_penalty_prefers_fewer_hops():
+    assert _diamond().shortest_path("a", "b") == ("a", "upper", "b")
+    # A cheaper 2-hop detour (0.04) beats a direct edge (0.05): routes
+    # minimise latency, not hops.
     regions = NetworkTopology(
         [RegionInfo("a", 0), RegionInfo("b", 0)], {("a", "b"): 0.05}
     )
@@ -103,32 +42,24 @@ def test_cost_weighted_hop_penalty_prefers_fewer_hops():
     graph.add_router("detour")
     graph.add_edge("a", "detour", 0.02)
     graph.add_edge("detour", "b", 0.02)
-    # Pure latency: the 2-hop detour (0.04) beats the direct edge (0.05).
-    assert make_routing_policy("shortest-path").compute_path(graph, "a", "b") == (
-        "a",
-        "detour",
-        "b",
-    )
-    assert make_routing_policy("cost-weighted", hop_penalty_s=0.0).compute_path(
-        graph, "a", "b"
-    ) == ("a", "detour", "b")
-    # A hop penalty flips the choice to the direct edge.
-    assert make_routing_policy("cost-weighted", hop_penalty_s=0.02).compute_path(
-        graph, "a", "b"
-    ) == ("a", "b")
-    with pytest.raises(ValueError, match="hop_penalty_s"):
-        make_routing_policy("cost-weighted", hop_penalty_s=-1.0)
+    assert graph.shortest_path("a", "b") == ("a", "detour", "b")
 
 
-def test_register_routing_policy_extension_point():
-    @register_routing_policy("test-reverse-alphabetic")
-    class ReverseAlphabetic:
-        def compute_path(self, graph, src, dst, down_edges=frozenset()):
-            return (src, dst) if graph.has_edge(src, dst) else None
+def test_shortest_path_same_node_is_trivial():
+    assert _diamond().shortest_path("a", "a") == ("a",)
 
-    try:
-        policy = make_routing_policy("test-reverse-alphabetic")
-        graph = _diamond()
-        assert policy.compute_path(graph, "a", "upper") == ("a", "upper")
-    finally:
-        _ROUTING_POLICIES.unregister("test-reverse-alphabetic")
+
+def test_shortest_path_tie_break_is_lexicographic():
+    # Both paths cost 0.02; 'k' < 'm' so the k-path wins -- regardless of
+    # the order the routers were inserted in.
+    assert _equal_cost_diamond().shortest_path("a", "b") == ("a", "k", "b")
+
+
+def test_shortest_path_routes_around_down_edges():
+    down = frozenset({("a", "upper"), ("upper", "a")})
+    assert _diamond().shortest_path("a", "b", down) == ("a", "lower", "b")
+
+
+def test_shortest_path_returns_none_when_cut():
+    down = frozenset({("a", "upper"), ("a", "lower")})
+    assert _diamond().shortest_path("a", "b", down) is None

@@ -171,15 +171,15 @@ def _simulate(cls, scenario: Scenario, record_utilization: bool):
 
 
 def _radix_state(cache):
-    """Every cached edge with its LRU clock and hit and lock counts: a
-    failed admission still touches the prefix it matched."""
+    """Every cached edge with its LRU clock and lock count: a failed
+    admission still touches the prefix it matched."""
     state, stack = [], [cache.root]
     while stack:
         node = stack.pop()
         for child in node.children.values():
             state.append(
                 (child.path_tokens()[:3], len(child.key), child.last_access,
-                 child.hit_count, child.lock_count)
+                 child.lock_count)
             )
             stack.append(child)
     return sorted(state)
@@ -275,7 +275,7 @@ def test_fail_then_recover_mid_run():
 @pytest.mark.parametrize(
     "memory",
     [
-        None,
+        MemoryConfig(),
         MemoryConfig(
             page_size=16, hbm_fraction=0.5, host_capacity_tokens=4096, offload="lru-demote"
         ),

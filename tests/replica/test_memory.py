@@ -79,16 +79,6 @@ def test_admit_fits_fresh_prompt(memory):
     assert memory.admit(1, prompt(50), now=0.0) is not None
 
 
-def test_prefix_cache_disabled_never_reports_cached_tokens():
-    memory = KVMemoryManager(TINY_TEST_PROFILE, enable_prefix_cache=False)
-    memory.admit(1, prompt(100), now=0.0)
-    grant = memory.admit(2, prompt(100), now=1.0)
-    assert grant is not None
-    assert grant.cached_tokens == 0
-    assert grant.new_prompt_tokens == 100
-    memory.check_invariants()
-
-
 def test_cached_output_extends_reusable_prefix(memory):
     full_sequence = prompt(80)
     memory.admit(1, prompt(40), now=0.0)
