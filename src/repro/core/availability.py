@@ -16,6 +16,25 @@ one target inside a single interval, the monitor additionally counts how
 many requests were dispatched to each target since its last probe and lets
 the pushing policy take that into account.
 
+The monitor keeps each local replica's *availability bit*, ``replica.healthy
+and pushing_policy.replica_available(probe, dispatched_since_probe)``, and
+the number of set bits, which is what a peer's probe reads as this
+balancer's ``num_available_replicas``.  The pushing policy is a pure function
+of the probe and the dispatch count (its documented contract), so a bit can
+only change where one of its inputs does, and it is recomputed there and
+nowhere else:
+
+* for every replica when a probe round is recorded;
+* for one replica when a dispatch to it is noted;
+* when a replica is registered or removed;
+* from a health listener the monitor registers on each local replica (and
+  detaches when the replica is removed); ``fail()`` and ``recover()`` settle
+  before they change health, so landings in flight read the old count.
+
+Reading the count is O(1), and :meth:`AvailabilityMonitor.check_invariants`
+recomputes every bit through the policy (strict mode runs it after each of
+those changes).
+
 A peer probe's landing is rarely observed before the next one from the same
 peer overwrites it, so it is not an event: its round trip is drawn when it
 is sent, and it lands as a deferred timer (:meth:`Environment.defer
@@ -90,6 +109,11 @@ class AvailabilityMonitor:
         self._remote_balancers: Dict[str, "SkyWalkerBalancer"] = {}
 
         self.replica_probes: Dict[str, ReplicaProbe] = {}
+        #: Each local replica's availability bit, ``replica.healthy and
+        #: pushing_policy.replica_available(probe, dispatched_since_probe)``,
+        #: and how many are set; recomputed only where an input changes.
+        self._available: Dict[str, bool] = {}
+        self._num_available = 0
         self._balancer_probes: Dict[str, LoadBalancerProbe] = {}
         self._dispatched_since_probe: Dict[str, int] = {}
         self._forwarded_since_probe: Dict[str, int] = {}
@@ -116,6 +140,7 @@ class AvailabilityMonitor:
     def add_local_replica(self, replica: ReplicaServer) -> None:
         self.env.settle()
         self._local_replicas[replica.name] = replica
+        replica.add_health_listener(self._on_replica_health)
         self._dispatched_since_probe.setdefault(replica.name, 0)
         self.load_version += 1
         # Seed with an optimistic probe so the system can route before the
@@ -129,12 +154,17 @@ class AvailabilityMonitor:
             memory_utilization=0.0,
             probe_time=self.env.now,
         )
+        self._refresh(replica)
 
     def remove_local_replica(self, replica_name: str) -> None:
         self.env.settle()
-        self._local_replicas.pop(replica_name, None)
+        replica = self._local_replicas.pop(replica_name, None)
+        if replica is not None:
+            replica.remove_health_listener(self._on_replica_health)
         self.replica_probes.pop(replica_name, None)
         self._dispatched_since_probe.pop(replica_name, None)
+        if self._available.pop(replica_name, False):
+            self._num_available -= 1
         self.load_version += 1
 
     def add_remote_balancer(self, balancer: "SkyWalkerBalancer") -> None:
@@ -232,9 +262,7 @@ class AvailabilityMonitor:
         # A partitioned peer's probe never really comes back: record it as
         # unhealthy (with no spare replicas) so the peer stops being a
         # forward target until the link heals and a later probe lands.
-        blocked = self.network.link_blocked(
-            self.region, balancer.region
-        ) or self.network.link_blocked(balancer.region, self.region)
+        blocked = self.network.round_trip_blocked(self.region, balancer.region)
         self._balancer_probes[balancer.name] = LoadBalancerProbe(
             balancer.name,
             balancer.healthy and not blocked,
@@ -250,25 +278,79 @@ class AvailabilityMonitor:
         now = self.env.now
         probes = self.replica_probes
         dispatched = self._dispatched_since_probe
+        bits = self._available
+        replica_available = self.pushing_policy.replica_available
+        count = 0
         for name, replica in self._local_replicas.items():
-            probes[name] = ReplicaProbe(name, replica.healthy, *replica.load(), now)
+            healthy = replica.healthy
+            probe = probes[name] = ReplicaProbe(name, healthy, *replica.load(), now)
             dispatched[name] = 0
+            if healthy and replica_available(probe, 0):
+                bits[name] = True
+                count += 1
+            else:
+                bits[name] = False
+        self._num_available = count
         self.load_version += 1
+
+    # ------------------------------------------------------------------
+    # availability bits
+    # ------------------------------------------------------------------
+    # A bit reads the replica's health, its probe and its dispatch count,
+    # and the pushing policy is a pure function of the last two: so every
+    # bit is recomputed where one of those changes, and only there.
+    def _policy_bit(self, replica: ReplicaServer) -> bool:
+        name = replica.name
+        return replica.healthy and bool(
+            self.pushing_policy.replica_available(
+                self.replica_probes[name], self._dispatched_since_probe[name]
+            )
+        )
+
+    def _refresh(self, replica: ReplicaServer) -> None:
+        name = replica.name
+        bit = self._policy_bit(replica)
+        if bit != self._available.get(name, False):
+            self._num_available += 1 if bit else -1
+        self._available[name] = bit
+
+    def _on_replica_health(self, replica: ReplicaServer) -> None:
+        # fail() and recover() settle before they change health.
+        if self._local_replicas.get(replica.name) is replica:
+            self._refresh(replica)
+
+    def check_invariants(self) -> None:
+        """Recompute every availability bit through the pushing policy, and
+        their count by a full scan (strict mode runs this after each
+        record, dispatch note and health change)."""
+        if self._available.keys() != self._local_replicas.keys():
+            raise AssertionError("availability bits out of sync with the local replicas")
+        count = 0
+        for name, replica in self._local_replicas.items():
+            expected = self._policy_bit(replica)
+            if self._available[name] != expected:
+                raise AssertionError(
+                    f"stale availability bit for {name}: "
+                    f"kept {self._available[name]}, policy says {expected}"
+                )
+            count += expected
+        if count != self._num_available:
+            raise AssertionError(
+                f"available-replica count drifted: kept {self._num_available}, counted {count}"
+            )
 
     # ------------------------------------------------------------------
     # queries used by the balancer
     # ------------------------------------------------------------------
+    @property
+    def num_available_replicas(self) -> int:
+        """How many local replicas the pushing policy allows us to push to."""
+        return self._num_available
+
     def available_local_replicas(self) -> List[ReplicaServer]:
         """Local replicas the pushing policy allows us to push to."""
-        available: List[ReplicaServer] = []
-        for name, replica in self._local_replicas.items():
-            probe = self.replica_probes.get(name)
-            if probe is None or not replica.healthy:
-                continue
-            dispatched = self._dispatched_since_probe.get(name, 0)
-            if self.pushing_policy.replica_available(probe, dispatched):
-                available.append(replica)
-        return available
+        bits = self._available
+        return [replica for name, replica in self._local_replicas.items() if bits[name]]
 
     @property
     def balancer_probes(self) -> Dict[str, LoadBalancerProbe]:
@@ -307,6 +389,9 @@ class AvailabilityMonitor:
             self._dispatched_since_probe.get(replica_name, 0) + 1
         )
         self.load_version += 1
+        replica = self._local_replicas.get(replica_name)
+        if replica is not None:
+            self._refresh(replica)
 
     def note_forward(self, balancer_name: str) -> None:
         """Record that a request was just forwarded to a peer balancer."""

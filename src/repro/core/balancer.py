@@ -188,7 +188,7 @@ class SkyWalkerBalancer(BalancerBase):
     # ------------------------------------------------------------------
     @property
     def num_available_replicas(self) -> int:
-        return len(self.monitor.available_local_replicas())
+        return self.monitor.num_available_replicas
 
     @property
     def queue_size(self) -> int:

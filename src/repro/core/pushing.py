@@ -78,6 +78,12 @@ class PushingPolicy:
         sent to the replica since the probe was taken; selective policies use
         it to avoid dumping an entire queue onto one replica inside a single
         probe interval (the optimistic-staleness guard).
+
+        **Contract:** the answer must be a pure function of ``(probe,
+        dispatched_since_probe)``, read nothing else (no clock, no random
+        draw, no replica object) and be a ``bool``.  The availability
+        monitor keeps each replica's answer and recomputes it only when the
+        probe, the dispatch count or the replica's health changes.
         """
         raise NotImplementedError
 
@@ -115,9 +121,14 @@ def register_pushing_policy(
     resolvable everywhere a built-in policy name is -- ``SkyWalkerConfig``'s
     ``pushing`` field and :func:`make_pushing_policy`::
 
-        @register_pushing_policy("SP-RANDOM")
-        class RandomPushing(PushingPolicy):
-            ...
+        @register_pushing_policy("SP-MEM")
+        class MemoryPushing(PushingPolicy):
+            def replica_available(self, probe, dispatched_since_probe):
+                return probe.healthy and probe.memory_utilization < 0.8
+
+    The policy must keep :meth:`PushingPolicy.replica_available`'s purity
+    contract: a policy that draws at random or reads the clock would be
+    answered from a stale verdict.
     """
     return _PUSHING_POLICIES.register(name, replace_existing=replace_existing)
 

@@ -294,6 +294,16 @@ class Network:
         Availability probes detect graph cuts the same way as partitions."""
         return (src, dst) in self._unreachable
 
+    def round_trip_blocked(self, src: str, dst: str) -> bool:
+        """Is either direction between ``src`` and ``dst`` partitioned away?
+
+        A probe's round trip needs both, so this is :meth:`link_blocked`
+        either way; while no pair is cut it is one empty-set test."""
+        unreachable = self._unreachable
+        return bool(unreachable) and (
+            (src, dst) in unreachable or (dst, src) in unreachable
+        )
+
     def set_edge_down(
         self, u: str, v: str, down: bool = True, *, symmetric: bool = True
     ) -> None:

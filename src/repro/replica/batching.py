@@ -244,11 +244,18 @@ class ContinuousBatcher:
         # memory manager's running total IS this batch's context size —
         # no per-sequence recount on the decode hot path.
         context = self.memory.context_tokens_total
-        step_time = self.profile.decode_step_time
+        if batch <= 0:
+            raise ValueError("decode step requires at least one sequence")
+        # ModelProfile.decode_step_time inlined, with the same float
+        # operations in the same order: its first two terms are the same
+        # for every step of the run.
+        profile = self.profile
+        fixed = profile.decode_base_s + batch * profile.decode_per_seq_s
+        per_kilotoken = profile.decode_per_kilotoken_s
         scale = self.performance_scale
         durations: List[float] = []
         for _ in range(steps):
-            compute = step_time(batch, context)
+            compute = fixed + (context / 1000.0) * per_kilotoken
             if scale != 1.0:
                 compute /= scale
             durations.append(compute)

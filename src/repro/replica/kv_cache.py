@@ -18,13 +18,17 @@ Hot-path design:
 * **LRU eviction is O(log n)** via a lazy min-heap over unlocked leaves
   keyed by ``(last_access, entry_id)``.  Every touch of a leaf pushes a
   fresh entry; stale entries (node re-touched, locked, grown children, or
-  detached) are skipped at pop time.  The ``entry_id`` makes the order
-  among equal ``last_access`` values deterministic (earliest-recorded
-  first) without ever comparing nodes.
+  detached) are skipped at pop time.  The ``entry_id`` only keeps heap
+  comparisons from reaching the nodes: leaves tied on ``last_access`` are
+  ranked by the historical scan's DFS order, so how many entries a leaf
+  has never changes which leaf is evicted.
 * **``evictable_tokens`` is O(1)**: a running counter of tokens on
   unlocked non-root edges, maintained by insert/split/lock/unlock/evict.
   The replica's admission path calls it per request, so the old full-tree
   recount was a per-request linear scan.
+* **An admission walks its prompt twice**: one :meth:`RadixCache.match_prefix`
+  and one :meth:`RadixCache.insert_path`, whose walk also returns the
+  deepest node to lock.
 * **Lookups descend by offset** into the caller's token sequence instead
   of slicing suffix tuples.
 """
@@ -219,7 +223,8 @@ class RadixCache:
             matched += overlap
             idx += overlap
             child.last_access = now
-            self._note_leaf(child)
+            if not child.children:
+                self._note_leaf(child)
             if overlap == len(key):
                 nodes.append(child)
                 node = child
@@ -243,6 +248,22 @@ class RadixCache:
         whatever does not fit is silently truncated (the cache holds a
         prefix of the sequence, which is always semantically valid).
         """
+        return self.insert_path(tokens, now)[0]
+
+    def insert_path(
+        self, tokens: Sequence[int], now: float = 0.0
+    ) -> Tuple[int, int, Optional[RadixNode]]:
+        """:meth:`insert`, also returning where the inserted path ends.
+
+        Returns ``(added, matched, node)``: the tokens newly added, and the
+        ``matched_tokens`` and ``last_node`` that ``match_prefix(tokens,
+        record=False)`` would return right after the insert.  Every edge the
+        walk ends inside is split, so the cached part of ``tokens`` always
+        ends on a node boundary; ``node`` is that deepest node (``None`` when
+        nothing of ``tokens`` is cached) and ``matched`` its depth.  The walk
+        stamps the same ``last_access`` values such a lookup would, so the
+        admission path does not need that second walk.
+        """
         tokens = tuple(tokens)
         node = self.root
         idx = 0
@@ -263,6 +284,8 @@ class RadixCache:
                 self._node_count += 1
                 added += take
                 self._note_leaf(new_node)
+                node = new_node
+                idx += take
                 break
             key = child.key
             klen = len(key)
@@ -274,7 +297,8 @@ class RadixCache:
                 while overlap < limit and key[overlap] == tokens[idx + overlap]:
                     overlap += 1
             child.last_access = now
-            self._note_leaf(child)
+            if not child.children:
+                self._note_leaf(child)
             if overlap == klen:
                 node = child
                 idx += overlap
@@ -283,7 +307,7 @@ class RadixCache:
             upper = self._split(child, overlap)
             node = upper
             idx += overlap
-        return added
+        return added, idx, (None if node is self.root else node)
 
     def _split(self, node: RadixNode, offset: int) -> RadixNode:
         """Split ``node``'s edge so that its first ``offset`` tokens become a

@@ -134,11 +134,10 @@ class KVMemoryManager:
 
         # Insert the full prompt into the tree and lock the deepest node so
         # the whole prompt stays resident while the request runs.
-        self.cache.insert(prompt_tokens, now=now)
-        full_match = self.cache.match_prefix(prompt_tokens, now=now, record=False)
-        uninserted = len(prompt_tokens) - full_match.matched_tokens
-        if full_match.last_node is not None:
-            self.cache.lock(full_match.last_node)
+        _, inserted, locked_node = self.cache.insert_path(prompt_tokens, now=now)
+        uninserted = len(prompt_tokens) - inserted
+        if locked_node is not None:
+            self.cache.lock(locked_node)
         if match.last_node is not None:
             self.cache.unlock(match.last_node)
 
@@ -158,7 +157,7 @@ class KVMemoryManager:
             request_id=request_id,
             cached_tokens=cached,
             new_prompt_tokens=new_prompt,
-            locked_node=full_match.last_node,
+            locked_node=locked_node,
             promoted_tokens=promoted,
             promotion_stall_s=stall,
         )

@@ -65,7 +65,8 @@ def tiny_replica(env) -> ReplicaServer:
 # ----------------------------------------------------------------------
 # REPRO_STRICT_INVARIANTS=1 runs every structure's check_invariants() after
 # each mutation that can corrupt accounting (RadixCache evictions, trie
-# capacity enforcement, page alloc/free).  Unset, the checks run only for
+# capacity enforcement, page alloc/free, and the availability monitor's
+# records, dispatch notes and replica health changes).  Unset, the checks run only for
 # tests marked @pytest.mark.strict_invariants (the small golden-grid
 # tests); "0" force-disables everywhere.  CI tier-1 sets the flag to "1".
 
@@ -86,6 +87,7 @@ def strict_invariants(request, monkeypatch):
         yield False
         return
 
+    from repro.core.availability import AvailabilityMonitor
     from repro.core.prefix_tree import PrefixTree
     from repro.mem.paging import PageAllocator
     from repro.replica.kv_cache import RadixCache
@@ -94,6 +96,9 @@ def strict_invariants(request, monkeypatch):
     trie_enforce = PrefixTree._enforce_capacity
     page_alloc = PageAllocator.alloc
     page_free = PageAllocator.free
+    monitor_record = AvailabilityMonitor._record_replica_probes
+    monitor_dispatch = AvailabilityMonitor.note_dispatch
+    monitor_health = AvailabilityMonitor._on_replica_health
 
     def checked_evict(self, num_tokens, now=0.0):
         evicted = radix_evict(self, num_tokens, now)
@@ -116,10 +121,25 @@ def strict_invariants(request, monkeypatch):
         page_free(self, block)
         self.check_invariants()
 
+    def checked_record(self):
+        monitor_record(self)
+        self.check_invariants()
+
+    def checked_dispatch(self, replica_name):
+        monitor_dispatch(self, replica_name)
+        self.check_invariants()
+
+    def checked_health(self, replica):
+        monitor_health(self, replica)
+        self.check_invariants()
+
     monkeypatch.setattr(RadixCache, "evict", checked_evict)
     monkeypatch.setattr(PrefixTree, "_enforce_capacity", checked_enforce)
     monkeypatch.setattr(PageAllocator, "alloc", checked_alloc)
     monkeypatch.setattr(PageAllocator, "free", checked_free)
+    monkeypatch.setattr(AvailabilityMonitor, "_record_replica_probes", checked_record)
+    monkeypatch.setattr(AvailabilityMonitor, "note_dispatch", checked_dispatch)
+    monkeypatch.setattr(AvailabilityMonitor, "_on_replica_health", checked_health)
     yield True
 
 

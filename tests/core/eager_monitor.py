@@ -26,9 +26,7 @@ class EagerMonitor(AvailabilityMonitor):
     def _landed_now(self, balancer, rtt) -> None:
         if self._remote_balancers.get(balancer.name) is not balancer:
             return
-        blocked = self.network.link_blocked(
-            self.region, balancer.region
-        ) or self.network.link_blocked(balancer.region, self.region)
+        blocked = self.network.round_trip_blocked(self.region, balancer.region)
         self._balancer_probes[balancer.name] = LoadBalancerProbe(
             balancer_name=balancer.name,
             healthy=balancer.healthy and not blocked,

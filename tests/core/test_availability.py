@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import AvailabilityMonitor, SelectivePushingPending, SkyWalkerBalancer
+from repro.core import (
+    AvailabilityMonitor,
+    BlindPushing,
+    SelectivePushingOutstanding,
+    SelectivePushingPending,
+    SkyWalkerBalancer,
+)
 from repro.faults import FaultInjector, FaultSchedule, RegionPartition
 from repro.network import Network, default_topology
 from repro.replica import TINY_TEST_PROFILE, ReplicaServer
@@ -348,3 +354,102 @@ def test_probe_in_flight_to_a_removed_peer_lands_on_nothing(env, network, make_t
     assert list(us.monitor._remote_balancers) == ["sw@asia"]
     # The remaining peer is still probed.
     assert us.monitor.balancer_probes["sw@asia"].probe_time > 0.1
+
+
+# ----------------------------------------------------------------------
+# incremental availability bits
+# ----------------------------------------------------------------------
+# The monitor keeps each local replica's availability bit and their count,
+# recomputed where an input changes (a record, a dispatch note, a health
+# change, registration).  check_invariants() recomputes them all through
+# the pushing policy; strict mode runs it after every such change.
+
+
+def _bits(monitor):
+    monitor.check_invariants()
+    return monitor.num_available_replicas, [r.name for r in monitor.available_local_replicas()]
+
+
+def test_sp_p_bit_drops_at_max_dispatch_per_probe(env, network, make_tiny_replica):
+    policy = SelectivePushingPending(max_dispatch_per_probe=3)
+    monitor = AvailabilityMonitor(env, network, "us", pushing_policy=policy)
+    first, second = make_tiny_replica("us"), make_tiny_replica("us")
+    monitor.add_local_replica(first)
+    monitor.add_local_replica(second)
+    assert _bits(monitor) == (2, [first.name, second.name])
+    for _ in range(2):
+        monitor.note_dispatch(first.name)
+        assert _bits(monitor) == (2, [first.name, second.name])
+    monitor.note_dispatch(first.name)
+    assert _bits(monitor) == (1, [second.name])
+    monitor._record_replica_probes()  # a fresh probe resets the guard
+    assert _bits(monitor) == (2, [first.name, second.name])
+
+
+def test_sp_o_bit_drops_at_max_outstanding(env, network, make_tiny_replica):
+    policy = SelectivePushingOutstanding(max_outstanding=2)
+    monitor = AvailabilityMonitor(env, network, "us", pushing_policy=policy)
+    replica = make_tiny_replica("us")
+    monitor.add_local_replica(replica)
+    # One outstanding request on the replica shows up at the next record.
+    replica.submit(make_request(prompt_len=16, output_len=400))
+    env.run(until=0.01)
+    monitor._record_replica_probes()
+    assert monitor.replica_probes[replica.name].num_outstanding == 1
+    assert _bits(monitor) == (1, [replica.name])
+    monitor.note_dispatch(replica.name)
+    assert _bits(monitor) == (0, [])
+    replica.fail()
+    monitor._record_replica_probes()
+    assert _bits(monitor) == (0, [])
+    replica.recover()
+    monitor._record_replica_probes()
+    assert _bits(monitor) == (1, [replica.name])
+
+
+def test_bp_bit_follows_health_only(env, network, make_tiny_replica):
+    monitor = AvailabilityMonitor(env, network, "us", pushing_policy=BlindPushing())
+    replica = make_tiny_replica("us")
+    monitor.add_local_replica(replica)
+    for _ in range(50):
+        monitor.note_dispatch(replica.name)
+    assert _bits(monitor) == (1, [replica.name])
+    replica.fail()
+    assert _bits(monitor) == (0, [])
+    replica.recover()  # the stale probe still says healthy
+    assert _bits(monitor) == (1, [replica.name])
+    monitor.remove_local_replica(replica.name)
+    assert _bits(monitor) == (0, [])
+    replica.fail()  # a removed replica no longer reaches the monitor
+    assert _bits(monitor) == (0, [])
+
+
+def test_peer_landing_after_a_crash_reads_the_reduced_count(env, network, make_tiny_replica):
+    """A replica crashes and recovers between two records of its
+    balancer's monitor: the peer-probe landings in between read the count
+    the crash and the recovery left, not the one the last record set."""
+    peer = SkyWalkerBalancer(env, "lb-eu", "eu", network)
+    replicas = [make_tiny_replica("eu"), make_tiny_replica("eu")]
+    for replica in replicas:
+        peer.add_replica(replica)
+    # The peer's monitor never runs a cycle: its records are the two below.
+    peer.monitor._record_replica_probes()
+    monitor = AvailabilityMonitor(env, network, "us", probe_interval_s=0.1)
+    monitor.add_remote_balancer(peer)
+    monitor.start()
+    crash_at, recover_at, until = 0.43, 0.81, 1.2
+    env.call_later(crash_at, replicas[0].fail)
+    env.call_later(recover_at, replicas[0].recover)
+    landed = {}
+    while env.peek() < until:
+        env.step()
+        probe = monitor.balancer_probes[peer.name]  # settles the landings
+        landed[probe.probe_time] = probe.num_available_replicas
+    peer.monitor._record_replica_probes()
+    times = sorted(t for t in landed if t > 0)
+    assert [landed[t] for t in times if t < crash_at] == [2] * sum(t < crash_at for t in times)
+    down = [landed[t] for t in times if crash_at < t < recover_at]
+    assert down and down == [1] * len(down)
+    up = [landed[t] for t in times if t > recover_at]
+    assert up and up == [2] * len(up)
+    assert _bits(peer.monitor) == (2, [r.name for r in replicas])

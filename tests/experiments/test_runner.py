@@ -270,3 +270,32 @@ def test_open_loop_region_without_replicas_gets_its_own_balancer():
     result = run_experiment(config, _open_loop_workload(window_s=30.0))
     assert sorted(balancer.region for balancer in result.balancers) == ["asia", "eu", "us"]
     assert result.metrics.num_issued == result.metrics.num_completed > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FCFS admission keeps a prompt larger than the whole KV budget at the "
+    "head of a replica's queue for the rest of the run",
+)
+def test_no_replica_ends_behind_a_prompt_larger_than_its_kv_budget():
+    """Regression for the admission stall under the default ``MemoryConfig()``:
+    us/replica-0 (a 2,000-token budget) takes a 2,386-token prompt, can
+    never admit it, and stalls every request queued behind it, so the run
+    completes only 34 requests."""
+    workload = build_arena_workload(scale=0.03)
+    config = ExperimentConfig(
+        system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
+        cluster=tiny_cluster(profile=TINY_TEST_PROFILE),
+        duration_s=20.0,
+        seed=3,
+    )
+    result = run_experiment(config, workload)
+    reserve = TINY_TEST_PROFILE.admission_output_reserve
+    stuck = []
+    for replica in result.deployment.replicas:
+        batcher = replica.batcher
+        if batcher.waiting:
+            head = batcher.waiting[0].prompt_len
+            if head + reserve > batcher.memory.capacity_tokens:
+                stuck.append((replica.name, head))
+    assert stuck == []

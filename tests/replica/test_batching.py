@@ -1,8 +1,10 @@
 """Unit tests for the continuous-batching scheduler state."""
 
+import random
+
 import pytest
 
-from repro.replica import ContinuousBatcher, TINY_TEST_PROFILE
+from repro.replica import LLAMA_8B_L4, ContinuousBatcher, TINY_TEST_PROFILE
 
 from ..conftest import make_request
 
@@ -133,3 +135,35 @@ def test_abort_all_fails_everything(batcher):
     assert set(aborted) == {running, waiting}
     assert batcher.num_outstanding == 0
     assert all(r.status == "failed" for r in aborted)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
+def test_decode_durations_match_decode_step_time_exactly(scale):
+    """The inlined step time is ``ModelProfile.decode_step_time`` (divided
+    by the performance scale), float for float, for any batch and context."""
+    rng = random.Random(7)
+    profile = LLAMA_8B_L4
+    for _ in range(25):
+        batcher = ContinuousBatcher(profile)
+        batcher.performance_scale = scale
+        for _ in range(rng.randint(1, 12)):
+            batcher.enqueue(
+                make_request(prompt_len=rng.randint(1, 3_000), output_len=500), now=0.0
+            )
+        plan = batcher.plan_step(now=0.0)
+        batcher.complete_prefill(plan.admitted, now=0.0)
+        batch = len(batcher.running)
+        context = batcher.memory.context_tokens_total
+        steps = rng.randint(1, 60)
+        expected = []
+        for step in range(steps):
+            compute = profile.decode_step_time(batch, context + step * batch)
+            if scale != 1.0:
+                compute /= scale
+            expected.append(compute)
+        assert batcher.decode_durations(steps) == expected
+
+
+def test_decode_durations_need_a_running_sequence(batcher):
+    with pytest.raises(ValueError, match="at least one sequence"):
+        batcher.decode_durations(1)
