@@ -106,9 +106,10 @@ description picklable for the process-parallel sweeps):
 
       SkyWalkerConfig(kind="skywalker", constraint="no-asia")
 
-* **selection policies** (``"prefix_tree"``/``"consistent_hash"``) --
-  ``repro.core.register_selection_policy`` / ``make_selection_policy``,
-  making custom names valid as ``SkyWalkerBalancer(routing=...)``.
+Candidate selection is an object, not a name: a system kind fixes its
+policy, and a plug-in system passes a ``repro.core.SelectionPolicy``
+subclass instance to ``build_skywalker_region(..., selection_policy=...)``
+(see ``repro.experiments.hybrid``).
 
 Systems are always described by these typed configs (``SkyWalkerConfig``,
 ``GatewayConfig``, ``CentralizedConfig``, ...) or by
@@ -126,7 +127,8 @@ Sub-packages
 ``repro.workloads``    synthetic conversation / Tree-of-Thoughts / diurnal traces
 ``repro.core``         SkyWalker itself (two-layer router, prefix trie, CH,
                        selective pushing, controller)
-``repro.balancers``    the baseline load balancers of §5.1
+``repro.balancers``    the baseline load balancers of §5.1, each a
+                       ``repro.core.BalancerBase`` like SkyWalker
 ``repro.metrics``      latency summaries, run aggregation, multi-seed
                        statistics (mean / stdev / 95% CI, paired per-seed
                        diffs) and fault-run resilience metrics

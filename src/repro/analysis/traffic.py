@@ -31,10 +31,6 @@ class AggregationAnalysis:
         return max(self.per_region_peak_to_trough.values())
 
     @property
-    def min_regional_variance(self) -> float:
-        return min(self.per_region_peak_to_trough.values())
-
-    @property
     def peak_reduction_fraction(self) -> float:
         """How much smaller the aggregated peak is than the sum of regional
         peaks -- the capacity a shared pool saves."""

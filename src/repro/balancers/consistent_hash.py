@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Callable, List
 
 from ..core.hash_ring import ConsistentHashRing
+from ..core.interface import BalancerBase
 from ..replica import ReplicaServer
 from ..workloads.request import Request
-from .base import CentralizedBalancer
 
 __all__ = ["ConsistentHashBalancer"]
 
@@ -21,7 +21,7 @@ def _default_key(request: Request) -> str:
     return request.session_id
 
 
-class ConsistentHashBalancer(CentralizedBalancer):
+class ConsistentHashBalancer(BalancerBase):
     """Ring-hash based routing keyed on user/session identity."""
 
     def __init__(self, *args, hash_key_fn: Callable[[Request], str] = _default_key,

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from typing import List
 
+from ..core.interface import BalancerBase
 from ..replica import ReplicaServer
 from ..workloads.request import Request
-from .base import CentralizedBalancer
 
 __all__ = ["LeastLoadBalancer"]
 
 
-class LeastLoadBalancer(CentralizedBalancer):
+class LeastLoadBalancer(BalancerBase):
     """Tracks outstanding requests per replica and picks the minimum.
 
     Note that "outstanding" counts *requests*, not tokens, which is exactly

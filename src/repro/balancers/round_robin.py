@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from typing import List
 
+from ..core.interface import BalancerBase
 from ..replica import ReplicaServer
 from ..workloads.request import Request
-from .base import CentralizedBalancer
 
 __all__ = ["RoundRobinBalancer"]
 
 
-class RoundRobinBalancer(CentralizedBalancer):
+class RoundRobinBalancer(BalancerBase):
     """Distributes requests to replicas in a fixed cyclic order."""
 
     def __init__(self, *args, **kwargs) -> None:

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from typing import List
 
+from ..core.interface import BalancerBase
 from ..core.prefix_tree import PrefixTree
 from ..replica import ReplicaServer
 from ..workloads.request import Request
-from .base import CentralizedBalancer
 
 __all__ = ["SGLangRouterBalancer"]
 
 
-class SGLangRouterBalancer(CentralizedBalancer):
+class SGLangRouterBalancer(BalancerBase):
     """Cache-aware routing with load-based fallback, as in SGLang v0.4.
 
     Parameters

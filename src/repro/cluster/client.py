@@ -11,7 +11,7 @@ balancer in their own region.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..net import Network
 from ..network import GeoDNS
@@ -19,23 +19,15 @@ from ..sim import Environment, Event
 from ..workloads.program import Program
 from ..workloads.request import Request, RequestStatus
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.interface import BalancerBase
+
 __all__ = [
     "RequestTracker",
     "Frontend",
     "ClosedLoopClient",
     "TraceReplayClient",
 ]
-
-
-class BalancerEndpoint(Protocol):
-    """Anything that can receive requests over the network."""
-
-    name: str
-    region: str
-
-    @property
-    def inbox(self):  # pragma: no cover - protocol definition only
-        ...
 
 
 def _or_nan(value: Optional[float]) -> float:
@@ -139,12 +131,12 @@ class Frontend:
         self.env = env
         self.network = network
         self.dns = dns or GeoDNS(network.topology)
-        self._balancers: Dict[str, BalancerEndpoint] = {}
+        self._balancers: Dict[str, "BalancerBase"] = {}
         #: Requests dispatched on a stale DNS record because no balancer was
         #: healthy (total outage; only possible under fault injection).
         self.stale_dispatches = 0
 
-    def register_balancer(self, balancer: BalancerEndpoint) -> None:
+    def register_balancer(self, balancer: "BalancerBase") -> None:
         """Expose a load balancer under the shared domain name."""
         self._balancers[balancer.name] = balancer
         self.dns.register(balancer.name, balancer.region)
@@ -152,10 +144,10 @@ class Frontend:
     def set_health(self, balancer_name: str, healthy: bool) -> None:
         self.dns.set_health(balancer_name, healthy)
 
-    def balancer(self, name: str) -> BalancerEndpoint:
+    def balancer(self, name: str) -> "BalancerBase":
         return self._balancers[name]
 
-    def balancers(self) -> List[BalancerEndpoint]:
+    def balancers(self) -> List["BalancerBase"]:
         return list(self._balancers.values())
 
     def dispatch(self, request: Request) -> None:

@@ -2,10 +2,14 @@
 
 This package contains the paper's contribution:
 
+* :class:`BalancerBase` -- the one balancer type, which every baseline and
+  SkyWalker subclass,
 * :class:`SkyWalkerBalancer` -- the regional load balancer with two-layer
   cross-region routing (§3.1),
 * :class:`PrefixTree` and :class:`ConsistentHashRing` -- the two
-  prefix-aware candidate-selection mechanisms (§3.2),
+  prefix-aware candidate-selection mechanisms (§3.2), used by the
+  :class:`PrefixTreeSelection` and :class:`ConsistentHashSelection` policy
+  objects,
 * the selective-pushing policies (§3.3),
 * :class:`AvailabilityMonitor` -- the heartbeat/probing loop of Algorithm 1,
 * :class:`ServiceController` -- the management plane with load-balancer
@@ -14,19 +18,11 @@ This package contains the paper's contribution:
 """
 
 from .availability import AvailabilityMonitor, LoadBalancerProbe
-from .balancer import ROUTING_CONSISTENT_HASH, ROUTING_PREFIX_TREE, SkyWalkerBalancer
+from .balancer import SkyWalkerBalancer
 from .controller import FailoverRecord, ServiceController
 from .hash_ring import ConsistentHashRing
-from .interface import Balancer, BalancerBase
-from .selection import (
-    ConsistentHashSelection,
-    PrefixTreeSelection,
-    SelectionPolicy,
-    make_selection_policy,
-    register_selection_policy,
-    registered_selection_policies,
-    unregister_selection_policy,
-)
+from .interface import BalancerBase
+from .selection import ConsistentHashSelection, PrefixTreeSelection, SelectionPolicy
 from .policies import (
     AllowAll,
     CompositeConstraint,
@@ -53,18 +49,11 @@ from .pushing import (
 )
 
 __all__ = [
-    "Balancer",
     "BalancerBase",
     "SkyWalkerBalancer",
-    "ROUTING_PREFIX_TREE",
-    "ROUTING_CONSISTENT_HASH",
     "SelectionPolicy",
     "PrefixTreeSelection",
     "ConsistentHashSelection",
-    "make_selection_policy",
-    "register_selection_policy",
-    "registered_selection_policies",
-    "unregister_selection_policy",
     "AvailabilityMonitor",
     "LoadBalancerProbe",
     "ServiceController",

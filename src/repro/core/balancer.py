@@ -8,18 +8,17 @@ each request either
 * forwards it to an *available* remote load balancer (cross-region traffic
   handling, §3.1), which then places it on one of its local replicas.
 
-Candidate selection is a plug-in (:mod:`repro.core.selection`): the
-prefix-tree policy (``routing="prefix_tree"``, the full SkyWalker design),
-two-layer consistent hashing (``routing="consistent_hash"``, SkyWalker-CH),
-or any custom :class:`~repro.core.selection.SelectionPolicy` passed via
-``selection_policy``.  Pushing policies and routing constraints are equally
-orthogonal plug-ins.
+Candidate selection is a plug-in object passed as ``selection_policy``
+(:mod:`repro.core.selection`): :class:`PrefixTreeSelection` (the full
+SkyWalker design, the default), :class:`ConsistentHashSelection`
+(SkyWalker-CH) or any custom
+:class:`~repro.core.selection.SelectionPolicy`.  Pushing policies and
+routing constraints are equally orthogonal plug-ins.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..net import Network
 from ..replica import ReplicaServer
@@ -31,12 +30,9 @@ from .interface import BalancerBase
 from .policies import AllowAll, RoutingConstraint
 from .prefix_tree import PrefixTree
 from .pushing import PushingPolicy, SelectivePushingPending
-from .selection import SelectionPolicy, make_selection_policy
+from .selection import PrefixTreeSelection, SelectionPolicy
 
-__all__ = ["SkyWalkerBalancer", "ROUTING_PREFIX_TREE", "ROUTING_CONSISTENT_HASH"]
-
-ROUTING_PREFIX_TREE = "prefix_tree"
-ROUTING_CONSISTENT_HASH = "consistent_hash"
+__all__ = ["SkyWalkerBalancer"]
 
 
 def _default_hash_key(request: Request) -> str:
@@ -49,13 +45,11 @@ class SkyWalkerBalancer(BalancerBase):
 
     Parameters
     ----------
-    routing:
-        ``"prefix_tree"`` (SkyWalker) or ``"consistent_hash"`` (SkyWalker-CH).
-        Shorthand for the corresponding built-in selection policy.
     selection_policy:
-        Explicit :class:`~repro.core.selection.SelectionPolicy` instance;
-        overrides ``routing``.  This is how third-party systems plug in
-        custom candidate selection without subclassing.
+        The :class:`~repro.core.selection.SelectionPolicy` choosing local
+        replicas and remote peers: :class:`PrefixTreeSelection` (SkyWalker,
+        the default), :class:`ConsistentHashSelection` (SkyWalker-CH), or a
+        third-party policy -- custom candidate selection needs no subclass.
     pushing_policy:
         Selective-pushing policy; defaults to pending-request based SP-P.
     prefix_match_threshold:
@@ -78,7 +72,6 @@ class SkyWalkerBalancer(BalancerBase):
         region: str,
         network: Network,
         *,
-        routing: str = ROUTING_PREFIX_TREE,
         selection_policy: Optional[SelectionPolicy] = None,
         pushing_policy: Optional[PushingPolicy] = None,
         probe_interval_s: float = 0.1,
@@ -92,7 +85,7 @@ class SkyWalkerBalancer(BalancerBase):
         balance_rel_threshold: float = 1.5,
     ) -> None:
         super().__init__(env, name, region, network)
-        self.selection = selection_policy or make_selection_policy(routing)
+        self.selection = selection_policy or PrefixTreeSelection()
         self.routing = self.selection.routing
         self.pushing_policy = pushing_policy or SelectivePushingPending()
         self.prefix_match_threshold = prefix_match_threshold
@@ -105,9 +98,6 @@ class SkyWalkerBalancer(BalancerBase):
         #: balancing strategies").
         self.balance_abs_threshold = balance_abs_threshold
         self.balance_rel_threshold = balance_rel_threshold
-
-        #: Requests accepted from the inbox but not yet placed (FCFS).
-        self.queue: Deque[Request] = deque()
         self.monitor = AvailabilityMonitor(
             env,
             network,
@@ -190,23 +180,9 @@ class SkyWalkerBalancer(BalancerBase):
     def num_available_replicas(self) -> int:
         return self.monitor.num_available_replicas
 
-    @property
-    def queue_size(self) -> int:
-        return len(self.queue) + len(self.inbox.items)
-
     # ------------------------------------------------------------------
     # failure handling (used by the controller and the fault injector)
     # ------------------------------------------------------------------
-    def _collect_stranded(self) -> List[Request]:
-        """The FCFS queue strands ahead of the base class's buffers."""
-        stranded = list(self.queue)
-        self.queue.clear()
-        stranded.extend(super()._collect_stranded())
-        return stranded
-
-    def _restore_stranded(self, stranded: List[Request]) -> None:
-        self.queue.extendleft(reversed(stranded))
-
     def recover(self) -> None:
         """Restart a failed balancer with empty routing state.
 

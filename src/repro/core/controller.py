@@ -9,9 +9,7 @@ failure's downtime comes from the fault that caused it
 (:attr:`ServiceController.downtime_s`), counted from its detection.
 
 The controller is intentionally *not* on the data path -- requests never
-pass through it -- so its own failure only delays reconfiguration.  Its
-state can be rebuilt from the balancers at any time, which is what
-:meth:`ServiceController.rebuild_state` models.
+pass through it -- so its own failure only delays reconfiguration.
 """
 
 from __future__ import annotations
@@ -72,14 +70,6 @@ class ServiceController:
         if self._process is None:
             self._process = self.env.process(self._run())
 
-    def rebuild_state(self) -> Dict[str, List[str]]:
-        """Recompute the replica ownership map from the balancers themselves
-        (controller crash recovery: its state is soft)."""
-        return {
-            name: [replica.name for replica in balancer.local_replicas()]
-            for name, balancer in self.balancers.items()
-        }
-
     # ------------------------------------------------------------------
     def _run(self):
         env = self.env
@@ -102,11 +92,15 @@ class ServiceController:
         return best
 
     def _handle_balancer_failure(self, failed: SkyWalkerBalancer) -> None:
-        """Reassign the failed balancer's replicas and stranded requests."""
+        """Reassign the failed balancer's replicas and stranded requests.
+
+        With no healthy balancer to take over, the stranded requests stay
+        on the failed one, and :meth:`SkyWalkerBalancer.recover` puts them
+        back at the head of its queue.
+        """
         takeover = self._nearest_healthy_balancer(failed.region, exclude=failed.name)
         downtime = self.downtime_s.pop(failed.name, None)
         failed.fail()  # idempotent if the failure was injected externally
-        stranded = failed.take_stranded()
         self.frontend.set_health(failed.name, False)
         record = FailoverRecord(
             failed_balancer=failed.name,
@@ -117,7 +111,7 @@ class ServiceController:
             for replica in failed.local_replicas():
                 record.replica_names.append(replica.name)
                 takeover.add_replica(replica)
-            for request in stranded:
+            for request in failed.take_stranded():
                 # Stranded requests are re-routed through the takeover
                 # balancer; the extra hop is visible in their latency.
                 self.network.deliver(

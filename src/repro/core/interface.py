@@ -1,20 +1,12 @@
-"""The unified load-balancer interface shared by every balancer family.
+"""The one load-balancer type every balancer family builds on.
 
-Historically each balancer family -- the centralized §5.1 baselines, the
-GKE-Gateway baseline and SkyWalker itself -- re-implemented the same
-plumbing: an inbox, health state, replica registration, outstanding-request
-accounting and the final "stamp the request and hand it to the network"
-dispatch step.  This module extracts that plumbing into two pieces:
-
-* :class:`Balancer` -- a :class:`typing.Protocol` describing what the rest
-  of the stack (frontend, controller, experiment runner, registry) may rely
-  on: lifecycle (``start``/``stop``), wiring (``add_replica``,
-  ``submit``), health and queue observability.
-* :class:`BalancerBase` -- a concrete base class implementing the shared
-  machinery, including the common ``_dispatch`` path and FIFO parking for
-  the no-healthy-replica case (requests wait in arrival order and drain as
-  soon as a replica recovers instead of being re-queued behind newer
-  arrivals).
+The centralized §5.1 baselines, the GKE-Gateway baseline and SkyWalker
+itself all share the same plumbing: an inbox, health state, replica
+registration, outstanding-request accounting, the FIFO of accepted but
+unplaced requests, and the final "stamp the request and hand it to the
+network" dispatch step.  :class:`BalancerBase` implements that machinery;
+the frontend, the controller, the fault injector, the experiment runner
+and the system registry rely on nothing else.
 
 Policy decisions (which replica, which region, when to push) stay in the
 subclasses and their plug-in policy objects.
@@ -23,14 +15,14 @@ subclasses and their plug-in policy objects.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Deque, Dict, List, Optional
 
 from ..net import Network
 from ..replica import ReplicaServer
 from ..sim import Environment, Event, Interrupt, Store
 from ..workloads.request import Request, RequestStatus
 
-__all__ = ["Balancer", "BalancerBase"]
+__all__ = ["BalancerBase"]
 
 
 class _Inbox(Store):
@@ -51,56 +43,16 @@ class _Inbox(Store):
         return super().get()
 
 
-@runtime_checkable
-class Balancer(Protocol):
-    """Anything the stack can treat as a load balancer.
-
-    The frontend needs ``name``/``region``/``inbox`` to deliver requests,
-    the controller needs ``healthy`` and the lifecycle methods, and the
-    registry builders need ``add_replica``/``start``.
-    """
-
-    name: str
-    region: str
-    healthy: bool
-
-    @property
-    def inbox(self) -> Store:  # pragma: no cover - protocol definition only
-        ...
-
-    @property
-    def queue_size(self) -> int:  # pragma: no cover - protocol definition only
-        ...
-
-    def add_replica(self, replica: ReplicaServer) -> None:  # pragma: no cover
-        ...
-
-    def submit(self, request: Request):  # pragma: no cover
-        ...
-
-    def healthy_replicas(self) -> List[ReplicaServer]:  # pragma: no cover
-        ...
-
-    def start(self) -> None:  # pragma: no cover
-        ...
-
-    def stop(self) -> None:  # pragma: no cover
-        ...
-
-    def fail(self) -> List[Request]:  # pragma: no cover
-        ...
-
-    def recover(self) -> None:  # pragma: no cover
-        ...
-
-
 class BalancerBase:
     """Shared state and behaviour for every balancer implementation.
 
     Subclasses provide a serving loop (the default one calls
     :meth:`select_replica`) and may hook :meth:`_register_replica` (extra
     per-replica wiring) and :meth:`_note_dispatch` (routing-state updates on
-    the common dispatch path).
+    the common dispatch path).  The default loop is the centralized §5.1
+    baselines' blind push: each request goes to a replica on arrival, and
+    :attr:`outstanding` (incremented at dispatch, decremented on
+    completion) is what the Least Load and SGLang Router policies read.
     """
 
     def __init__(
@@ -119,8 +71,8 @@ class BalancerBase:
         self._replicas: Dict[str, ReplicaServer] = {}
         self.outstanding: Dict[str, int] = {}
         self._process = None
-        #: Requests accepted while no replica was healthy, in arrival order.
-        self._parked: Deque[Request] = deque()
+        #: Requests accepted but not yet placed, in arrival order (FCFS).
+        self.queue: Deque[Request] = deque()
         #: Requests left behind by a failure, pending re-routing (by the
         #: controller for SkyWalker systems, by the fault injector
         #: otherwise).
@@ -133,6 +85,9 @@ class BalancerBase:
         #: pushes only the suffix the target is not known to hold.  ``None``
         #: (default) keeps dispatch latency payload-independent.
         self.push_transfer = None
+        #: Selective-pushing policy (:mod:`repro.core.pushing`); ``None``
+        #: pushes blindly.
+        self.pushing_policy = None
 
         # Statistics.
         self.received_requests = 0
@@ -183,22 +138,9 @@ class BalancerBase:
     # ------------------------------------------------------------------
     # failure handling (used by the controller and the fault injector)
     # ------------------------------------------------------------------
-    def _collect_stranded(self) -> List[Request]:
-        """Pull every not-yet-dispatched request out of this balancer's
-        buffers (subclasses with extra queues extend this)."""
-        stranded: List[Request] = list(self._parked)
-        self._parked.clear()
-        while self.inbox.items:
-            stranded.append(self.inbox.items.popleft())
-        return stranded
-
-    def _restore_stranded(self, stranded: List[Request]) -> None:
-        """Put untaken stranded requests back at the head of the queue
-        (subclasses with extra queues override to match their buffer)."""
-        self._parked.extendleft(reversed(stranded))
-
     def fail(self) -> List[Request]:
-        """Crash this balancer, returning the requests stuck in its queues.
+        """Crash this balancer, returning the requests stuck in its queue
+        and then its inbox.
 
         The stranded requests are also kept in :attr:`stranded` so whoever
         detects the failure later (the controller via health probing, or
@@ -214,7 +156,10 @@ class BalancerBase:
         # Health and queues are read by peer probes in flight.
         self.env.settle()
         self.healthy = False
-        stranded = self._collect_stranded()
+        stranded: List[Request] = list(self.queue)
+        self.queue.clear()
+        while self.inbox.items:
+            stranded.append(self.inbox.items.popleft())
         process = self._process
         if process is not None and process.is_alive:
             target = process.target
@@ -243,7 +188,7 @@ class BalancerBase:
         self.env.settle()
         self.healthy = True
         if self.stranded:
-            self._restore_stranded(self.stranded)
+            self.queue.extendleft(reversed(self.stranded))
             self.stranded = []
         self._process = self.env.process(self._serve())
 
@@ -252,7 +197,7 @@ class BalancerBase:
     # ------------------------------------------------------------------
     @property
     def queue_size(self) -> int:
-        return len(self.inbox.items) + len(self._parked)
+        return len(self.inbox.items) + len(self.queue)
 
     def _on_replica_complete(self, request: Request) -> None:
         name = request.replica_name
@@ -277,9 +222,6 @@ class BalancerBase:
             self._replica_available_event = self.env.event()
         return self._replica_available_event
 
-    def _park(self, request: Request) -> None:
-        self._parked.append(request)
-
     # ------------------------------------------------------------------
     # serving loop
     # ------------------------------------------------------------------
@@ -301,23 +243,23 @@ class BalancerBase:
     def _serve(self):
         """Default serving loop: accept, select, dispatch.
 
-        When no replica can take a request it is *parked* (in FIFO order)
-        rather than re-queued behind newer arrivals, and the loop sleeps on
+        When no replica can take a request it is *parked* in :attr:`queue`
+        (FIFO) rather than re-queued behind newer arrivals, and the loop sleeps on
         a health-change event instead of busy-polling.  Parked requests
         drain before anything still sitting in the inbox, preserving
         arrival order across a full outage.
         """
         try:
             while True:
-                if self._parked and self.healthy_replicas():
-                    request = self._parked.popleft()
+                if self.queue and self.healthy_replicas():
+                    request = self.queue.popleft()
                 else:
                     request = yield self.inbox.get()
                     self._accept(request)
                 candidates = self.healthy_replicas()
                 replica = self.select_replica(request, candidates) if candidates else None
                 if replica is None:
-                    self._park(request)
+                    self.queue.append(request)
                     yield self._wait_for_replica()
                     continue
                 self._dispatch(request, replica)
@@ -381,7 +323,7 @@ class BalancerBase:
         selective, prefix-aware push ships only the suffix beyond what
         :meth:`_known_prefix_tokens` says is already resident.
         """
-        policy = getattr(self, "pushing_policy", None)
+        policy = self.pushing_policy
         if policy is None:
             return request.prompt_len
         return policy.pushed_prefix_tokens(

@@ -9,21 +9,23 @@ estimates the balancer maintains.
 
 Two built-in policies mirror the paper's variants:
 
-* :class:`PrefixTreeSelection` -- SkyWalker (``routing="prefix_tree"``)
-* :class:`ConsistentHashSelection` -- SkyWalker-CH (``routing="consistent_hash"``)
+* :class:`PrefixTreeSelection` -- SkyWalker (``routing == "prefix_tree"``)
+* :class:`ConsistentHashSelection` -- SkyWalker-CH
+  (``routing == "consistent_hash"``)
 
-Third-party systems can register their own policy (see the
+A policy is an object passed to the balancer (``selection_policy=``), so a
+third-party policy is a subclass instance handed to
+:func:`repro.experiments.systems.build_skywalker_region` (see the
 ``skywalker-hybrid`` system in :mod:`repro.experiments.hybrid`) without
 touching the balancer.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Tuple
+from typing import TYPE_CHECKING, List
 
 from ..replica import ReplicaServer
 from ..workloads.request import Request
-from .._registry import NameRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .balancer import SkyWalkerBalancer
@@ -32,14 +34,7 @@ __all__ = [
     "SelectionPolicy",
     "PrefixTreeSelection",
     "ConsistentHashSelection",
-    "register_selection_policy",
-    "unregister_selection_policy",
-    "registered_selection_policies",
-    "make_selection_policy",
 ]
-
-#: Factory taking policy-specific keyword arguments and returning a policy.
-SelectionPolicyFactory = Callable[..., "SelectionPolicy"]
 
 
 class SelectionPolicy:
@@ -87,36 +82,6 @@ def _most_free_capacity(
     return min(candidates, key=free_capacity)
 
 
-# ----------------------------------------------------------------------
-# the selection-policy registry
-# ----------------------------------------------------------------------
-_SELECTION_POLICIES = NameRegistry("routing policy", plural="policies")
-
-
-def register_selection_policy(
-    name: str, *, replace_existing: bool = False
-) -> Callable[[SelectionPolicyFactory], SelectionPolicyFactory]:
-    """Register a selection-policy factory under a routing-layer name.
-
-    Same ``@register_*`` pattern as systems, pushing policies and routing
-    constraints: decorate a class (or factory) and the name becomes valid
-    as a balancer ``routing=...`` argument and for
-    :func:`make_selection_policy`.
-    """
-    return _SELECTION_POLICIES.register(name, replace_existing=replace_existing)
-
-
-def unregister_selection_policy(name: str) -> None:
-    """Remove a registered policy (mainly for test cleanup)."""
-    _SELECTION_POLICIES.unregister(name)
-
-
-def registered_selection_policies() -> Tuple[str, ...]:
-    """Every selection-policy name currently registered."""
-    return _SELECTION_POLICIES.names()
-
-
-@register_selection_policy("prefix_tree")
 class PrefixTreeSelection(SelectionPolicy):
     """The full SkyWalker design: route to the best prefix match unless the
     match is weak or the preferred target is severely imbalanced (§3.2-3.3)."""
@@ -150,7 +115,6 @@ class PrefixTreeSelection(SelectionPolicy):
         return _most_free_capacity(balancer, candidates)
 
 
-@register_selection_policy("consistent_hash")
 class ConsistentHashSelection(SelectionPolicy):
     """SkyWalker-CH: two-layer consistent hashing on a workload identity key."""
 
@@ -176,8 +140,3 @@ class ConsistentHashSelection(SelectionPolicy):
         if chosen is not None:
             return by_name[chosen]
         return _most_free_capacity(balancer, candidates)
-
-
-def make_selection_policy(routing: str, **kwargs) -> SelectionPolicy:
-    """Instantiate the registered policy for a routing-layer name."""
-    return _SELECTION_POLICIES.make(routing, **kwargs)

@@ -4,9 +4,9 @@ Systems are built through the pluggable registry (:mod:`.registry`): each
 balancer family registers a builder and a typed config via
 ``@register_system``, and new systems (e.g. :mod:`.hybrid`'s
 ``skywalker-hybrid``) plug in without touching the runner.  Pushing
-policies, routing constraints and selection policies resolve by name the
-same way (``repro.core``'s ``register_pushing_policy`` /
-``register_constraint`` / ``register_selection_policy``), which keeps every
+policies and routing constraints resolve by name the same way
+(``repro.core``'s ``register_pushing_policy`` / ``register_constraint``),
+and a system kind fixes its selection policy, which keeps every
 experiment description picklable: :mod:`.sweep`'s :class:`SweepExecutor`
 runs each (workload, system) cell of a sweep in its own worker process and
 returns metrics bit-identical to the serial loop.

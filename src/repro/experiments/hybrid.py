@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List
 
 from ..core import PrefixTreeSelection, SkyWalkerBalancer
-from ..core.interface import Balancer
 from ..replica import ReplicaServer
 from ..workloads.request import Request
 from .registry import BuildContext, build_regional_mesh, register_system
@@ -79,7 +78,9 @@ class SkyWalkerHybridConfig(SkyWalkerConfig):
     config=SkyWalkerHybridConfig,
     description="Prefix-tree routing with load-discounted match scores and least-load fallback",
 )
-def _build_skywalker_hybrid(spec: SkyWalkerHybridConfig, ctx: BuildContext) -> List[Balancer]:
+def _build_skywalker_hybrid(
+    spec: SkyWalkerHybridConfig, ctx: BuildContext
+) -> List[SkyWalkerBalancer]:
     selection = HybridSelection(
         match_threshold=spec.hybrid_match_threshold,
         load_weight=spec.hybrid_load_weight,

@@ -26,8 +26,11 @@ edits to the runner or to any central kind enum.
 The :class:`BuildContext` hands builders everything they may need (the
 simulation environment, network, deployment, frontend, client regions, the
 resolved hash key) plus helpers for the common wiring patterns: fully-wired
-centralized balancers (:meth:`BuildContext.attach`) and regional balancer
-meshes (:func:`build_regional_mesh`).
+centralized balancers (:meth:`BuildContext.attach`) and regional SkyWalker
+meshes (:func:`build_regional_mesh`).  A builder returns its balancers, each
+a :class:`~repro.core.interface.BalancerBase`; :func:`build_system
+<repro.experiments.runner.build_system>` installs the run's pushed-prefix
+transfer model on every one of them, however the builder wired it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .._registry import NameRegistry
 from ..cluster import Deployment, Frontend
-from ..core.interface import Balancer
+from ..core.balancer import SkyWalkerBalancer
+from ..core.interface import BalancerBase
 from ..core.policies import make_constraint as _make_named_constraint
 from ..net import Network
 from ..network import NetworkTopology
@@ -54,7 +58,7 @@ __all__ = [
     "build_regional_mesh",
 ]
 
-SystemBuilder = Callable[["SystemSpec", "BuildContext"], List[Balancer]]
+SystemBuilder = Callable[["SystemSpec", "BuildContext"], List[BalancerBase]]
 
 
 # ----------------------------------------------------------------------
@@ -98,11 +102,6 @@ class BuildContext:
     client_regions: Tuple[str, ...] = ()
     #: The resolved consistent-hashing key for this run ("user"/"session").
     hash_key: str = "user"
-    #: Optional :class:`~repro.mem.TransferModel` for pushed KV prefixes
-    #: (from ``ClusterConfig.memory.push_*``); installed on every balancer
-    #: the context attaches so BP/SP-O/SP-P dispatches pay size-dependent
-    #: transfer costs.  ``None`` keeps pushes free, as before.
-    push_transfer: Optional[object] = None
 
     @property
     def topology(self) -> NetworkTopology:
@@ -131,7 +130,9 @@ class BuildContext:
             return None
         return _make_named_constraint(constraint, self.topology)
 
-    def attach(self, balancer: Balancer, *, regions: Optional[Sequence[str]] = None) -> Balancer:
+    def attach(
+        self, balancer: BalancerBase, *, regions: Optional[Sequence[str]] = None
+    ) -> BalancerBase:
         """Finish wiring one balancer: add replicas (all of them, or only the
         listed regions'), start it, and register it with the frontend."""
         if regions is None:
@@ -140,41 +141,29 @@ class BuildContext:
             replicas = [r for region in regions for r in self.deployment.replicas_in(region)]
         for replica in replicas:
             balancer.add_replica(replica)
-        if self.push_transfer is not None:
-            balancer.push_transfer = self.push_transfer
         balancer.start()
         self.frontend.register_balancer(balancer)
         return balancer
 
 
 def build_regional_mesh(
-    ctx: BuildContext,
-    make_balancer: Callable[[str], Balancer],
-    *,
-    wire_peers: bool = True,
-) -> List[Balancer]:
-    """Build one balancer per region and wire them into a full mesh.
+    ctx: BuildContext, make_balancer: Callable[[str], SkyWalkerBalancer]
+) -> List[SkyWalkerBalancer]:
+    """Build one SkyWalker balancer per region and wire them into a full mesh.
 
     ``make_balancer(region)`` creates the (unstarted) balancer for a region;
     this helper attaches the region's replicas, cross-registers every pair
-    as peers (when ``wire_peers`` and the balancers support ``add_peer``),
-    starts them and registers them with the frontend.  This is the wiring
-    shared by the SkyWalker family and any custom regional system.
+    as peers, starts them and registers them with the frontend.  This is
+    the wiring shared by the SkyWalker family and its plug-in variants.
     """
     balancers = [make_balancer(region) for region in ctx.regions]
     for balancer in balancers:
         for replica in ctx.deployment.replicas_in(balancer.region):
             balancer.add_replica(replica)
-        if ctx.push_transfer is not None:
-            balancer.push_transfer = ctx.push_transfer
-    if wire_peers:
-        for balancer in balancers:
-            add_peer = getattr(balancer, "add_peer", None)
-            if add_peer is None:
-                continue
-            for peer in balancers:
-                if peer is not balancer:
-                    add_peer(peer)
+    for balancer in balancers:
+        for peer in balancers:
+            if peer is not balancer:
+                balancer.add_peer(peer)
     for balancer in balancers:
         balancer.start()
         ctx.frontend.register_balancer(balancer)
@@ -195,7 +184,7 @@ class SystemRegistry(NameRegistry):
         """A default-configured typed spec for a registered kind."""
         return self.get(kind).spec_cls(kind=kind, **overrides)
 
-    def build(self, spec: SystemSpec, ctx: BuildContext) -> List[Balancer]:
+    def build(self, spec: SystemSpec, ctx: BuildContext) -> List[BalancerBase]:
         """Dispatch to the registered builder for ``spec.kind``."""
         return self.get(spec.kind).factory(spec, ctx)
 

@@ -26,7 +26,7 @@ from ..cluster import (
     RequestTracker,
     TraceReplayClient,
 )
-from ..core.interface import Balancer
+from ..core.interface import BalancerBase
 from ..faults import FaultInjector, FaultsLike, resolve_fault_schedule
 from ..metrics import (
     AGGREGATED_METRICS,
@@ -59,7 +59,7 @@ class ExperimentResult:
 
     metrics: RunMetrics
     deployment: Deployment
-    balancers: List[Balancer]
+    balancers: List[BalancerBase]
     tracker: RequestTracker
     frontend: Frontend
     env: Environment
@@ -83,11 +83,15 @@ def build_system(
     client_regions: Sequence[str] = (),
     hash_key: Optional[str] = None,
     push_transfer=None,
-) -> List[Balancer]:
+) -> List[BalancerBase]:
     """Instantiate the requested load-balancing system via the registry and
     register it with the frontend.  Returns the created balancer objects.
 
-    A spec's explicit ``hash_key`` overrides the workload's natural key."""
+    A spec's explicit ``hash_key`` overrides the workload's natural key.
+    ``push_transfer`` (a :class:`~repro.mem.TransferModel`, from
+    ``MemoryConfig.push_*``) is installed here on every balancer the builder
+    returns, so every dispatch pays its pushed KV prefix's transfer time;
+    ``None`` keeps pushes free."""
     ctx = BuildContext(
         env=env,
         network=network,
@@ -95,9 +99,11 @@ def build_system(
         frontend=frontend,
         client_regions=tuple(client_regions),
         hash_key=system.hash_key or hash_key or "user",
-        push_transfer=push_transfer,
     )
-    return REGISTRY.build(system, ctx)
+    balancers = REGISTRY.build(system, ctx)
+    for balancer in balancers:
+        balancer.push_transfer = push_transfer
+    return balancers
 
 
 def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> ExperimentResult:

@@ -17,11 +17,11 @@ wall-clock, never changes results.
 
 What makes the cells shippable to a worker is that every experiment
 description is *data*: typed system specs are frozen dataclasses whose
-pushing policy, routing constraint and selection policy are plain
-registered *names*, resolved against the corresponding registry inside the
-worker when the system is built (:func:`repro.core.pushing.make_pushing_policy`,
-:func:`repro.core.policies.make_constraint`,
-:func:`repro.core.selection.make_selection_policy`).  Third-party systems
+pushing policy and routing constraint are plain registered *names*,
+resolved against the corresponding registry inside the worker when the
+system is built (:func:`repro.core.pushing.make_pushing_policy`,
+:func:`repro.core.policies.make_constraint`); the system kind fixes the
+selection policy.  Third-party systems
 and policies registered via the ``@register_*`` decorators work unchanged:
 the executor explicitly uses the ``fork`` start method wherever the
 platform offers it, so the workers inherit the parent's registries as-is.

@@ -20,12 +20,13 @@ from ..balancers import (
     SGLangRouterBalancer,
 )
 from ..core import (
-    ROUTING_CONSISTENT_HASH,
-    ROUTING_PREFIX_TREE,
+    ConsistentHashSelection,
+    PrefixTreeSelection,
+    SelectionPolicy,
     SkyWalkerBalancer,
     make_pushing_policy,
 )
-from ..core.interface import Balancer
+from ..core.interface import BalancerBase
 from .registry import BuildContext, SystemSpec, build_regional_mesh, register_system
 
 __all__ = [
@@ -56,7 +57,7 @@ _CENTRALIZED_CLASSES = {
 }
 
 
-def _build_centralized(spec: CentralizedConfig, ctx: BuildContext) -> List[Balancer]:
+def _build_centralized(spec: CentralizedConfig, ctx: BuildContext) -> List[BalancerBase]:
     cls = _CENTRALIZED_CLASSES[spec.kind]
     kwargs = {}
     if spec.kind == "consistent-hash":
@@ -93,8 +94,8 @@ class GatewayConfig(SystemSpec):
     config=GatewayConfig,
     description="Multi-cluster gateway with local preference and spill-over (§5.1)",
 )
-def _build_gateway(spec: GatewayConfig, ctx: BuildContext) -> List[Balancer]:
-    gateways: List[Balancer] = []
+def _build_gateway(spec: GatewayConfig, ctx: BuildContext) -> List[BalancerBase]:
+    gateways: List[BalancerBase] = []
     for region in ctx.regions:
         gateway = GatewayBalancer(
             ctx.env,
@@ -139,12 +140,14 @@ def build_skywalker_region(
     ctx: BuildContext,
     region: str,
     *,
-    routing: str = ROUTING_PREFIX_TREE,
+    selection_policy: Optional[SelectionPolicy] = None,
     allow_remote: bool = True,
     **extra,
 ) -> SkyWalkerBalancer:
     """Create one (unstarted, unwired) regional SkyWalker balancer from a
-    spec.  Shared by every SkyWalker-family builder, including plugins."""
+    spec.  Shared by every SkyWalker-family builder, including plugins,
+    which choose candidate selection by passing a policy object
+    (:class:`PrefixTreeSelection` when ``None``)."""
     pushing_kwargs = {}
     if spec.pushing.upper() == "SP-O":
         pushing_kwargs["max_outstanding"] = spec.sp_o_threshold
@@ -153,7 +156,7 @@ def build_skywalker_region(
         f"{spec.kind}@{region}",
         region,
         ctx.network,
-        routing=routing,
+        selection_policy=selection_policy,
         pushing_policy=make_pushing_policy(spec.pushing, **pushing_kwargs),
         probe_interval_s=spec.probe_interval_s,
         prefix_match_threshold=spec.prefix_match_threshold,
@@ -167,12 +170,12 @@ def build_skywalker_region(
     )
 
 
-def _make_skywalker_builder(routing: str, allow_remote: bool):
-    def builder(spec: SkyWalkerConfig, ctx: BuildContext) -> List[Balancer]:
+def _make_skywalker_builder(selection: SelectionPolicy, allow_remote: bool):
+    def builder(spec: SkyWalkerConfig, ctx: BuildContext) -> List[SkyWalkerBalancer]:
         return build_regional_mesh(
             ctx,
             lambda region: build_skywalker_region(
-                spec, ctx, region, routing=routing, allow_remote=allow_remote
+                spec, ctx, region, selection_policy=selection, allow_remote=allow_remote
             ),
         )
 
@@ -183,16 +186,16 @@ register_system(
     "skywalker",
     config=SkyWalkerConfig,
     description="SkyWalker: two-layer prefix-tree routing with selective pushing (§3)",
-)(_make_skywalker_builder(ROUTING_PREFIX_TREE, allow_remote=True))
+)(_make_skywalker_builder(PrefixTreeSelection(), allow_remote=True))
 
 register_system(
     "skywalker-ch",
     config=SkyWalkerConfig,
     description="SkyWalker-CH: two-layer consistent hashing variant (§3.2)",
-)(_make_skywalker_builder(ROUTING_CONSISTENT_HASH, allow_remote=True))
+)(_make_skywalker_builder(ConsistentHashSelection(), allow_remote=True))
 
 register_system(
     "region-local",
     config=SkyWalkerConfig,
     description="Region-Local: SkyWalker without cross-region offloading (Fig. 10)",
-)(_make_skywalker_builder(ROUTING_PREFIX_TREE, allow_remote=False))
+)(_make_skywalker_builder(PrefixTreeSelection(), allow_remote=False))

@@ -30,6 +30,7 @@ from ..cluster.client import Frontend, RequestTracker
 from ..cluster.deployment import Deployment
 from ..core.balancer import SkyWalkerBalancer
 from ..core.controller import ServiceController
+from ..core.interface import BalancerBase
 from ..net import Network
 from ..replica import ReplicaServer
 from ..sim import Environment
@@ -49,7 +50,6 @@ from .spec import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.interface import Balancer
     from ..metrics.resilience import ResilienceMetrics
 
 __all__ = ["FaultRecord", "FaultInjector"]
@@ -93,7 +93,7 @@ class FaultInjector:
         network: Network,
         deployment: Deployment,
         frontend: Frontend,
-        balancers: Sequence["Balancer"],
+        balancers: Sequence[BalancerBase],
         tracker: Optional[RequestTracker] = None,
     ) -> None:
         resolved = resolve_fault_schedule(schedule)
@@ -165,7 +165,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # the applier surface: lookups, actions and healing
     # ------------------------------------------------------------------
-    def find_balancer_in(self, region: str) -> Optional["Balancer"]:
+    def find_balancer_in(self, region: str) -> Optional[BalancerBase]:
         """The (first) balancer deployed in ``region``, or ``None``.
 
         ``None`` is a legitimate outcome in cross-system sweeps: one fault
@@ -178,7 +178,7 @@ class FaultInjector:
                 return balancer
         return None
 
-    def balancer_in(self, region: str) -> "Balancer":
+    def balancer_in(self, region: str) -> BalancerBase:
         """The (first) balancer deployed in ``region`` (raising lookup)."""
         balancer = self.find_balancer_in(region)
         if balancer is None:
@@ -198,7 +198,7 @@ class FaultInjector:
             )
         return replicas[index]
 
-    def controller_manages(self, balancer: "Balancer") -> bool:
+    def controller_manages(self, balancer: BalancerBase) -> bool:
         """Is this balancer's failure handled by a running controller?"""
         return self.controller is not None and balancer.name in self.controller.balancers
 
@@ -304,8 +304,7 @@ class FaultInjector:
         backlog left behind by the outages)."""
         total = 0
         for balancer in self.balancers:
-            total += balancer.queue_size
-            total += len(getattr(balancer, "stranded", ()))
+            total += balancer.queue_size + len(balancer.stranded)
         return total
 
     def resilience_metrics(self, *, duration_s: float) -> "ResilienceMetrics":

@@ -11,18 +11,11 @@ contract (see ``docs/DETERMINISM.md``) into a CI gate.  Two rule families:
   factories only, frozen picklable spec dataclasses, unique names per
   registry family, registrations executed at import time.
 
-Run ``python -m repro.lint src/ --baseline .repro-lint-baseline.json`` from
-the repo root; suppress an individual finding with a
+Run ``python -m repro.lint src/ examples/`` from the repo root; any finding
+fails it.  Suppress an individual finding with a
 ``# repro: allow(<rule>)`` comment on (or directly above) the line.
 """
 
-from .baseline import (
-    BASELINE_VERSION,
-    baseline_from_findings,
-    load_baseline,
-    save_baseline,
-    split_findings,
-)
 from .cli import main
 from .engine import (
     LintReport,
@@ -53,10 +46,5 @@ __all__ = [
     "rule_catalog",
     "lint_paths",
     "lint_source",
-    "BASELINE_VERSION",
-    "load_baseline",
-    "save_baseline",
-    "baseline_from_findings",
-    "split_findings",
     "main",
 ]

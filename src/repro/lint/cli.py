@@ -1,8 +1,8 @@
 """``python -m repro.lint``: the command-line front end.
 
-Exit codes: 0 clean (every finding baselined or none at all), 1 at least
-one non-baselined finding (or stale baseline entries under ``--strict``),
-2 usage/environment error (missing path, malformed baseline).
+Exit codes: 0 clean (no finding), 1 at least one finding, 2 usage or
+environment error (missing path).  No finding is grandfathered: a
+deliberate exception is a ``# repro: allow(<rule>)`` comment at the line.
 """
 
 from __future__ import annotations
@@ -11,17 +11,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from .baseline import (
-    BASELINE_VERSION,
-    baseline_from_findings,
-    load_baseline,
-    save_baseline,
-    split_findings,
-)
 from .engine import LintReport, lint_paths, registered_lint_rules, rule_catalog
-from .findings import Finding
 
 __all__ = ["main", "build_parser", "report_payload"]
 
@@ -29,8 +21,8 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
-#: Schema version of the JSON report (independent of the baseline file).
-REPORT_VERSION = 1
+#: Schema version of the JSON report.
+REPORT_VERSION = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,8 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Determinism & registry static analysis for this repository. "
-            "Lints the given files/directories and fails on any finding "
-            "not grandfathered by the baseline."
+            "Lints the given files/directories and fails on any finding."
         ),
     )
     parser.add_argument(
@@ -47,18 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline JSON of grandfathered findings (omit for none)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="write a baseline grandfathering every current finding, then exit 0",
     )
     parser.add_argument(
         "--format",
@@ -79,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory finding paths are relative to (default: cwd)",
     )
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail (exit 1) on stale baseline entries",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -91,62 +65,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def report_payload(
-    report: LintReport,
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-    stale: Sequence[str],
-) -> Dict[str, object]:
+def report_payload(report: LintReport) -> Dict[str, object]:
     """The JSON report structure (stable schema, version-stamped)."""
-    baselined_keys = {id(f) for f in baselined}
-
-    def entry(finding: Finding) -> Dict[str, object]:
-        payload = finding.to_dict()
-        payload["baselined"] = id(finding) in baselined_keys
-        return payload
-
-    ordered = sorted(list(new) + list(baselined), key=lambda f: f.sort_key)
     return {
         "version": REPORT_VERSION,
-        "baseline_version": BASELINE_VERSION,
         "summary": {
             "files": report.files,
-            "findings": len(ordered),
-            "new": len(new),
-            "baselined": len(baselined),
+            "findings": len(report.findings),
             "suppressed": len(report.suppressed),
-            "stale_baseline_keys": len(stale),
             "by_rule": report.counts_by_rule,
         },
-        "findings": [entry(finding) for finding in ordered],
-        "stale_baseline_keys": list(stale),
+        "findings": [finding.to_dict() for finding in report.findings],
         "rules": rule_catalog(),
     }
 
 
-def _print_text(
-    report: LintReport,
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-    stale: Sequence[str],
-    out,
-) -> None:
-    for finding in new:
+def _print_text(report: LintReport, out) -> None:
+    for finding in report.findings:
         print(finding.format(), file=out)
-    if stale:
-        print(file=out)
-        print(
-            f"{len(stale)} stale baseline entr"
-            f"{'y' if len(stale) == 1 else 'ies'} (fixed findings -- "
-            "delete them from the baseline):",
-            file=out,
-        )
-        for key in stale:
-            print(f"  {key}", file=out)
     print(file=out)
     print(
-        f"{report.files} files, {len(new)} new finding(s), "
-        f"{len(baselined)} baselined, {len(report.suppressed)} suppressed",
+        f"{report.files} files, {len(report.findings)} finding(s), "
+        f"{len(report.suppressed)} suppressed",
         file=out,
     )
 
@@ -176,26 +116,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.write_baseline:
-        save_baseline(args.write_baseline, baseline_from_findings(report.findings))
-        print(
-            f"wrote baseline for {len(report.findings)} finding(s) to "
-            f"{args.write_baseline}",
-            file=out,
-        )
-        return EXIT_CLEAN
-
-    baseline: Dict[str, int] = {}
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    new, baselined, stale = split_findings(report.findings, baseline)
-
-    payload = report_payload(report, new, baselined, stale)
+    payload = report_payload(report)
     if args.json_report:
         Path(args.json_report).write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"
@@ -203,8 +124,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2), file=out)
     else:
-        _print_text(report, new, baselined, stale, out)
+        _print_text(report, out)
 
-    if new or (args.strict and stale):
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
+    return EXIT_FINDINGS if report.findings else EXIT_CLEAN

@@ -235,7 +235,7 @@ def _ensure_builtins() -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class LintReport:
-    """Outcome of one lint run (before any baseline is applied)."""
+    """Outcome of one lint run."""
 
     findings: List[Finding]
     suppressed: List[Finding]
@@ -341,8 +341,7 @@ def lint_paths(
     """Lint every Python file under ``paths``.
 
     ``root`` (default: the current working directory) is what finding paths
-    -- and hence baseline keys -- are made relative to; run from the repo
-    root so the committed baseline matches.
+    are made relative to.
     """
     root_path = Path(root) if root is not None else Path.cwd()
     modules: List[ModuleInfo] = []

@@ -1,10 +1,7 @@
 """Finding objects emitted by the lint rules.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are plain frozen data so reports sort, compare and serialise trivially; the
-:attr:`Finding.baseline_key` deliberately excludes the line number so that
-grandfathered findings keep matching the committed baseline while unrelated
-edits shift code up and down the file.
+are plain frozen data so reports sort, compare and serialise trivially.
 """
 
 from __future__ import annotations
@@ -14,8 +11,8 @@ from typing import Dict
 
 __all__ = ["ERROR", "WARNING", "SEVERITIES", "Finding"]
 
-#: Per-rule severities.  Both gate the CI lint job (a non-baselined finding
-#: of either severity fails the run); the split exists so reports can rank
+#: Per-rule severities.  Both gate the CI lint job (a finding of either
+#: severity fails the run); the split exists so reports can rank
 #: hard determinism breaks above style-of-the-house advisories.
 ERROR = "error"
 WARNING = "warning"
@@ -36,11 +33,6 @@ class Finding:
     rule: str
     severity: str
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        return f"{self.path}::{self.rule}::{self.message}"
 
     @property
     def sort_key(self):

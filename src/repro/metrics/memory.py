@@ -189,9 +189,9 @@ def collect_memory_metrics(deployment, balancers: Sequence = ()) -> MemoryMetric
     pushed_prefix_bytes = 0
     push_transfer_s = 0.0
     for balancer in balancers:
-        pushed_prefix_tokens += getattr(balancer, "pushed_prefix_tokens", 0)
-        pushed_prefix_bytes += getattr(balancer, "pushed_prefix_bytes", 0)
-        push_transfer_s += getattr(balancer, "push_transfer_s", 0.0)
+        pushed_prefix_tokens += balancer.pushed_prefix_tokens
+        pushed_prefix_bytes += balancer.pushed_prefix_bytes
+        push_transfer_s += balancer.push_transfer_s
 
     def rate(hits: int) -> float:
         return hits / total_prompt if total_prompt > 0 else 0.0

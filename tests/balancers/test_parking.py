@@ -41,13 +41,13 @@ def test_requests_park_while_all_replicas_down_and_drain_fifo(env, make_tiny_rep
     # Everything arrived while the only replica was down: the head request is
     # parked and the rest wait in the inbox, arrival order intact.
     assert balancer.dispatched_requests == 0
-    assert list(balancer._parked) == requests[:1]
+    assert list(balancer.queue) == requests[:1]
     assert balancer.queue_size == 5
 
     replica.recover()
     env.run(until=30.0)
     assert balancer.dispatched_requests == 5
-    assert not balancer._parked
+    assert not balancer.queue
     assert all(r.finished for r in requests)
     # FIFO drain: dispatch order matches arrival order.
     dispatch_times = [r.lb_dispatch_time for r in requests]

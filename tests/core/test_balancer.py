@@ -1,11 +1,10 @@
 """Tests for the SkyWalker regional load balancer (Algorithm 1)."""
 
-import pytest
-
 from repro.core import (
     BlindPushing,
+    ConsistentHashSelection,
     GDPRConstraint,
-    ROUTING_CONSISTENT_HASH,
+    PrefixTreeSelection,
     SkyWalkerBalancer,
 )
 from repro.network import Network, default_topology
@@ -77,7 +76,7 @@ def test_prefix_affinity_routes_same_session_to_same_replica(env, network, make_
 def test_consistent_hash_variant_keeps_user_on_one_replica(env, network, make_tiny_replica):
     balancer = make_balancer(
         env, network, "us",
-        routing=ROUTING_CONSISTENT_HASH,
+        selection_policy=ConsistentHashSelection(),
         hash_key_fn=lambda request: request.user_id,
     )
     for _ in range(4):
@@ -253,24 +252,17 @@ def test_add_and_remove_replica_updates_rings_and_tries(env, network, make_tiny_
     assert balancer.local_replicas() == []
 
 
-def test_invalid_routing_policy_rejected(env, network):
-    with pytest.raises(ValueError):
-        SkyWalkerBalancer(env, "bad", "us", network, routing="magic")
-
-
-def test_registered_selection_policy_resolves_as_routing_name(env, network):
-    from repro.core import PrefixTreeSelection, register_selection_policy, unregister_selection_policy
-
-    @register_selection_policy("unit-test-routing")
+def test_selection_policy_object_sets_routing_name(env, network):
     class UnitTestSelection(PrefixTreeSelection):
         routing = "unit-test-routing"
 
-    try:
-        balancer = SkyWalkerBalancer(env, "custom", "us", network, routing="unit-test-routing")
-        assert isinstance(balancer.selection, UnitTestSelection)
-        assert balancer.routing == "unit-test-routing"
-    finally:
-        unregister_selection_policy("unit-test-routing")
+    policy = UnitTestSelection()
+    balancer = SkyWalkerBalancer(env, "custom", "us", network, selection_policy=policy)
+    assert balancer.selection is policy
+    assert balancer.routing == "unit-test-routing"
+    default = SkyWalkerBalancer(env, "default", "us", network)
+    assert isinstance(default.selection, PrefixTreeSelection)
+    assert default.routing == "prefix_tree"
 
 
 def test_fail_strands_queued_requests_and_recover_restarts(env, network, make_tiny_replica):

@@ -126,10 +126,3 @@ def test_multiple_concurrent_failures_are_tolerated(system):
     assert len(system["controller"].failovers) == 2
     assert all(record.recovered_at is not None for record in system["controller"].failovers)
     assert all(balancer.healthy for balancer in system["balancers"].values())
-
-
-def test_rebuild_state_reports_current_ownership(system):
-    mapping = system["controller"].rebuild_state()
-    assert mapping["sw@us"] == ["us/replica-0"]
-    assert mapping["sw@eu"] == ["eu/replica-0"]
-    assert mapping["sw@asia"] == ["asia/replica-0"]

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.balancers import RoundRobinBalancer
 from repro.cluster import Deployment, Frontend, ReplicaSpec
 from repro.core import GDPRConstraint, SameContinentConstraint
 from repro.experiments import (
@@ -21,6 +22,7 @@ from repro.experiments import (
     run_experiment,
     run_sweep,
 )
+from repro.mem import MemoryConfig
 from repro.network import Network, default_topology
 from repro.replica import TINY_TEST_PROFILE
 from repro.sim import Environment
@@ -183,6 +185,48 @@ def test_register_system_round_trip(stack):
     finally:
         REGISTRY.unregister("unit-test-system")
     assert "unit-test-system" not in registered_system_kinds()
+
+
+def test_hand_wired_balancer_pays_the_push_transfer():
+    """``build_system`` installs the pushed-prefix transfer model on every
+    balancer a builder returns, including one wired without ``ctx.attach``."""
+
+    @register_system("unit-test-hand-wired", config=SystemSpec)
+    def _build(spec, ctx):
+        balancer = RoundRobinBalancer(ctx.env, "hand-wired@us", "us", ctx.network)
+        for replica in ctx.deployment.replicas:
+            balancer.add_replica(replica)
+        balancer.start()
+        ctx.frontend.register_balancer(balancer)
+        return [balancer]
+
+    workload = build_arena_workload(scale=0.03)
+    cluster = ClusterConfig(
+        replicas_per_region={"us": 1, "eu": 1, "asia": 1},
+        profile=TINY_TEST_PROFILE,
+        memory=MemoryConfig(push_bandwidth_bytes_per_s=1e8),
+    )
+
+    def run(kind):
+        config = ExperimentConfig(
+            system=REGISTRY.spec(kind, hash_key=workload.hash_key),
+            cluster=cluster,
+            duration_s=10.0,
+            seed=1,
+        )
+        return run_experiment(config, workload.fresh_copy())
+
+    try:
+        hand_wired = run("unit-test-hand-wired")
+    finally:
+        REGISTRY.unregister("unit-test-hand-wired")
+    attached = run("round-robin")
+    (balancer,) = hand_wired.balancers
+    assert balancer.push_transfer is not None
+    assert balancer.pushed_prefix_tokens > 0
+    assert balancer.push_transfer_s > 0.0
+    # The same wiring through ctx.attach pays exactly the same pushes.
+    assert hand_wired.metrics.memory.to_dict() == attached.metrics.memory.to_dict()
 
 
 def test_build_context_regions_union_clients_and_replicas(stack):

@@ -204,6 +204,46 @@ def test_use_controller_false_downgrades_to_injector_ops():
     assert eu.healthy
 
 
+def test_total_balancer_outage_keeps_stranded_requests_until_recovery():
+    # Every balancer fails at once with requests queued, so the controller
+    # finds no balancer to take over: the stranded requests must wait on
+    # their failed balancer and drain when it recovers, not vanish (their
+    # clients would stall for the rest of the run).  The default profile:
+    # TINY_TEST_PROFILE's small KV pool stalls FCFS admission and hides it.
+    fail_at, downtime = 10.0, 5.0
+    schedule = FaultSchedule()
+    for region in ("us", "eu", "asia"):
+        schedule = schedule.add(fail_at, BalancerFailure(region=region, duration_s=downtime))
+    workload = build_arena_workload(scale=2.0, seed=1)
+    config = ExperimentConfig(
+        system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
+        cluster=tiny_cluster(profile=None),
+        duration_s=40.0,
+        seed=1,
+        faults=schedule,
+    )
+    result = run_experiment(config, workload)
+    assert [f.takeover_balancer for f in result.controller.failovers] == ["", "", ""]
+    assert result.injector.stranded_requests > 0
+
+    sent_before = [
+        request
+        for programs in workload.programs_by_region.values()
+        for program in programs
+        for request in program.all_requests()
+        if request.sent_time is not None and request.sent_time < fail_at
+    ]
+    held = {
+        id(request)
+        for balancer in result.balancers
+        for request in (*balancer.queue, *balancer.inbox.items, *balancer.stranded)
+    }
+    lost = [r for r in sent_before if r.lb_dispatch_time is None and id(r) not in held]
+    assert lost == []
+    assert any(r.lb_dispatch_time >= fail_at + downtime for r in sent_before
+               if r.lb_dispatch_time is not None)
+
+
 # ----------------------------------------------------------------------
 # network faults
 # ----------------------------------------------------------------------

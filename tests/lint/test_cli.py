@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+from repro.lint import lint_paths
+from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, REPORT_VERSION, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -61,13 +62,12 @@ def test_violation_named_in_json(violation_tree):
     )
     assert code == EXIT_FINDINGS
     payload = json.loads(output)
-    assert payload["version"] == 1
-    assert payload["summary"]["new"] == 1
+    assert payload["version"] == REPORT_VERSION
+    assert payload["summary"]["findings"] == 1
     (finding,) = payload["findings"]
     assert finding["rule"] == "unseeded-random"
     assert finding["line"] == 5
     assert finding["path"] == "sim/bad.py"
-    assert finding["baselined"] is False
     assert "unseeded-random" in payload["rules"]
 
 
@@ -77,45 +77,16 @@ def test_missing_path_is_usage_error(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# baseline interaction
+# the repository itself
 # ----------------------------------------------------------------------
-def test_baselined_finding_exits_zero(violation_tree):
-    baseline = violation_tree / "baseline.json"
-    code, _ = run_main(
-        violation_tree, "--root", violation_tree, "--write-baseline", baseline
+def test_src_and_examples_have_zero_findings():
+    """The tree CI lints has no finding at all: nothing is grandfathered,
+    so a new finding fails the lint job until it is fixed or suppressed
+    with a ``# repro: allow(<rule>)`` comment at the line."""
+    report = lint_paths([REPO_ROOT / "src", REPO_ROOT / "examples"], root=REPO_ROOT)
+    assert report.findings == [], "findings:\n" + "\n".join(
+        f.format() for f in report.findings
     )
-    assert code == EXIT_CLEAN
-    code, output = run_main(
-        violation_tree, "--root", violation_tree, "--baseline", baseline
-    )
-    assert code == EXIT_CLEAN
-    assert "1 baselined" in output
-
-
-def test_stale_baseline_fails_only_under_strict(violation_tree):
-    baseline = violation_tree / "baseline.json"
-    run_main(violation_tree, "--root", violation_tree, "--write-baseline", baseline)
-    (violation_tree / "sim" / "bad.py").write_text(
-        "import random\nrng = random.Random(7)\n"
-    )
-    code, output = run_main(
-        violation_tree, "--root", violation_tree, "--baseline", baseline
-    )
-    assert code == EXIT_CLEAN  # fixed finding: informational by default
-    assert "stale baseline" in output
-    code, _ = run_main(
-        violation_tree, "--root", violation_tree, "--baseline", baseline, "--strict"
-    )
-    assert code == EXIT_FINDINGS
-
-
-def test_malformed_baseline_is_usage_error(violation_tree):
-    baseline = violation_tree / "baseline.json"
-    baseline.write_text(json.dumps({"version": 99, "findings": {}}))
-    code, _ = run_main(
-        violation_tree, "--root", violation_tree, "--baseline", baseline
-    )
-    assert code == EXIT_USAGE
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +102,7 @@ def test_json_report_written_alongside_text(violation_tree, tmp_path):
     assert code == EXIT_FINDINGS
     assert "unseeded-random" in output  # stdout stays text
     payload = json.loads(report_file.read_text())
-    assert payload["summary"]["new"] == 1
+    assert payload["summary"]["findings"] == 1
     assert payload["findings"][0]["rule"] == "unseeded-random"
 
 
