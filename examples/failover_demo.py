@@ -83,7 +83,7 @@ def main() -> None:
     print(f"  ... sent during outage  : {len(during_outage)}")
     print(f"  ... entering via the US : {len(served_by_us_lb)}")
     print(f"EU balancer healthy again : {eu.healthy}")
-    print(f"EU replicas back home     : {[r.name for r in eu.local_replicas()]}")
+    print(f"EU replicas back home     : {[r.name for r in eu.replicas()]}")
 
 
 if __name__ == "__main__":

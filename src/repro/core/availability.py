@@ -190,9 +190,6 @@ class AvailabilityMonitor:
         self._balancer_probes.pop(balancer_name, None)
         self._forwarded_since_probe.pop(balancer_name, None)
 
-    def local_replicas(self) -> List[ReplicaServer]:
-        return list(self._local_replicas.values())
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

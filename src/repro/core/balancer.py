@@ -162,9 +162,6 @@ class SkyWalkerBalancer(BalancerBase):
         self.balancer_ring.remove_target(balancer_name)
         self.snapshot_trie.remove_target(balancer_name)
 
-    def local_replicas(self) -> List[ReplicaServer]:
-        return list(self._replicas.values())
-
     def peers(self) -> List["SkyWalkerBalancer"]:
         return list(self._peers.values())
 

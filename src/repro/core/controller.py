@@ -108,7 +108,7 @@ class ServiceController:
             failed_at=self.env.now,
         )
         if takeover is not None:
-            for replica in failed.local_replicas():
+            for replica in failed.replicas():
                 record.replica_names.append(replica.name)
                 takeover.add_replica(replica)
             for request in failed.take_stranded():

@@ -1,33 +1,30 @@
 """The load balancer's prefix tree (§3.2, "SkyWalker with regional snapshot").
 
-This is the *router-side* structure, distinct from the replica's KV radix
-cache: it does not hold any KV memory, it records which load-balancing
-**targets** have previously been sent requests with a given prefix.  Each
-node stores the targets associated with the prefix spelled by the path from
-the root; because a target is recorded on *every* node along the inserted
-path, the target set of a child is always a subset of its parent's, which
-is what makes the early-terminating traversal in
-:meth:`PrefixTree.best_target` correct.
+This is the *router-side* trie: the radix-trie core of
+:mod:`repro.replica.kv_cache` (node layout, edge comparison, edge split and
+lazy LRU leaf heap) plus routing **targets**, without any KV memory.  It
+records which load-balancing targets have previously been sent requests
+with a given prefix.  Each node stores the targets associated with the
+prefix spelled by the path from the root; because a target is recorded on
+*every* node along the inserted path, the target set of a child is always a
+subset of its parent's, which is what makes the early-terminating
+traversal in :meth:`PrefixTree.best_target` correct.
 
 Memory is bounded: the tree enforces ``max_tokens`` and evicts the
 earliest-inserted paths first, as described in the paper.
 
 Hot-path design (the per-request costs this module is built around):
 
-* **Eviction is O(log n)** via a lazy min-heap over leaves keyed by
-  ``insert_seq``.  Heap entries are never removed eagerly; an entry is
-  simply skipped at pop time when its node has since been touched, grown
-  children, or been detached.  One insert assigns a single sequence number
-  to every node on its path, and two leaves can never share a sequence
-  number (nodes sharing one are ancestor/descendant by construction), so
-  the heap's pop order is exactly the old full-scan "oldest leaf first"
-  order.
-* **Lookups compare whole edges**: the traversal walks the caller's token
-  sequence with an offset and compares each edge against one slice of the
-  length of that edge (one transient allocation per edge, at C speed),
-  falling back to a token-by-token walk only on the edge where the prompt
-  diverges or ends.  The availability set is used as-is when the caller
-  already holds a set (or a dict keys view).
+* **Eviction is O(log n)** through the shared leaf heap.  A node's
+  ``last_access`` is a logical clock: the sequence number of the last
+  insert that touched it, so the least recently inserted leaf goes first.
+  One insert stamps every node on its path with one number, and two leaves
+  can never share a number (nodes sharing one are ancestor/descendant by
+  construction), so the heap's pop order is exactly the old full-scan
+  "oldest leaf first" order.  Router nodes are never locked.
+* **Lookups compare whole edges** (the shared edge comparison).  The
+  availability set is used as-is when the caller already holds a set (or a
+  dict keys view).
 * **Tie-breaking is O(1)-deterministic**: each node maps every target to
   the sequence number of the last insert that recorded it there, and
   :meth:`best_target` picks the available target with the most recent
@@ -42,65 +39,29 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Set as _AbstractSet
-from heapq import heapify, heappop, heappush
-from typing import (
-    Dict,
-    Generic,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Dict, Generic, Hashable, Iterable, Optional, Sequence, Tuple, TypeVar
+
+from ..replica.kv_cache import _edge_overlap, _RadixTrie, _TrieNode
 
 __all__ = ["PrefixTree", "PrefixMatch"]
 
 T = TypeVar("T", bound=Hashable)
 
 
-def _edge_overlap(
-    tokens: Sequence[int], idx: int, key: Tuple[int, ...], klen: int, n: int
-) -> int:
-    """How many leading tokens of the edge ``key`` (of length ``klen``)
-    ``tokens[idx:n]`` matches.
+class _TargetNode(_TrieNode):
+    __slots__ = ("targets",)
 
-    Full-edge matches dominate repeat prefixes, so the whole edge is
-    compared at C speed first (one transient slice; a list slice never
-    equals the tuple key and takes the scalar walk).  The caller reached
-    ``key`` through its first token, so the overlap is at least 1.
-    """
-    if klen <= n - idx and tokens[idx : idx + klen] == key:
-        return klen
-    limit = min(klen, n - idx)
-    overlap = 1
-    while overlap < limit and key[overlap] == tokens[idx + overlap]:
-        overlap += 1
-    return overlap
+    #: Router nodes are never locked.
+    lock_count = 0
 
-
-class _TrieNode(Generic[T]):
-    __slots__ = ("key", "parent", "children", "targets", "insert_seq")
-
-    def __init__(self, key: Tuple[int, ...] = (), parent: Optional["_TrieNode[T]"] = None) -> None:
-        self.key = key
-        self.parent = parent
-        self.children: Dict[int, "_TrieNode[T]"] = {}
+    def __init__(self, key: Tuple[int, ...] = (), parent: Optional["_TargetNode"] = None) -> None:
+        _TrieNode.__init__(self, key, parent)
         #: target -> sequence number of the last insert that recorded the
         #: target on this node (the deterministic tie-break key).
-        self.targets: Dict[T, int] = {}
-        #: Sequence number of the most recent insert that touched this node;
-        #: eviction removes the leaves with the smallest value first.
-        self.insert_seq = 0
+        self.targets: Dict[Hashable, int] = {}
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
-    @property
-    def num_tokens(self) -> int:
-        return len(self.key)
+    def _copy_marks(self, upper: "_TargetNode") -> None:
+        upper.targets = dict(self.targets)
 
 
 class PrefixMatch(Generic[T]):
@@ -123,37 +84,24 @@ class PrefixMatch(Generic[T]):
         return f"<PrefixMatch target={self.target!r} matched={self.matched_tokens}/{self.prompt_tokens}>"
 
 
-class PrefixTree(Generic[T]):
+class PrefixTree(_RadixTrie, Generic[T]):
     """Compressed trie mapping token prefixes to routing targets."""
 
     def __init__(self, max_tokens: float = 200_000) -> None:
         if max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
+        super().__init__(_TargetNode())
         self.max_tokens = max_tokens
-        self.root: _TrieNode[T] = _TrieNode()
-        self._total_tokens = 0
-        self._node_count = 0
         self._seq = itertools.count(1)
-        #: Lazy eviction heap: ``(insert_seq, entry_id, node)``.  Entries go
-        #: stale instead of being removed; :meth:`_pop_oldest_leaf` validates.
-        self._leaf_heap: List[Tuple[int, int, _TrieNode[T]]] = []
-        self._entry_ids = itertools.count()
 
     # ------------------------------------------------------------------
-    @property
-    def total_tokens(self) -> int:
-        return self._total_tokens
-
     def __len__(self) -> int:
         """Number of non-root nodes currently in the tree."""
         return self._node_count
 
     def clear(self) -> None:
         """Drop every recorded prefix (all targets, all nodes)."""
-        self.root = _TrieNode()
-        self._total_tokens = 0
-        self._node_count = 0
-        self._leaf_heap = []
+        _RadixTrie.__init__(self, _TargetNode())
 
     # ------------------------------------------------------------------
     # insertion
@@ -169,14 +117,13 @@ class PrefixTree(Generic[T]):
         while idx < n:
             child = node.children.get(tokens[idx])
             if child is None:
-                child = _TrieNode(key=tokens[idx:], parent=node)
+                child = _TargetNode(tokens[idx:], node)
                 node.children[tokens[idx]] = child
                 self._total_tokens += n - idx
                 self._node_count += 1
                 child.targets[target] = seq
-                child.insert_seq = seq
-                self._push_leaf_entry(seq, child)
-                node = None  # terminal already recorded in the heap
+                child.last_access = seq
+                node = child
                 break
             key = child.key
             klen = len(key)
@@ -184,57 +131,13 @@ class PrefixTree(Generic[T]):
             if overlap < klen:
                 child = self._split(child, overlap)
             child.targets[target] = seq
-            child.insert_seq = seq
+            child.last_access = seq
             node = child
             idx += overlap
-        if node is not None and not node.children and node.parent is not None:
-            # The insert terminated on an existing node that is (still) a
-            # leaf: its eviction key changed, so record a fresh heap entry.
-            self._push_leaf_entry(seq, node)
+        # The insert ends on a node whose stamp changed: if it is a leaf,
+        # record a fresh heap entry.
+        self._note_leaf(node)
         self._enforce_capacity()
-
-    def _push_leaf_entry(self, seq: int, node: _TrieNode[T]) -> None:
-        heap = self._leaf_heap
-        heappush(heap, (seq, next(self._entry_ids), node))
-        # Without capacity pressure nothing ever pops, so stale entries
-        # would otherwise accumulate (and pin detached nodes) for the whole
-        # run; compact once the heap clearly outgrows the live tree.
-        if len(heap) > 64 and len(heap) > 4 * self._node_count:
-            self._compact_heap()
-
-    def _compact_heap(self) -> None:
-        """Drop stale entries, keeping the first-popping entry per leaf."""
-        live: Dict[int, Tuple[int, int, _TrieNode[T]]] = {}
-        for entry in self._leaf_heap:
-            seq, _, node = entry
-            if (
-                seq == node.insert_seq
-                and not node.children
-                and node.parent is not None
-                and node.parent.children.get(node.key[0]) is node
-            ):
-                previous = live.get(id(node))
-                if previous is None or entry < previous:
-                    live[id(node)] = entry
-        self._leaf_heap = list(live.values())
-        heapify(self._leaf_heap)
-
-    def _split(self, node: _TrieNode[T], offset: int) -> _TrieNode[T]:
-        """Split ``node`` so its first ``offset`` tokens become a new parent.
-
-        Returns the new upper node (which carries the shared prefix).
-        """
-        parent = node.parent
-        assert parent is not None and 0 < offset < len(node.key)
-        upper: _TrieNode[T] = _TrieNode(key=node.key[:offset], parent=parent)
-        upper.targets = dict(node.targets)
-        upper.insert_seq = node.insert_seq
-        parent.children[upper.key[0]] = upper
-        node.key = node.key[offset:]
-        node.parent = upper
-        upper.children = {node.key[0]: node}
-        self._node_count += 1
-        return upper
 
     # ------------------------------------------------------------------
     # lookup
@@ -335,117 +238,27 @@ class PrefixTree(Generic[T]):
         before its parent is examined and cascading prunes need no repeated
         sweeps.
         """
-        order: List[_TrieNode[T]] = []
-        stack: List[_TrieNode[T]] = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(node.children.values())
-        heap = self._leaf_heap
-        entry_ids = self._entry_ids
-        promoted: Dict[int, _TrieNode[T]] = {}
-        for node in reversed(order):
+        for node in reversed(list(self._iter_nodes())):
             node.targets.pop(target, None)
-            if node.parent is None:
-                continue
-            if not node.children and not node.targets:
-                del node.parent.children[node.key[0]]
-                self._total_tokens -= len(node.key)
-                self._node_count -= 1
-                promoted[id(node.parent)] = node.parent
-        # Surviving leaves keep their valid heap entries (removing a target
-        # changes neither insert_seq nor attachment); only nodes *promoted*
-        # to leaves by the pruning need fresh entries.  Promoted parents may
-        # themselves have been pruned later in the pass, so re-check.
-        for parent in promoted.values():
-            if (
-                parent.parent is not None
-                and not parent.children
-                and parent.parent.children.get(parent.key[0]) is parent
-            ):
-                heappush(heap, (parent.insert_seq, next(entry_ids), parent))
-        if len(heap) > 64 and len(heap) > 4 * self._node_count:
-            self._compact_heap()
+            if node.parent is not None and not node.children and not node.targets:
+                self._remove_leaf(node)
+        self._compact_heap()
 
     def _enforce_capacity(self) -> None:
         while self._total_tokens > self.max_tokens:
-            victim = self._pop_oldest_leaf()
+            victim = self._pop_lru_leaf()
             if victim is None:
                 return
-            parent = victim.parent
-            assert parent is not None
-            del parent.children[victim.key[0]]
-            self._total_tokens -= len(victim.key)
-            self._node_count -= 1
-            if parent.parent is not None and not parent.children:
-                # Raw push: eviction pops keep the heap clean on this path,
-                # and the compaction trigger would thrash as the tree drains.
-                heappush(
-                    self._leaf_heap,
-                    (parent.insert_seq, next(self._entry_ids), parent),
-                )
-
-    def _pop_oldest_leaf(self) -> Optional[_TrieNode[T]]:
-        """Pop the attached leaf with the smallest ``insert_seq``.
-
-        Stale entries (node re-touched, grew children, or already detached)
-        are discarded as they surface; amortised over the pushes that
-        created them this is O(log n) per eviction.
-        """
-        heap = self._leaf_heap
-        while heap:
-            seq, _, node = heappop(heap)
-            if (
-                seq == node.insert_seq
-                and not node.children
-                and node.parent is not None
-                and node.parent.children.get(node.key[0]) is node
-            ):
-                return node
-        return None
-
-    def _iter_nodes(self) -> Iterable[_TrieNode[T]]:
-        stack: List[_TrieNode[T]] = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
+            self._remove_leaf(victim)
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Structural checks used by the property-based tests."""
-        counted_tokens = 0
-        counted_nodes = 0
-        leaves: List[_TrieNode[T]] = []
-        for node in self._iter_nodes():
-            if node.is_root:
+        for node in self._check_structure():
+            parent = node.parent
+            if parent.parent is None:
                 continue
-            counted_tokens += node.num_tokens
-            counted_nodes += 1
-            assert node.parent is not None
-            if not node.parent.is_root:
-                if not set(node.targets).issubset(node.parent.targets):
-                    raise AssertionError("child target set is not a subset of its parent's")
-                if node.insert_seq > node.parent.insert_seq:
-                    raise AssertionError("child was inserted after its parent's last touch")
-            if not node.children:
-                leaves.append(node)
-        if counted_tokens != self._total_tokens:
-            raise AssertionError(
-                f"token accounting mismatch: counted {counted_tokens}, recorded {self._total_tokens}"
-            )
-        if counted_nodes != self._node_count:
-            raise AssertionError(
-                f"node accounting mismatch: counted {counted_nodes}, recorded {self._node_count}"
-            )
-        visible = {
-            id(node)
-            for seq, _, node in self._leaf_heap
-            if seq == node.insert_seq
-            and not node.children
-            and node.parent is not None
-            and node.parent.children.get(node.key[0]) is node
-        }
-        for leaf in leaves:
-            if id(leaf) not in visible:
-                raise AssertionError("leaf missing from the eviction heap")
+            if not node.targets.keys() <= parent.targets.keys():
+                raise AssertionError("child target set is not a subset of its parent's")
+            if node.last_access > parent.last_access:
+                raise AssertionError("child was inserted after its parent's last touch")

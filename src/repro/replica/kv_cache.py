@@ -1,17 +1,24 @@
-"""Radix-tree KV prefix cache, modelled after SGLang's RadixAttention cache.
+"""Radix tries over token sequences: the shared trie core and the replica's
+KV prefix cache.
 
-The cache stores token sequences in a compressed radix tree.  Each edge is a
-run of tokens; the number of tokens stored in the tree is the cache's memory
-footprint.  Running requests *lock* the nodes on their prompt path so the
-evictor can never free memory that an in-flight sequence still needs.
+The simulator keeps two compressed tries, and both are a
+:class:`_RadixTrie`:
 
-The simulator uses the cache for two purposes:
+* the replica's :class:`RadixCache`, modelled after SGLang's RadixAttention
+  cache: it decides how many prompt tokens of a new request are already
+  resident (prefix hit -> shorter prefill).  The number of tokens stored in
+  the tree is the cache's memory footprint, and running requests *lock*
+  the nodes on their prompt path so the evictor can never free memory that
+  an in-flight sequence still needs;
+* SkyWalker's load-balancer prefix tree
+  (:class:`repro.core.prefix_tree.PrefixTree`), which holds no KV memory but
+  records which routing *targets* have seen which prefixes.
 
-* inside a replica, to decide how many prompt tokens of a new request are
-  already resident (prefix hit -> shorter prefill), and
-* inside SkyWalker's load balancer, where the same data structure (without
-  memory accounting) tracks which *targets* have seen which prefixes
-  (:mod:`repro.core.prefix_tree` builds on the node layout defined here).
+The core holds everything the two share: the node layout (``key``,
+``parent``, ``children`` and the ``last_access`` stamp; the cache adds
+``lock_count``, the router ``targets``), the edge comparison, the edge
+split, the lazy LRU heap over unlocked leaves, node iteration and the
+structural check.
 
 Hot-path design:
 
@@ -22,15 +29,16 @@ Hot-path design:
   comparisons from reaching the nodes: leaves tied on ``last_access`` are
   ranked by the historical scan's DFS order, so how many entries a leaf
   has never changes which leaf is evicted.
-* **``evictable_tokens`` is O(1)**: a running counter of tokens on
-  unlocked non-root edges, maintained by insert/split/lock/unlock/evict.
-  The replica's admission path calls it per request, so the old full-tree
-  recount was a per-request linear scan.
+* **Lookups compare whole edges**: a walk descends by offset into the
+  caller's token sequence and compares each edge against one slice of the
+  edge's length (at C speed), falling back to a token-by-token walk only on
+  the edge where the sequence diverges or ends.
+* **``evictable_tokens`` is O(1)**: the cache counts the tokens on locked
+  edges, maintained by lock/unlock, and subtracts them from its total.  The
+  replica's admission path calls it per request.
 * **An admission walks its prompt twice**: one :meth:`RadixCache.match_prefix`
   and one :meth:`RadixCache.insert_path`, whose walk also returns the
   deepest node to lock.
-* **Lookups descend by offset** into the caller's token sequence instead
-  of slicing suffix tuples.
 """
 
 from __future__ import annotations
@@ -43,27 +51,44 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 __all__ = ["RadixNode", "RadixCache", "MatchResult"]
 
 
-class RadixNode:
-    """One node of the radix tree.
+def _edge_overlap(
+    tokens: Sequence[int], idx: int, key: Tuple[int, ...], klen: int, n: int
+) -> int:
+    """How many leading tokens of the edge ``key`` (of length ``klen``)
+    ``tokens[idx:n]`` matches.
 
-    ``key`` is the token run on the edge from ``parent`` to this node.  The
-    root has an empty key and no parent.
+    Full-edge matches dominate repeat prefixes, so the whole edge is
+    compared at C speed first (one transient slice; a list slice never
+    equals the tuple key and takes the scalar walk).  The caller reached
+    ``key`` through its first token, so the overlap is at least 1.
+    """
+    if klen <= n - idx and tokens[idx : idx + klen] == key:
+        return klen
+    limit = min(klen, n - idx)
+    overlap = 1
+    while overlap < limit and key[overlap] == tokens[idx + overlap]:
+        overlap += 1
+    return overlap
+
+
+class _TrieNode:
+    """One node of a radix trie.
+
+    ``key`` is the token run on the edge from ``parent`` to this node; the
+    root has an empty key and no parent.  ``last_access`` is the eviction
+    stamp: the leaves with the smallest stamp are evicted first.  Each
+    subclass adds its marks and, in ``_copy_marks``, copies them onto the
+    upper half split off above a node.
     """
 
-    __slots__ = ("key", "parent", "children", "last_access", "lock_count")
+    __slots__ = ("key", "parent", "children", "last_access")
 
-    def __init__(
-        self,
-        key: Tuple[int, ...] = (),
-        parent: Optional["RadixNode"] = None,
-    ) -> None:
+    def __init__(self, key: Tuple[int, ...] = (), parent: Optional["_TrieNode"] = None) -> None:
         self.key = key
         self.parent = parent
-        self.children: Dict[int, "RadixNode"] = {}
+        self.children: Dict[int, "_TrieNode"] = {}
         self.last_access = 0.0
-        self.lock_count = 0
 
-    # ------------------------------------------------------------------
     @property
     def num_tokens(self) -> int:
         """Number of tokens stored on the edge leading to this node."""
@@ -72,6 +97,221 @@ class RadixNode:
     @property
     def is_root(self) -> bool:
         return self.parent is None
+
+
+class _RadixTrie:
+    """The compressed-trie core shared by :class:`RadixCache` and
+    :class:`~repro.core.prefix_tree.PrefixTree`: token and node accounting,
+    the edge split, and the lazy LRU heap over unlocked leaves."""
+
+    def __init__(self, root: _TrieNode) -> None:
+        self.root = root
+        self._total_tokens = 0
+        self._node_count = 0
+        #: Lazy LRU heap over unlocked leaves: ``(last_access, entry_id,
+        #: node)``; see the module docstring.
+        self._leaf_heap: List[Tuple[float, int, _TrieNode]] = []
+        self._entry_ids = itertools.count()
+
+    @property
+    def total_tokens(self) -> int:
+        """Number of tokens currently stored in the tree."""
+        return self._total_tokens
+
+    def _split(self, node: _TrieNode, offset: int) -> _TrieNode:
+        """Split ``node``'s edge so that its first ``offset`` tokens become a
+        new parent node.  ``node`` keeps its identity as the *lower* half so
+        that references held to it (a running request's lock, a heap entry)
+        keep covering the whole original edge.  The upper half copies the
+        node's stamp and marks.  Returns the newly created upper node.
+        """
+        if not 0 < offset < len(node.key):
+            raise ValueError("split offset must be strictly inside the edge")
+        parent = node.parent
+        upper = type(node)(node.key[:offset], parent)
+        upper.last_access = node.last_access
+        node._copy_marks(upper)
+        parent.children[upper.key[0]] = upper
+        node.key = node.key[offset:]
+        node.parent = upper
+        upper.children = {node.key[0]: node}
+        self._node_count += 1
+        # The lower half's heap entries stay valid: validation is by object
+        # identity and current attachment, not by key.
+        return upper
+
+    # ------------------------------------------------------------------
+    # LRU bookkeeping
+    # ------------------------------------------------------------------
+    def _note_leaf(self, node: _TrieNode, compact: bool = True) -> None:
+        """Record an eviction-heap entry if ``node`` is an unlocked leaf.
+
+        Called whenever a node's ``last_access`` changes or it (re)gains
+        leaf/unlocked status; stale entries die lazily at pop time.  The
+        eviction path passes ``compact=False``: its pops drop stale entries
+        as fast as it pushes, and compacting would thrash as the tree drains.
+        """
+        if not node.children and node.lock_count == 0 and node.parent is not None:
+            heappush(self._leaf_heap, (node.last_access, next(self._entry_ids), node))
+            if compact:
+                self._compact_heap()
+
+    def _compact_heap(self) -> None:
+        """Drop stale entries, keeping the first-popping entry per leaf,
+        once the heap clearly outgrows the live tree.
+
+        A tree that never hits capacity never pops, so stale entries (and
+        the detached nodes they reference) would otherwise pile up for the
+        whole run.
+        """
+        heap = self._leaf_heap
+        if len(heap) <= 64 or len(heap) <= 4 * self._node_count:
+            return
+        live: Dict[int, Tuple[float, int, _TrieNode]] = {}
+        for entry in heap:
+            if self._entry_live(entry[0], entry[2]):
+                key = id(entry[2])
+                previous = live.get(key)
+                if previous is None or entry < previous:
+                    live[key] = entry
+        self._leaf_heap = list(live.values())
+        heapify(self._leaf_heap)
+
+    @staticmethod
+    def _entry_live(last_access: float, node: _TrieNode) -> bool:
+        """Is a heap entry still an accurate view of an unlocked leaf?"""
+        return (
+            last_access == node.last_access
+            and not node.children
+            and node.lock_count == 0
+            and node.parent is not None
+            and node.parent.children.get(node.key[0]) is node
+        )
+
+    def _pop_lru_leaf(self) -> Optional[_TrieNode]:
+        """Pop the unlocked leaf with the smallest ``last_access``.
+
+        Stale entries are discarded as they surface; amortised over the
+        pushes that created them this is O(log n) per eviction.
+        """
+        heap = self._leaf_heap
+        while heap:
+            last_access, entry_id, node = heappop(heap)
+            if not self._entry_live(last_access, node):
+                continue
+            # Timestamp ties (whole prefill batches share one sim time) are
+            # resolved exactly like the historical full-tree scan: first
+            # minimum-``last_access`` leaf in its DFS order.  All entries at
+            # this timestamp sit at the top of the heap; drain them, rank
+            # the handful of live candidates by traversal position, and put
+            # the losers back.
+            tied: List[Tuple[float, int, _TrieNode]] = []
+            seen = {id(node)}
+            while heap and heap[0][0] == last_access:
+                entry = heappop(heap)
+                competitor = entry[2]
+                if id(competitor) not in seen and self._entry_live(last_access, competitor):
+                    seen.add(id(competitor))
+                    tied.append(entry)
+                # Dead entries and duplicates of live ones are just dropped.
+            if not tied:
+                return node
+            tied.append((last_access, entry_id, node))
+            best = min(tied, key=lambda entry: self._dfs_order_key(entry[2]))
+            for entry in tied:
+                if entry is not best:
+                    heappush(heap, entry)
+            return best[2]
+        return None
+
+    @staticmethod
+    def _dfs_order_key(node: _TrieNode) -> Tuple[int, ...]:
+        """Position of ``node`` in the historical scan's traversal order.
+
+        The old full scan walked the tree with an explicit stack, visiting
+        the *most recently added* sibling first at every level.  That order
+        is reproduced here as a root-to-node tuple of reversed sibling
+        ranks: lexicographically smaller keys are visited earlier.  Only
+        computed for the few leaves tied on ``last_access``.
+        """
+        ranks: List[int] = []
+        while node.parent is not None:
+            siblings = list(node.parent.children.values())
+            ranks.append(len(siblings) - 1 - siblings.index(node))
+            node = node.parent
+        ranks.reverse()
+        return tuple(ranks)
+
+    def _remove_leaf(self, node: _TrieNode) -> int:
+        """Detach the unlocked leaf ``node``; returns its token count."""
+        assert node.parent is not None and not node.children and node.lock_count == 0
+        parent = node.parent
+        del parent.children[node.key[0]]
+        self._total_tokens -= len(node.key)
+        self._node_count -= 1
+        self._note_leaf(parent, compact=False)
+        return len(node.key)
+
+    # ------------------------------------------------------------------
+    def _iter_nodes(self) -> Iterable[_TrieNode]:
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(node.children.values())
+
+    def _check_structure(self) -> List[_TrieNode]:
+        """The shared structural checks; returns the non-root nodes.
+
+        Token and node counts match a recount, every edge is indexed under
+        its first token (the radix property: no two sibling edges share a
+        first token), and every unlocked leaf is visible to the heap.
+        """
+        if self.root.key != ():
+            raise AssertionError("root must have an empty key")
+        nodes: List[_TrieNode] = []
+        counted_tokens = 0
+        for node in self._iter_nodes():
+            if node.parent is None:
+                continue
+            if not node.key:
+                raise AssertionError("non-root node with empty key")
+            if node.parent.children.get(node.key[0]) is not node:
+                raise AssertionError("child index out of sync with key")
+            counted_tokens += len(node.key)
+            nodes.append(node)
+        if counted_tokens != self._total_tokens:
+            raise AssertionError(
+                f"token accounting mismatch: counted {counted_tokens}, recorded {self._total_tokens}"
+            )
+        if len(nodes) != self._node_count:
+            raise AssertionError(
+                f"node accounting mismatch: counted {len(nodes)}, recorded {self._node_count}"
+            )
+        visible = {id(node) for stamp, _, node in self._leaf_heap if self._entry_live(stamp, node)}
+        for node in nodes:
+            if not node.children and node.lock_count == 0 and id(node) not in visible:
+                raise AssertionError("unlocked leaf missing from the eviction heap")
+        return nodes
+
+
+class RadixNode(_TrieNode):
+    """One node of the KV cache's radix tree; ``lock_count`` running
+    requests pin it (and its ancestors) in memory."""
+
+    __slots__ = ("lock_count",)
+
+    def __init__(
+        self,
+        key: Tuple[int, ...] = (),
+        parent: Optional["RadixNode"] = None,
+    ) -> None:
+        _TrieNode.__init__(self, key, parent)
+        self.lock_count = 0
+
+    def _copy_marks(self, upper: "RadixNode") -> None:
+        # The lower half's lock holders all cover the upper half too.
+        upper.lock_count = self.lock_count
 
     def path_tokens(self) -> Tuple[int, ...]:
         """Full token sequence from the root to this node."""
@@ -101,7 +341,7 @@ class MatchResult:
         return self.nodes[-1] if self.nodes else None
 
 
-class RadixCache:
+class RadixCache(_RadixTrie):
     """A size-bounded radix tree over token sequences with LRU eviction.
 
     Parameters
@@ -115,18 +355,13 @@ class RadixCache:
     def __init__(self, capacity_tokens: float = float("inf")) -> None:
         if capacity_tokens <= 0:
             raise ValueError("capacity_tokens must be positive")
+        super().__init__(RadixNode())
         self.capacity_tokens = capacity_tokens
-        self.root = RadixNode()
-        self._total_tokens = 0
-        self._evictable_tokens = 0
-        self._node_count = 0
+        #: Tokens on locked edges; the rest of the tree is evictable.
+        self._locked_tokens = 0
         # Monotonic counters for cache-hit statistics.
         self.lookup_tokens = 0
         self.hit_tokens = 0
-        #: Lazy LRU heap over unlocked leaves: ``(last_access, entry_id,
-        #: node)``; see the module docstring.
-        self._leaf_heap: List[Tuple[float, int, RadixNode]] = []
-        self._entry_ids = itertools.count()
         #: Optional demotion hook ``(tokens, now)`` called for every
         #: pressure-eviction victim *before* it is removed -- the tiered KV
         #: store registers itself here so victims spill to lower tiers
@@ -136,47 +371,11 @@ class RadixCache:
 
     # ------------------------------------------------------------------
     @property
-    def total_tokens(self) -> int:
-        """Number of tokens currently stored in the tree."""
-        return self._total_tokens
-
-    @property
     def hit_rate(self) -> float:
         """Lifetime token-level cache hit rate of ``match_prefix`` calls."""
         if self.lookup_tokens == 0:
             return 0.0
         return self.hit_tokens / self.lookup_tokens
-
-    # ------------------------------------------------------------------
-    # LRU bookkeeping
-    # ------------------------------------------------------------------
-    def _note_leaf(self, node: RadixNode) -> None:
-        """Record an eviction-heap entry if ``node`` is an unlocked leaf.
-
-        Called whenever a node's ``last_access`` changes or it (re)gains
-        leaf/unlocked status; stale entries die lazily at pop time.
-        """
-        if not node.children and node.lock_count == 0 and node.parent is not None:
-            heap = self._leaf_heap
-            heappush(heap, (node.last_access, next(self._entry_ids), node))
-            # Caches that never hit capacity never pop, so stale entries
-            # (and the detached nodes they reference) would otherwise pile
-            # up for the whole run; compact once the heap clearly outgrows
-            # the live tree.
-            if len(heap) > 64 and len(heap) > 4 * self._node_count:
-                self._compact_heap()
-
-    def _compact_heap(self) -> None:
-        """Drop stale entries, keeping the first-popping entry per leaf."""
-        live: Dict[int, Tuple[float, int, RadixNode]] = {}
-        for entry in self._leaf_heap:
-            if self._entry_live(entry[0], entry[2]):
-                key = id(entry[2])
-                previous = live.get(key)
-                if previous is None or entry < previous:
-                    live[key] = entry
-        self._leaf_heap = list(live.values())
-        heapify(self._leaf_heap)
 
     # ------------------------------------------------------------------
     # lookup
@@ -196,7 +395,6 @@ class RadixCache:
         bit-reproducibility; pass the real clock if recency matters.
         """
         node = self.root
-        matched = 0
         nodes: List[RadixNode] = []
         idx = 0
         n = len(tokens)
@@ -206,36 +404,22 @@ class RadixCache:
             child = node.children.get(tokens[idx])
             if child is None:
                 break
-            key = child.key
-            klen = len(key)
-            # Full-edge comparisons dominate multi-turn lookups (the resent
-            # history matches whole edges); one C-level tuple comparison
-            # beats a Python loop over thousands of tokens.
-            if klen <= n - idx and tokens[idx : idx + klen] == key:
-                overlap = klen
-            else:
-                limit = min(klen, n - idx)
-                overlap = 0
-                while overlap < limit and key[overlap] == tokens[idx + overlap]:
-                    overlap += 1
-            if overlap == 0:
-                break
-            matched += overlap
+            klen = len(child.key)
+            overlap = _edge_overlap(tokens, idx, child.key, klen, n)
             idx += overlap
             child.last_access = now
             if not child.children:
                 self._note_leaf(child)
-            if overlap == len(key):
-                nodes.append(child)
-                node = child
-            else:
+            if overlap < klen:
                 # Partial edge match: stop here (the caller may insert to
                 # split the edge).
                 break
+            nodes.append(child)
+            node = child
         if record:
             self.lookup_tokens += n
-            self.hit_tokens += matched
-        return MatchResult(matched_tokens=matched, nodes=nodes)
+            self.hit_tokens += idx
+        return MatchResult(matched_tokens=idx, nodes=nodes)
 
     # ------------------------------------------------------------------
     # insertion
@@ -280,60 +464,21 @@ class RadixCache:
                 new_node.last_access = now
                 node.children[tokens[idx]] = new_node
                 self._total_tokens += take
-                self._evictable_tokens += take
                 self._node_count += 1
                 added += take
                 self._note_leaf(new_node)
                 node = new_node
                 idx += take
                 break
-            key = child.key
-            klen = len(key)
-            if klen <= n - idx and tokens[idx : idx + klen] == key:
-                overlap = klen
-            else:
-                limit = min(klen, n - idx)
-                overlap = 0
-                while overlap < limit and key[overlap] == tokens[idx + overlap]:
-                    overlap += 1
+            klen = len(child.key)
+            overlap = _edge_overlap(tokens, idx, child.key, klen, n)
             child.last_access = now
             if not child.children:
                 self._note_leaf(child)
-            if overlap == klen:
-                node = child
-                idx += overlap
-                continue
             # Split the edge at the divergence point.
-            upper = self._split(child, overlap)
-            node = upper
+            node = child if overlap == klen else self._split(child, overlap)
             idx += overlap
         return added, idx, (None if node is self.root else node)
-
-    def _split(self, node: RadixNode, offset: int) -> RadixNode:
-        """Split ``node``'s edge so that its first ``offset`` tokens become a
-        new parent node.  ``node`` keeps its identity as the *lower* half so
-        that lock references held by running requests (which always cover the
-        full original edge) keep protecting the whole path when they unlock.
-        Returns the newly created upper node.
-        """
-        if not 0 < offset < len(node.key):
-            raise ValueError("split offset must be strictly inside the edge")
-        parent = node.parent
-        assert parent is not None
-        upper = RadixNode(key=node.key[:offset], parent=parent)
-        upper.last_access = node.last_access
-        # The lower half's lock holders all cover the upper half too.
-        upper.lock_count = node.lock_count
-        parent.children[upper.key[0]] = upper
-        node.key = node.key[offset:]
-        node.parent = upper
-        upper.children = {node.key[0]: node}
-        self._node_count += 1
-        # The edge's tokens are merely redistributed between the two halves
-        # and both share the lock state, so ``_evictable_tokens`` is
-        # unchanged.  The lower half's heap entries stay valid: validation
-        # is by object identity and current attachment, not by key.
-        return upper
 
     # ------------------------------------------------------------------
     # locking
@@ -342,7 +487,7 @@ class RadixCache:
         """Pin ``node`` and all of its ancestors (a running request's prefix)."""
         while node is not None and not node.is_root:
             if node.lock_count == 0:
-                self._evictable_tokens -= len(node.key)
+                self._locked_tokens += len(node.key)
             node.lock_count += 1
             node = node.parent
 
@@ -353,7 +498,7 @@ class RadixCache:
                 raise RuntimeError("unlock without matching lock")
             node.lock_count -= 1
             if node.lock_count == 0:
-                self._evictable_tokens += len(node.key)
+                self._locked_tokens -= len(node.key)
                 self._note_leaf(node)
             node = node.parent
 
@@ -362,7 +507,7 @@ class RadixCache:
     # ------------------------------------------------------------------
     def evictable_tokens(self) -> int:
         """Tokens stored on unlocked edges (free-able memory)."""
-        return self._evictable_tokens
+        return self._total_tokens - self._locked_tokens
 
     def evict(self, num_tokens: int, now: float = 0.0) -> int:
         """Evict at least ``num_tokens`` tokens if possible, LRU-leaf first.
@@ -383,77 +528,6 @@ class RadixCache:
             evicted += self._remove_leaf(victim)
         return evicted
 
-    @staticmethod
-    def _entry_live(last_access: float, node: RadixNode) -> bool:
-        """Is a heap entry still an accurate view of an unlocked leaf?"""
-        return (
-            last_access == node.last_access
-            and not node.children
-            and node.lock_count == 0
-            and node.parent is not None
-            and node.parent.children.get(node.key[0]) is node
-        )
-
-    def _pop_lru_leaf(self) -> Optional[RadixNode]:
-        heap = self._leaf_heap
-        while heap:
-            last_access, entry_id, node = heappop(heap)
-            if not self._entry_live(last_access, node):
-                continue
-            # Timestamp ties (whole prefill batches share one sim time) are
-            # resolved exactly like the historical full-tree scan: first
-            # minimum-``last_access`` leaf in its DFS order.  All entries at
-            # this timestamp sit at the top of the heap; drain them, rank
-            # the handful of live candidates by traversal position, and put
-            # the losers back.
-            tied: List[Tuple[float, int, RadixNode]] = []
-            seen = {id(node)}
-            while heap and heap[0][0] == last_access:
-                entry = heappop(heap)
-                competitor = entry[2]
-                if id(competitor) not in seen and self._entry_live(last_access, competitor):
-                    seen.add(id(competitor))
-                    tied.append(entry)
-                # Dead entries and duplicates of live ones are just dropped.
-            if not tied:
-                return node
-            tied.append((last_access, entry_id, node))
-            best = min(tied, key=lambda entry: self._dfs_order_key(entry[2]))
-            for entry in tied:
-                if entry is not best:
-                    heappush(heap, entry)
-            return best[2]
-        return None
-
-    @staticmethod
-    def _dfs_order_key(node: RadixNode) -> Tuple[int, ...]:
-        """Position of ``node`` in the historical scan's traversal order.
-
-        The old full scan walked the tree with an explicit stack, visiting
-        the *most recently added* sibling first at every level.  That order
-        is reproduced here as a root-to-node tuple of reversed sibling
-        ranks: lexicographically smaller keys are visited earlier.  Only
-        computed for the few leaves tied on ``last_access``.
-        """
-        ranks: List[int] = []
-        while node.parent is not None:
-            siblings = list(node.parent.children.values())
-            ranks.append(len(siblings) - 1 - siblings.index(node))
-            node = node.parent
-        ranks.reverse()
-        return tuple(ranks)
-
-    def _remove_leaf(self, node: RadixNode) -> int:
-        assert node.parent is not None and not node.children
-        parent = node.parent
-        del parent.children[node.key[0]]
-        self._total_tokens -= len(node.key)
-        if node.lock_count == 0:
-            self._evictable_tokens -= len(node.key)
-        self._node_count -= 1
-        self._note_leaf(parent)
-        return len(node.key)
-
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Drop every unlocked entry (used by failure-recovery tests).
@@ -467,63 +541,13 @@ class RadixCache:
         finally:
             self.on_evict = hook
 
-    def _iter_nodes(self) -> Iterable[RadixNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
-
     def check_invariants(self) -> None:
         """Verify structural invariants (used heavily by property tests)."""
-        seen_tokens = 0
-        seen_nodes = 0
-        evictable = 0
-        leaves: List[RadixNode] = []
-        for node in self._iter_nodes():
-            if node.is_root:
-                if node.key != ():
-                    raise AssertionError("root must have an empty key")
-                continue
-            if not node.key:
-                raise AssertionError("non-root node with empty key")
-            seen_tokens += node.num_tokens
-            seen_nodes += 1
-            if node.lock_count == 0:
-                evictable += node.num_tokens
-                if not node.children:
-                    leaves.append(node)
-            first = node.key[0]
-            if node.parent.children.get(first) is not node:
-                raise AssertionError("child index out of sync with key")
-            # Sibling edges must not share a first token (radix property).
-            siblings = [c for c in node.parent.children.values() if c is not node]
-            for sibling in siblings:
-                if sibling.key[0] == node.key[0]:
-                    raise AssertionError("two sibling edges share a first token")
-        if seen_tokens != self._total_tokens:
+        nodes = self._check_structure()
+        locked = sum(len(node.key) for node in nodes if node.lock_count)
+        if locked != self._locked_tokens:
             raise AssertionError(
-                f"token accounting mismatch: counted {seen_tokens}, recorded {self._total_tokens}"
-            )
-        if evictable != self._evictable_tokens:
-            raise AssertionError(
-                f"evictable accounting drift: counted {evictable}, recorded {self._evictable_tokens}"
-            )
-        if seen_nodes != self._node_count:
-            raise AssertionError(
-                f"node accounting mismatch: counted {seen_nodes}, recorded {self._node_count}"
+                f"locked accounting drift: counted {locked}, recorded {self._locked_tokens}"
             )
         if self._total_tokens > self.capacity_tokens:
             raise AssertionError("cache exceeded its capacity")
-        visible = {
-            id(node)
-            for last_access, _, node in self._leaf_heap
-            if last_access == node.last_access
-            and not node.children
-            and node.lock_count == 0
-            and node.parent is not None
-            and node.parent.children.get(node.key[0]) is node
-        }
-        for leaf in leaves:
-            if id(leaf) not in visible:
-                raise AssertionError("unlocked leaf missing from the eviction heap")

@@ -65,10 +65,11 @@ def tiny_replica(env) -> ReplicaServer:
 # ----------------------------------------------------------------------
 # REPRO_STRICT_INVARIANTS=1 runs every structure's check_invariants() after
 # each mutation that can corrupt accounting (RadixCache evictions, trie
-# capacity enforcement, page alloc/free, and the availability monitor's
-# records, dispatch notes and replica health changes).  Unset, the checks run only for
-# tests marked @pytest.mark.strict_invariants (the small golden-grid
-# tests); "0" force-disables everywhere.  CI tier-1 sets the flag to "1".
+# capacity enforcement and target removal, page alloc/free, and the
+# availability monitor's records, dispatch notes and replica health
+# changes).  Unset, the checks run only for tests marked
+# @pytest.mark.strict_invariants (the small golden-grid tests); "0"
+# force-disables everywhere.  CI tier-1 sets the flag to "1".
 
 
 def _strict_invariants_enabled(request) -> bool:
@@ -94,6 +95,7 @@ def strict_invariants(request, monkeypatch):
 
     radix_evict = RadixCache.evict
     trie_enforce = PrefixTree._enforce_capacity
+    trie_remove_target = PrefixTree.remove_target
     page_alloc = PageAllocator.alloc
     page_free = PageAllocator.free
     monitor_record = AvailabilityMonitor._record_replica_probes
@@ -111,6 +113,10 @@ def strict_invariants(request, monkeypatch):
         trie_enforce(self)
         if self._total_tokens != before:
             self.check_invariants()
+
+    def checked_remove_target(self, target):
+        trie_remove_target(self, target)
+        self.check_invariants()
 
     def checked_alloc(self, tokens):
         block = page_alloc(self, tokens)
@@ -135,6 +141,7 @@ def strict_invariants(request, monkeypatch):
 
     monkeypatch.setattr(RadixCache, "evict", checked_evict)
     monkeypatch.setattr(PrefixTree, "_enforce_capacity", checked_enforce)
+    monkeypatch.setattr(PrefixTree, "remove_target", checked_remove_target)
     monkeypatch.setattr(PageAllocator, "alloc", checked_alloc)
     monkeypatch.setattr(PageAllocator, "free", checked_free)
     monkeypatch.setattr(AvailabilityMonitor, "_record_replica_probes", checked_record)

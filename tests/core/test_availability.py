@@ -85,7 +85,8 @@ def test_remove_local_replica(env, monitor, make_tiny_replica):
     monitor.add_local_replica(replica)
     monitor.remove_local_replica(replica.name)
     assert monitor.available_local_replicas() == []
-    assert monitor.local_replicas() == []
+    assert replica.name not in monitor.replica_probes
+    monitor.check_invariants()
 
 
 def test_remote_balancer_availability_follows_probe_state(env, monitor):

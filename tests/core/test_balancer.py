@@ -249,7 +249,7 @@ def test_add_and_remove_replica_updates_rings_and_tries(env, network, make_tiny_
     removed = balancer.remove_replica(replica.name)
     assert removed is replica
     assert replica.name not in balancer.replica_ring
-    assert balancer.local_replicas() == []
+    assert balancer.replicas() == []
 
 
 def test_selection_policy_object_sets_routing_name(env, network):
@@ -354,4 +354,4 @@ def test_duplicate_add_replica_is_idempotent(env, network, make_tiny_replica):
     balancer.add_replica(replica)
     balancer.add_replica(replica)
     assert replica._on_complete.count(balancer._on_replica_complete) == 1
-    assert len(balancer.local_replicas()) == 1
+    assert len(balancer.replicas()) == 1

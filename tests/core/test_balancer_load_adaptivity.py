@@ -30,7 +30,7 @@ def balancer(env, network, make_tiny_replica):
 
 
 def test_affinity_sticks_while_favourite_is_lightly_loaded(balancer):
-    replicas = balancer.local_replicas()
+    replicas = balancer.replicas()
     shared = tuple(range(70_000, 70_200))
     balancer.replica_trie.insert(shared, replicas[0].name)
     request = make_request(prompt_len=240, prefix=shared, region="us")
@@ -39,7 +39,7 @@ def test_affinity_sticks_while_favourite_is_lightly_loaded(balancer):
 
 
 def test_affinity_yields_when_favourite_is_severely_imbalanced(balancer):
-    replicas = balancer.local_replicas()
+    replicas = balancer.replicas()
     shared = tuple(range(71_000, 71_200))
     balancer.replica_trie.insert(shared, replicas[0].name)
     # Make the favourite look far busier than its peers via the monitor's
@@ -52,7 +52,7 @@ def test_affinity_yields_when_favourite_is_severely_imbalanced(balancer):
 
 
 def test_low_hit_ratio_prefers_least_loaded(balancer):
-    replicas = balancer.local_replicas()
+    replicas = balancer.replicas()
     shared = tuple(range(72_000, 72_020))  # only 20 shared tokens
     balancer.replica_trie.insert(shared, replicas[0].name)
     balancer.monitor.note_dispatch(replicas[0].name)
@@ -64,7 +64,7 @@ def test_low_hit_ratio_prefers_least_loaded(balancer):
 
 
 def test_estimated_load_combines_probe_and_recent_dispatches(balancer):
-    replicas = balancer.local_replicas()
+    replicas = balancer.replicas()
     assert balancer.estimated_load(replicas[0]) == 0
     balancer.monitor.note_dispatch(replicas[0].name)
     balancer.monitor.note_dispatch(replicas[0].name)
@@ -72,7 +72,7 @@ def test_estimated_load_combines_probe_and_recent_dispatches(balancer):
 
 
 def test_severely_imbalanced_requires_both_thresholds(balancer):
-    replicas = balancer.local_replicas()
+    replicas = balancer.replicas()
     # Busy, but everyone is equally busy: not imbalanced.
     for replica in replicas:
         for _ in range(6):

@@ -60,7 +60,7 @@ def test_failover_reassigns_replicas_to_nearest_balancer(system):
     # The US is the nearest healthy region to Europe in the default topology.
     assert record.takeover_balancer == "sw@us"
     assert "eu/replica-0" in record.replica_names
-    assert any(r.name == "eu/replica-0" for r in us.local_replicas())
+    assert any(r.name == "eu/replica-0" for r in us.replicas())
 
 
 def test_failed_balancer_is_removed_from_dns(system):
@@ -79,8 +79,8 @@ def test_recovery_transfers_replicas_back(system):
     record = system["controller"].failovers[0]
     assert record.recovered_at is not None
     assert eu.healthy
-    assert any(r.name == "eu/replica-0" for r in eu.local_replicas())
-    assert all(r.name != "eu/replica-0" for r in us.local_replicas())
+    assert any(r.name == "eu/replica-0" for r in eu.replicas())
+    assert all(r.name != "eu/replica-0" for r in us.replicas())
     assert system["frontend"].dns.resolve("eu") == "sw@eu"
 
 

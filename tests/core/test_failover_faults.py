@@ -110,8 +110,8 @@ def test_replicas_and_rings_transfer_through_injected_failover():
 
     eu = next(b for b in result.balancers if b.region == "eu")
     takeover = next(b for b in result.balancers if b.name == record.takeover_balancer)
-    assert [r.name for r in eu.local_replicas()] == ["eu/replica-0"]
-    assert all(r.name != "eu/replica-0" for r in takeover.local_replicas())
+    assert [r.name for r in eu.replicas()] == ["eu/replica-0"]
+    assert all(r.name != "eu/replica-0" for r in takeover.replicas())
     # The hash ring tracks membership (it survives recovery by design).
     assert "eu/replica-0" in eu.replica_ring.targets
 

@@ -168,7 +168,7 @@ def test_controller_driven_failover_end_to_end():
     # Replicas went home and the balancer serves again.
     eu = next(b for b in result.balancers if b.region == "eu")
     assert eu.healthy
-    assert any(r.name == "eu/replica-0" for r in eu.local_replicas())
+    assert any(r.name == "eu/replica-0" for r in eu.replicas())
 
 
 def test_controller_takes_each_failures_downtime_from_its_fault():

@@ -3,7 +3,7 @@ replica's ``RadixCache``.
 
 Both evict through a lazy min-heap over unlocked leaves.  The order that
 heap must reproduce is the historical full scan's: the unlocked leaf with
-the smallest stamp (``last_access``; the router's insert sequence number)
+the smallest ``last_access`` stamp (on the router, an insert sequence number)
 and, among leaves tied on it, the first one a stack-based depth-first walk
 reaches, which visits the newest sibling first.  The seeded property tests
 check every victim against that scan; the pinned digests and heap-pop
@@ -19,24 +19,23 @@ import zlib
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from repro.core import prefix_tree
 from repro.core.prefix_tree import PrefixTree
 from repro.perf.suite import _build_tree, _make_paths
 from repro.replica import kv_cache
 from repro.replica.kv_cache import RadixCache
 
 
-def scan_victim(root, stamp):
-    """The historical full-scan victim: the first minimum-``stamp`` leaf in
-    a stack walk from ``root``, over attached, unlocked leaves."""
+def scan_victim(root):
+    """The historical full-scan victim: the first minimum-``last_access``
+    leaf in a stack walk from ``root``, over attached, unlocked leaves."""
     best = None
     stack = [root]
     while stack:
         node = stack.pop()
         stack.extend(node.children.values())
-        if node is root or node.children or getattr(node, "lock_count", 0):
+        if node is root or node.children or node.lock_count:
             continue
-        if best is None or stamp(node) < stamp(best):
+        if best is None or node.last_access < best.last_access:
             best = node
     return best
 
@@ -51,14 +50,6 @@ def path_of(node):
 
 def attached(node):
     return node.parent.children.get(node.key[0]) is node
-
-
-def router_stamp(node):
-    return node.insert_seq
-
-
-def cache_stamp(node):
-    return node.last_access
 
 
 class CheckedBudget:
@@ -80,7 +71,7 @@ class CheckedBudget:
         if self.expected is not None:
             assert not attached(self.expected), "evicted another leaf than the scan"
         over = total > self.limit
-        self.expected = scan_victim(self.tree.root, router_stamp) if over else None
+        self.expected = scan_victim(self.tree.root) if over else None
         assert self.expected is not None or not over
         return over
 
@@ -139,7 +130,7 @@ def test_radix_cache_evicts_the_scan_victim(capacity, ops):
     checked = []
 
     def check_victim(tokens, now):
-        victim = scan_victim(cache.root, cache_stamp)
+        victim = scan_victim(cache.root)
         assert victim is not None and victim.path_tokens() == tokens
         checked.append(tokens)
 
@@ -172,15 +163,14 @@ def test_radix_cache_evicts_the_scan_victim(capacity, ops):
 # pinned victim order and heap work on the perf suite's synthetic paths
 # ----------------------------------------------------------------------
 def _count_pops(monkeypatch, popped):
-    for module in (prefix_tree, kv_cache):
-        real = module.heappop
+    real = kv_cache.heappop
 
-        def counting(heap, real=real):
-            entry = real(heap)
-            popped.append(entry[-1])
-            return entry
+    def counting(heap):
+        entry = real(heap)
+        popped.append(entry[-1])
+        return entry
 
-        monkeypatch.setattr(module, "heappop", counting)
+    monkeypatch.setattr(kv_cache, "heappop", counting)
 
 
 class RecordingBudget:
