@@ -13,13 +13,33 @@ Terminology follows the paper:
   selective pushing checks.
 * **outstanding requests** -- pending plus running requests, the quantity
   SP-O style balancers bound with a fixed threshold.
+
+Decode bookkeeping runs on a *step clock*.  In a continuous batch every
+running sequence gains one token per decode step (iteration-level
+scheduling, Orca OSDI'22), so the only per-sequence decode event is a
+finish.  :class:`ContinuousBatcher` counts applied decode steps in one
+integer ``_clock``; a decoding sequence stores ``offset`` and has generated
+``_clock + offset`` tokens.  A min-heap of ``(finish clock, admission
+number, sequence)`` holds when each sequence reaches its ``output_len``:
+the next run length is its top, and a step pops only the sequences that
+finish on it, tied finishers in admission order (which is ``running``
+order).  Advancing ``k`` steps is O(1); a step costs O(log n) per
+sequence that finishes.
+
+The per-sequence counters -- :attr:`RunningSequence.generated`,
+``request.generated_tokens`` and the grant's ``output_tokens`` -- are
+written only where they are read: when a sequence finishes, is preempted
+or aborted, and on :meth:`ContinuousBatcher.write_counters` (which
+:attr:`repro.replica.ReplicaServer.batcher` calls).  The memory manager's
+output-token total moves with every step.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Deque, List, Optional, Tuple
 
 from ..mem import MemoryConfig
 from ..workloads.request import Request, RequestStatus
@@ -29,25 +49,25 @@ from .model_profile import ModelProfile
 __all__ = ["RunningSequence", "StepPlan", "ContinuousBatcher"]
 
 
-@dataclass
+@dataclass(eq=False)
 class RunningSequence:
     """State of one request inside the continuous batch."""
 
     request: Request
     cached_tokens: int
     new_prompt_tokens: int
+    #: Output tokens so far.  While the sequence decodes this is written
+    #: only when it leaves the batch and on a counter write-out; the live
+    #: count is the batcher's clock plus :attr:`offset`.
     generated: int = 0
-    #: The memory grant backing this sequence; lets the per-token decode
-    #: loop update output accounting without a request-id dict lookup.
+    #: The memory grant backing this sequence; lets the batcher write the
+    #: sequence's output tokens without a request-id dict lookup.
     grant: Optional[AdmissionGrant] = None
-
-    @property
-    def remaining(self) -> int:
-        return self.request.output_len - self.generated
-
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.request.output_len
+    #: The batcher's admission number: ``running`` is in admission order.
+    admission: int = 0
+    #: ``generated`` minus the batcher's clock from the prefill token on;
+    #: ``None`` before the prefill and once the sequence has left the batch.
+    offset: Optional[int] = None
 
 
 @dataclass
@@ -77,7 +97,13 @@ class ContinuousBatcher:
         self.performance_scale: float = 1.0
         self.waiting: Deque[Request] = deque()
         self.running: List[RunningSequence] = []
-        self._by_id: Dict[int, RunningSequence] = {}
+        #: Decode steps applied so far (the step clock).
+        self._clock = 0
+        #: Min-heap of ``(finish clock, admission number, sequence)`` for
+        #: every decoding sequence; entries of preempted or aborted
+        #: sequences (``offset is None``) are dropped when they surface.
+        self._finishes: List[Tuple[int, int, RunningSequence]] = []
+        self._admissions = 0
         # Monotonic counters for metrics.
         self.total_admitted = 0
         self.total_finished = 0
@@ -144,18 +170,19 @@ class ContinuousBatcher:
             if grant is None:
                 break
             self.waiting.popleft()
+            self._admissions += 1
             seq = RunningSequence(
                 request=request,
                 cached_tokens=grant.cached_tokens,
                 new_prompt_tokens=grant.new_prompt_tokens,
                 grant=grant,
+                admission=self._admissions,
             )
             request.status = RequestStatus.RUNNING
             request.schedule_time = now
             request.cached_prefix_tokens = grant.cached_tokens
             request.prefilled_tokens = grant.new_prompt_tokens
             self.running.append(seq)
-            self._by_id[request.request_id] = seq
             admitted.append(seq)
             if request.request_id not in self._counted_requests:
                 self._counted_requests.add(request.request_id)
@@ -178,9 +205,8 @@ class ContinuousBatcher:
         """
         preempted: List[RunningSequence] = []
         while len(self.running) > 1 and self.memory.free_tokens < len(self.running):
-            victim = self.running[-1]
-            self.running.pop()
-            del self._by_id[victim.request.request_id]
+            victim = self.running.pop()
+            self._leave(victim)
             self.memory.release(victim.request.request_id, now)
             self.total_preemptions += 1
             self.total_preempted_tokens += victim.generated
@@ -188,6 +214,13 @@ class ContinuousBatcher:
             victim.request.status = RequestStatus.PENDING_AT_REPLICA
             self.waiting.appendleft(victim.request)
             preempted.append(victim)
+        if preempted and len(self._finishes) > 2 * len(self.running):
+            # A victim's heap entry stays behind.  Re-admitted victims that
+            # are preempted again before any decode step never let those
+            # entries surface, so drop them here once they outnumber the
+            # batch (the entries are totally ordered: pops stay the same).
+            self._finishes = [e for e in self._finishes if e[2].offset is not None]
+            heapify(self._finishes)
         return preempted
 
     def plan_step(self, now: float) -> StepPlan:
@@ -211,7 +244,12 @@ class ContinuousBatcher:
                 admitted=admitted,
             )
         if self.running:
-            return StepPlan(kind="decode", duration=self.decode_durations(1)[0])
+            duration = self.profile.decode_step_time(
+                len(self.running), self.memory.context_tokens_total
+            )
+            if self.performance_scale != 1.0:
+                duration /= self.performance_scale
+            return StepPlan(kind="decode", duration=duration)
         return StepPlan(kind="idle")
 
     def decode_run_length(self) -> int:
@@ -228,11 +266,10 @@ class ContinuousBatcher:
           then retries :meth:`admit`, whose failed attempts still touch the
           radix cache's LRU clock, so the run is a single step.
         """
-        running = self.running
-        batch = len(running)
+        batch = len(self.running)
         if self.waiting and batch < self.profile.max_batch_size:
             return 1
-        steps = min(seq.request.output_len - seq.generated for seq in running)
+        steps = self._next_finish() - self._clock
         if batch > 1:
             steps = min(steps, max(1, self.memory.free_tokens // batch))
         return steps
@@ -268,67 +305,89 @@ class ContinuousBatcher:
         Returns requests that finished immediately (``output_len == 1``).
         """
         finished: List[Request] = []
+        clock = self._clock
         for seq in admitted:
             seq.generated = 1
             self.memory.add_output_token(seq.request.request_id)
-            seq.request.generated_tokens = 1
-            if seq.request.first_token_time is None:
-                seq.request.first_token_time = now
+            request = seq.request
+            request.generated_tokens = 1
+            if request.first_token_time is None:
+                request.first_token_time = now
             self.total_generated_tokens += 1
-            if seq.done:
+            if request.output_len <= 1:
                 finished.append(self._finish(seq, now))
+            else:
+                seq.offset = 1 - clock
+                heappush(
+                    self._finishes,
+                    (clock + request.output_len - 1, seq.admission, seq),
+                )
         return finished
 
     def complete_decode_step(self, now: float) -> List[Request]:
         """Every running sequence gains one token; return those that finished."""
+        self._clock = clock = self._clock + 1
+        batch = len(self.running)
+        self.memory.note_generated(batch)
+        self.total_generated_tokens += batch
         finished: List[Request] = []
-        survivors: List[RunningSequence] = []
-        running = self.running
-        # Credit the whole step's output tokens up front; each sequence's
-        # grant is bumped inside the loop, so by the time a finished
-        # request's release() subtracts its grant the totals agree.
-        self.memory.note_generated(len(running))
-        self.total_generated_tokens += len(running)
-        for seq in running:
-            seq.generated += 1
-            seq.grant.output_tokens += 1
-            request = seq.request
-            request.generated_tokens = seq.generated
-            if request.first_token_time is None:
-                request.first_token_time = now
-            if seq.generated >= request.output_len:
-                finished.append(self._finish(seq, now, unlink=False))
-            else:
-                survivors.append(seq)
-        if finished:
-            # One list rebuild instead of an O(batch) ``remove`` per
-            # completion (order of the survivors is preserved).
-            self.running = survivors
+        finishes = self._finishes
+        # Tied finishers pop in admission order, which is ``running`` order.
+        while finishes:
+            finish, _, seq = finishes[0]
+            if seq.offset is not None and finish != clock:
+                break
+            heappop(finishes)
+            if seq.offset is not None:
+                finished.append(self._finish(seq, now))
         return finished
 
     def advance_decode(self, steps: int) -> None:
         """Apply ``steps`` decode steps in which no sequence finishes.
 
         The bulk form of :meth:`complete_decode_step` for the inside of a
-        decode run (see :meth:`decode_run_length`): each sequence's counters
-        move once instead of once per step.
+        decode run (see :meth:`decode_run_length`): the clock and the
+        token totals move, and no sequence is touched.
         """
-        running = self.running
-        tokens = steps * len(running)
+        tokens = steps * len(self.running)
         self.memory.note_generated(tokens)
         self.total_generated_tokens += tokens
-        for seq in running:
-            seq.generated += steps
-            seq.grant.output_tokens += steps
-            seq.request.generated_tokens = seq.generated
+        self._clock += steps
 
-    def _finish(self, seq: RunningSequence, now: float, *, unlink: bool = True) -> Request:
+    def write_counters(self) -> None:
+        """Write every running sequence's token counters from the clock, so
+        ``generated``, ``request.generated_tokens`` and the grants'
+        ``output_tokens`` (which ``KVMemoryManager.check_invariants``
+        sums) are current."""
+        for seq in self.running:
+            self._write(seq)
+
+    def _next_finish(self) -> int:
+        """The clock at which the next decoding sequence finishes."""
+        finishes = self._finishes
+        while finishes[0][2].offset is None:
+            heappop(finishes)
+        return finishes[0][0]
+
+    def _write(self, seq: RunningSequence) -> None:
+        if seq.offset is not None:
+            generated = self._clock + seq.offset
+            seq.generated = generated
+            seq.request.generated_tokens = generated
+            seq.grant.output_tokens = generated
+
+    def _leave(self, seq: RunningSequence) -> None:
+        """Write ``seq``'s counters and take it off the clock (its heap
+        entry, if any, is dropped when it surfaces)."""
+        self._write(seq)
+        seq.offset = None
+
+    def _finish(self, seq: RunningSequence, now: float) -> Request:
         request = seq.request
         request.status = RequestStatus.FINISHED
         request.finish_time = now
-        if unlink:
-            self.running.remove(seq)
-        del self._by_id[request.request_id]
+        self._leave(seq)
+        self.running.remove(seq)
         # Multi-turn conversations resend the whole history, so caching the
         # prompt (already in the tree) is what matters; we do not re-insert
         # output tokens because the synthetic workloads append fresh token
@@ -341,11 +400,12 @@ class ContinuousBatcher:
     def abort_all(self, now: float) -> List[Request]:
         """Fail every pending and running request (replica crash)."""
         aborted: List[Request] = []
-        for seq in list(self.running):
+        running, self.running = self.running, []
+        self._finishes.clear()
+        for seq in running:
             request = seq.request
             request.status = RequestStatus.FAILED
-            self.running.remove(seq)
-            del self._by_id[request.request_id]
+            self._leave(seq)
             self.memory.release(request.request_id, now)
             aborted.append(request)
         while self.waiting:
@@ -353,3 +413,32 @@ class ContinuousBatcher:
             request.status = RequestStatus.FAILED
             aborted.append(request)
         return aborted
+
+    def check_invariants(self) -> None:
+        """Recompute the step clock's bookkeeping by a scan (strict mode)."""
+        clock = self._clock
+        finishes = self._finishes
+        for index in range(1, len(finishes)):
+            if finishes[(index - 1) // 2][:2] > finishes[index][:2]:
+                raise AssertionError("finish heap order broken")
+        live = [entry for entry in finishes if entry[2].offset is not None]
+        decoding = [seq for seq in self.running if seq.offset is not None]
+        if len(live) != len(decoding) or {id(e[2]) for e in live} != {
+            id(seq) for seq in decoding
+        }:
+            raise AssertionError("live finish-heap entries are not the running set")
+        for finish, admission, seq in live:
+            if finish != seq.request.output_len - seq.offset or admission != seq.admission:
+                raise AssertionError("finish-heap entry disagrees with its sequence")
+        remaining = [seq.request.output_len - (clock + seq.offset) for seq in decoding]
+        if remaining and min(live)[0] - clock != min(remaining):
+            raise AssertionError("finish-heap top is not the nearest finish")
+        if any(not 1 <= clock + seq.offset < seq.request.output_len for seq in decoding):
+            raise AssertionError("a running sequence's generated count is out of range")
+        if any(seq.offset is None and seq.generated != 0 for seq in self.running):
+            raise AssertionError("a sequence awaiting prefill has generated tokens")
+        admissions = [seq.admission for seq in self.running]
+        if any(a >= b for a, b in zip(admissions, admissions[1:])):
+            raise AssertionError("running is not in admission order")
+        if self.memory.output_tokens_in_use != sum(clock + seq.offset for seq in decoding):
+            raise AssertionError("output-token total drifted from the step clock")

@@ -22,6 +22,14 @@ apply nothing: they count the steps that have ended instead, each of which
 adds one token per running sequence.  The simulation is bit-identical to
 stepping one ``Timeout`` at a time; ``tests/replica/test_decode_runs.py``
 checks it against that loop.
+
+Applying steps touches no sequence: the batcher keeps a step clock (see
+:mod:`repro.replica.batching`), so applying ``k`` steps moves the clock,
+the token totals and the step statistics, and a run's last step pops only
+the sequences that finish on it.  The per-sequence token counters are
+written when a sequence leaves the batch and on every
+:attr:`~ReplicaServer.batcher` read, which is what makes that read a
+catch-up.
 """
 
 from __future__ import annotations
@@ -317,8 +325,10 @@ class ReplicaServer:
 
     @property
     def batcher(self) -> ContinuousBatcher:
-        """The scheduler state, caught up to ``now``."""
+        """The scheduler state, caught up to ``now``, with every running
+        sequence's token counters written."""
         self._sync()
+        self._batcher.write_counters()
         return self._batcher
 
     @property
@@ -414,8 +424,15 @@ class ReplicaServer:
         start = self._applied
         self._applied = steps
         stats = self._stats
+        # ReplicaStats.record_step inlined, one addition per step as before.
+        busy = stats.busy_time
+        decode = stats.decode_time
         for duration in self._durations[start:steps]:
-            stats.record_step("decode", duration)
+            busy += duration
+            decode += duration
+        stats.busy_time = busy
+        stats.decode_time = decode
+        stats.steps += steps - start
         batcher = self._batcher
         if self.record_utilization:
             # Each step adds one output token per running sequence and

@@ -65,9 +65,10 @@ def tiny_replica(env) -> ReplicaServer:
 # ----------------------------------------------------------------------
 # REPRO_STRICT_INVARIANTS=1 runs every structure's check_invariants() after
 # each mutation that can corrupt accounting (RadixCache evictions, trie
-# capacity enforcement and target removal, page alloc/free, and the
+# capacity enforcement and target removal, page alloc/free, the
 # availability monitor's records, dispatch notes and replica health
-# changes).  Unset, the checks run only for tests marked
+# changes, and the batcher's step clock after each plan and decode
+# step).  Unset, the checks run only for tests marked
 # @pytest.mark.strict_invariants (the small golden-grid tests); "0"
 # force-disables everywhere.  CI tier-1 sets the flag to "1".
 
@@ -91,6 +92,7 @@ def strict_invariants(request, monkeypatch):
     from repro.core.availability import AvailabilityMonitor
     from repro.core.prefix_tree import PrefixTree
     from repro.mem.paging import PageAllocator
+    from repro.replica.batching import ContinuousBatcher
     from repro.replica.kv_cache import RadixCache
 
     radix_evict = RadixCache.evict
@@ -101,6 +103,8 @@ def strict_invariants(request, monkeypatch):
     monitor_record = AvailabilityMonitor._record_replica_probes
     monitor_dispatch = AvailabilityMonitor.note_dispatch
     monitor_health = AvailabilityMonitor._on_replica_health
+    batcher_plan = ContinuousBatcher.plan_step
+    batcher_decode = ContinuousBatcher.complete_decode_step
 
     def checked_evict(self, num_tokens, now=0.0):
         evicted = radix_evict(self, num_tokens, now)
@@ -139,6 +143,16 @@ def strict_invariants(request, monkeypatch):
         monitor_health(self, replica)
         self.check_invariants()
 
+    def checked_plan(self, now):
+        plan = batcher_plan(self, now)
+        self.check_invariants()
+        return plan
+
+    def checked_decode(self, now):
+        finished = batcher_decode(self, now)
+        self.check_invariants()
+        return finished
+
     monkeypatch.setattr(RadixCache, "evict", checked_evict)
     monkeypatch.setattr(PrefixTree, "_enforce_capacity", checked_enforce)
     monkeypatch.setattr(PrefixTree, "remove_target", checked_remove_target)
@@ -147,6 +161,8 @@ def strict_invariants(request, monkeypatch):
     monkeypatch.setattr(AvailabilityMonitor, "_record_replica_probes", checked_record)
     monkeypatch.setattr(AvailabilityMonitor, "note_dispatch", checked_dispatch)
     monkeypatch.setattr(AvailabilityMonitor, "_on_replica_health", checked_health)
+    monkeypatch.setattr(ContinuousBatcher, "plan_step", checked_plan)
+    monkeypatch.setattr(ContinuousBatcher, "complete_decode_step", checked_decode)
     yield True
 
 

@@ -1,10 +1,12 @@
 """Unit tests for the continuous-batching scheduler state."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.replica import LLAMA_8B_L4, ContinuousBatcher, TINY_TEST_PROFILE
+from repro.replica import LLAMA_8B_L4, ContinuousBatcher, ReplicaServer, TINY_TEST_PROFILE
+from repro.sim import Environment
 
 from ..conftest import make_request
 
@@ -99,6 +101,49 @@ def test_decode_steps_finish_requests_in_output_length_order(batcher):
     assert finish_order == [short, long]
     assert short.generated_tokens == 2
     assert long.generated_tokens == 4
+
+
+def test_tied_finishers_are_emitted_in_admission_order(batcher):
+    # Two admissions per output length, then a late joiner whose last
+    # token lands on the same step as the first wave's longest pair.
+    first = [make_request(prompt_len=10, output_len=n) for n in (8, 5, 8, 5)]
+    for request in first:
+        batcher.enqueue(request, now=0.0)
+    plan = batcher.plan_step(now=0.0)
+    batcher.complete_prefill(plan.admitted, now=0.1)
+    batcher.complete_decode_step(now=0.2)
+    batcher.complete_decode_step(now=0.3)
+    late = make_request(prompt_len=10, output_len=6)
+    batcher.enqueue(late, now=0.3)
+    plan = batcher.plan_step(now=0.3)
+    assert [seq.request for seq in plan.admitted] == [late]
+    batcher.complete_prefill(plan.admitted, now=0.4)
+    steps = []
+    clock = 0.5
+    while batcher.num_running:
+        finished = batcher.complete_decode_step(now=clock)
+        if finished:
+            steps.append(finished)
+        clock += 0.1
+    assert steps == [[first[1], first[3]], [first[0], first[2], late]]
+    assert [request.generated_tokens for request in first + [late]] == [8, 5, 8, 5, 6]
+
+
+def test_preemption_thrash_keeps_the_finish_heap_bounded():
+    """48 sequences whose outputs outgrow 3,000 KV tokens: the newest is
+    preempted, re-admitted and preempted again at every plan, so no decode
+    step runs and no stale heap entry surfaces on its own."""
+    profile = replace(TINY_TEST_PROFILE, max_batch_size=64, gpu_memory_bytes=4_000)
+    env = Environment()
+    replica = ReplicaServer(env, "us/r0", "us", profile)
+    for i in range(48):
+        request = make_request(prompt_len=25 + i % 7, output_len=40 + 11 * (i % 6))
+        env.timeout(0.001 * i).callbacks.append(lambda _, r=request: replica.submit(r))
+    env.run(until=2.0)
+    batcher = replica.batcher
+    assert batcher.total_preemptions > 500
+    assert len(batcher._finishes) <= 2 * len(batcher.running)
+    batcher.check_invariants()
 
 
 def test_finished_requests_release_memory(batcher):

@@ -12,7 +12,10 @@ Scenarios mix random arrivals (one of them landing exactly on a step
 boundary the oracle computed), batches that outgrow the KV budget and
 preempt, a prompt too large to admit beside the running batch (a
 memory-blocked head while the batch is not full), a degrade and restore,
-a crash and recovery, and ``record_utilization``.
+a crash and recovery, and ``record_utilization``.  The wide scenarios run
+40 or more concurrent sequences (``WIDE_PROFILE``), the batch size of the
+diurnal-offload benchmark, where the step clock's finish heap pops tied
+and out-of-admission-order finishers.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem import MemoryConfig
-from repro.replica import ReplicaServer, TINY_TEST_PROFILE
+from repro.replica import ModelProfile, ReplicaServer, TINY_TEST_PROFILE
 from repro.sim import Environment
 from repro.workloads.request import Request
 
@@ -39,6 +42,11 @@ READS = ("stats", "utilization", "batcher")
 #: A prompt that fits an idle replica but not beside a running batch.
 BLOCKING_PROMPT = 1_850
 
+#: The tiny profile with batches of 64 and 12,000 KV tokens.
+WIDE_PROFILE = replace(
+    TINY_TEST_PROFILE, name="tiny-wide", max_batch_size=64, gpu_memory_bytes=13_000
+)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -52,6 +60,7 @@ class Scenario:
     record_utilization: bool = False
     #: Picks the oracle step boundary the extra arrival lands on.
     boundary: Optional[int] = None
+    profile: ModelProfile = TINY_TEST_PROFILE
 
 
 def _requests(scenario: Scenario) -> List[Request]:
@@ -67,7 +76,7 @@ def _requests(scenario: Scenario) -> List[Request]:
 
 def _simulate(cls, scenario: Scenario, record_utilization: bool):
     env = Environment()
-    replica = cls(env, "us/r0", "us", TINY_TEST_PROFILE, record_utilization=record_utilization)
+    replica = cls(env, "us/r0", "us", scenario.profile, record_utilization=record_utilization)
     requests = _requests(scenario)
     index = {id(request): i for i, request in enumerate(requests)}
     log = []
@@ -270,6 +279,78 @@ def test_fail_then_recover_mid_run():
     )
     assert any(entry[0] == "failed" and entry[2] for entry in outcome["log"])
     assert outcome["requests"][3][0] == "finished"
+
+
+# ----------------------------------------------------------------------
+# wide batches: 40+ concurrent sequences
+# ----------------------------------------------------------------------
+def _done_times(outcome):
+    return {entry[1]: entry[2] for entry in outcome["log"] if entry[0] == "done"}
+
+
+def _widest_batch(outcome):
+    return max(entry[3][1] for entry in outcome["log"] if entry[0] == "read")
+
+
+def test_wide_batch_tied_and_overtaking_finishes():
+    # 48 sequences in three waves; within a wave, output lengths repeat
+    # every five requests, so several finish on one step, and later
+    # admissions with shorter outputs finish before earlier ones.
+    requests = tuple(
+        (40 * (i % 2), 20 + i % 9, 30 + 7 * (4 - i % 5) + 3 * (i // 16), 0.02 * (i // 16))
+        for i in range(48)
+    )
+    outcome, _ = assert_identical(
+        Scenario(
+            requests=requests,
+            reads=_reads(0.05, 0.11, 0.2, 0.23, 0.31, 0.4, 0.52),
+            profile=WIDE_PROFILE,
+            record_utilization=True,
+        )
+    )
+    assert _widest_batch(outcome) >= 40
+    done = _done_times(outcome)
+    assert len(done) == 48
+    assert len(set(done.values())) < len(done) - 10, "few finishes share a step"
+    assert any(done[j] < done[i] for i in range(48) for j in range(i + 1, 48))
+
+
+def test_wide_batch_preempts_and_readmits():
+    # 2,800 KV tokens: 48 admissions fit, their outputs do not.
+    profile = replace(WIDE_PROFILE, gpu_memory_bytes=3_800)
+    requests = tuple((0, 25 + i % 7, 30 + 13 * (i % 5), 0.001 * i) for i in range(48))
+    outcome, _ = assert_identical(
+        Scenario(
+            requests=requests,
+            reads=_reads(0.08, 0.17, 0.29, 0.41, 0.6, 0.9),
+            profile=profile,
+            record_utilization=True,
+        )
+    )
+    assert _widest_batch(outcome) >= 40
+    assert outcome["batcher"][1] > 0, "no preemption happened"
+    # Every preempted request was re-admitted and finished.
+    assert all(request[0] == "finished" for request in outcome["requests"])
+
+
+def test_wide_batch_crash_mid_run():
+    requests = tuple(
+        (40 * (i % 3 == 0), 30 + i % 11, 40 + 9 * (i % 8), 0.002 * i) for i in range(48)
+    )
+    late = tuple((0, 30, 25 + i, 0.5 + 0.01 * i) for i in range(44))
+    outcome, _ = assert_identical(
+        Scenario(
+            requests=requests + late,
+            reads=_reads(0.12, 0.2, 0.6, 0.7),
+            crash=(0.1687, 0.45),
+            profile=WIDE_PROFILE,
+            record_utilization=True,
+        )
+    )
+    assert _widest_batch(outcome) >= 40
+    failed = next(entry[2] for entry in outcome["log"] if entry[0] == "failed")
+    assert len(failed) >= 40
+    assert all(request[0] == "finished" for request in outcome["requests"][48:])
 
 
 @pytest.mark.parametrize(
